@@ -17,6 +17,8 @@ from .errors import (
     DimensionMismatch,
     LambdaTooSmall,
     NonSimplicialCone,
+    NotCertified,
+    NotFinite,
     NotHypomorphic,
     NotNested,
     NotPositiveDefinite,
@@ -48,7 +50,6 @@ from .matrixcore import (
     deck,
     eigen_sorted,
     majors_multiset,
-    ones_vector,
     perm_similarity,
     shifted_det,
 )
@@ -82,14 +83,13 @@ from .solidangle import (
     partition_check,
 )
 from .verifiers import (
+    GridReport,
     MainTheoremReport,
-    TutteReport,
     good_position_shift,
     verify_eq1,
     verify_main1_t_agreement,
     verify_main2,
     verify_main_theorem,
-    verify_top_eigenspace_mirror,
     verify_tutte,
 )
 from .geometry_suite import SuiteReport, run_geometry_suite

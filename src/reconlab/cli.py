@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     BadPosition,
     ConsistencyError,
     LambdaTooSmall,
+    NotCertified,
     NotHypomorphic,
     NotNested,
     NotPositiveDefinite,
@@ -30,7 +31,7 @@ from .errors import (
     PreconditionViolated,
     ReconError,
 )
-from .geometry_suite import run_geometry_suite
+from .geometry_suite import DEFAULT_RESID_TOL, run_geometry_suite
 from .graph6 import graph6_decode, read_graph6_lines
 from .hypomorphism import gen_pair
 from .matrixcore import Permutation, deck
@@ -47,36 +48,13 @@ from .serialize import (
     report_to_dict,
 )
 from .solidangle import angle_fraction
-from .verifiers import verify_main_theorem, verify_tutte
+from .verifiers import ALIGN_TOL, EIG_TOL, GAP_TOL, TUTTE_TOL, verify_main_theorem, verify_tutte
 
 DEFAULT_SEED = 0x5EED
+GEOMETRY_MAX_SAMPLES = 50_000  # Monte Carlo samples per geometry-suite estimate
 _MATH_ERRORS = (NotHypomorphic, BadPosition, PreconditionViolated, NotNested,
-                LambdaTooSmall, NotPositiveDefinite, NotPositiveSemidefinite,
+                LambdaTooSmall, NotCertified, NotPositiveDefinite, NotPositiveSemidefinite,
                 ConsistencyError)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = DEFAULT_SEED
-    samples: int = 200_000
-    tol_overrides: dict = field(default_factory=dict)
-    output_format: str = "json"
-    input_paths: tuple = ()
-    out: Optional[str] = None
-    deterministic: bool = False
-    force: bool = False
-    count: int = 200
-    t_samples: int = 10
-    lambda_grid: Optional[tuple] = None
-    t_grid: Optional[tuple] = None
-    tau: Optional[str] = None
-    index: int = 0
-    monte_carlo: bool = False
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,216 +86,114 @@ def _parse_tau(spec: str, n: int) -> Permutation:
     return Permutation(tuple(int(v) for v in spec.split(",")))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="reconlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"reconlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=200_000)
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--deterministic", action="store_true",
-                       help="omit timestamps so identical runs are byte-identical")
-        p.add_argument("--force", action="store_true",
-                       help="bypass the certificate gate (negative controls)")
-
-    p = sub.add_parser("angle", help="solid-angle fraction of a cone")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--monte-carlo", action="store_true",
-                   help="sample even when a closed form applies")
-    common(p)
-
-    p = sub.add_parser("deck", help="vertex-deleted submatrices of a matrix")
-    p.add_argument("--matrix", required=True)
-    common(p)
-
-    p = sub.add_parser("gen-pair", help="relabel a graph and search the certificate")
-    p.add_argument("--graph6", required=True)
-    p.add_argument("--index", type=int, default=0, help="record index within the file")
-    p.add_argument("--tau", default="rot",
-                   help="rot[:k] | ref | id | swap:i,j | comma image")
-    common(p)
-
-    p = sub.add_parser("verify-tutte", help="shifted-determinant identity on a grid")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--grid-lambda", help="lo:hi:count or comma values")
-    p.add_argument("--grid-t", help="lo:hi:count or comma values")
-    p.add_argument("--tol-tutte", type=float)
-    common(p)
-
-    p = sub.add_parser("verify-main", help="lowest-eigenpair agreement on the t interval")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--t-samples", type=int, default=10)
-    p.add_argument("--tol-eig", type=float)
-    p.add_argument("--tol-gap", type=float)
-    p.add_argument("--tol-align", type=float)
-    common(p)
-
-    p = sub.add_parser("verify-geometry", help="seeded invariant suite")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--tol-eig", type=float,
-                   help="residual tolerance for the eigen-based invariants")
-    common(p)
-
-    p = sub.add_parser("ingest", help="graph6 file to matrix JSON records")
-    p.add_argument("--graph6", required=True)
-    common(p)
-
-    return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tols = {}
-    for key in ("tol_tutte", "tol_eig", "tol_gap", "tol_align"):
-        val = getattr(args, key, None)
-        if val is not None:
-            tols[key] = val
-    paths = tuple(p for p in (getattr(args, "pair", None), getattr(args, "matrix", None),
-                              getattr(args, "cone", None), getattr(args, "graph6", None))
-                  if p is not None)
-    return RunConfig(
-        command=args.command,
-        seed=args.seed,
-        samples=args.samples,
-        tol_overrides=tols,
-        output_format=args.format,
-        input_paths=paths,
-        out=args.out,
-        deterministic=args.deterministic,
-        force=getattr(args, "force", False),
-        count=getattr(args, "count", 200),
-        t_samples=getattr(args, "t_samples", 10),
-        lambda_grid=_parse_grid(args.grid_lambda) if getattr(args, "grid_lambda", None) else None,
-        t_grid=_parse_grid(args.grid_t) if getattr(args, "grid_t", None) else None,
-        tau=getattr(args, "tau", None),
-        index=getattr(args, "index", 0),
-        monte_carlo=getattr(args, "monte_carlo", False),
-    )
-
-
 def _read_json(path: str) -> dict:
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _envelope(config: RunConfig, report: dict, passed: bool, inputs: dict,
-              tolerances: dict, csv_kind: Optional[str]) -> tuple:
-    out = {
-        "command": config.command,
-        "version": __version__,
-        "seed": config.seed,
-        "samples": config.samples,
-        "inputs": inputs,
-        "tolerances": tolerances,
-        "passed": passed,
-        "report": report,
-    }
-    if not config.deterministic:
-        out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if config.output_format == "csv":
-        if csv_kind is None:
-            raise ValueError(f"no CSV flattening for command {config.command!r}")
-        return report_to_csv(csv_kind, report), passed
-    return dumps(out) + "\n", passed
-
-
-def _emit(config: RunConfig, text: str):
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _run_angle(config: RunConfig, force_mc: bool) -> int:
-    data = _read_json(config.input_paths[0])
+def _report(args: argparse.Namespace, report: dict, passed: bool, inputs: dict,
+            tolerances: dict, csv_kind: Optional[str] = None,
+            samples: Optional[int] = None) -> int:
+    """Write the report envelope (or its CSV flattening); returns the exit code."""
+    if csv_kind is not None and args.format == "csv":
+        text = report_to_csv(csv_kind, report)
+    else:
+        out = {
+            "command": args.command,
+            "version": __version__,
+            "seed": args.seed,
+            "samples": args.samples if samples is None else samples,
+            "inputs": inputs,
+            "tolerances": tolerances,
+            "passed": passed,
+            "report": report,
+        }
+        if not args.deterministic:
+            out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        text = dumps(out) + "\n"
+    _emit(args, text)
+    return 0 if passed else 1
+
+
+def _run_angle(args: argparse.Namespace) -> int:
+    data = _read_json(args.cone)
     cone = cone_from_dict(data)
-    est = angle_fraction(cone, config.samples, config.seed, force_monte_carlo=force_mc)
-    report = estimate_to_dict(est, seed=config.seed)
-    text, _ = _envelope(config, report, True, {"cone": content_hash(data)}, {}, "angle")
-    _emit(config, text)
-    return 0
+    est = angle_fraction(cone, args.samples, args.seed, force_monte_carlo=args.monte_carlo)
+    report = estimate_to_dict(est, seed=args.seed)
+    return _report(args, report, True, {"cone": content_hash(data)}, {}, "angle")
 
 
-def _run_deck(config: RunConfig) -> int:
-    data = _read_json(config.input_paths[0])
-    A = matrix_from_dict(data)
-    cards = [matrix_to_dict(card) for card in deck(A)]
-    text, _ = _envelope(config, {"deck": cards}, True,
-                        {"matrix": content_hash(data)}, {}, None)
-    _emit(config, text)
-    return 0
+def _run_deck(args: argparse.Namespace) -> int:
+    data = _read_json(args.matrix)
+    cards = [matrix_to_dict(card) for card in deck(matrix_from_dict(data))]
+    return _report(args, {"deck": cards}, True, {"matrix": content_hash(data)}, {})
 
 
-def _run_gen_pair(config: RunConfig) -> int:
-    with open(config.input_paths[0], "r", encoding="utf-8") as fh:
-        records = read_graph6_lines(fh.read())
-    if config.index >= len(records):
-        raise ValueError(f"record index {config.index} out of range ({len(records)} records)")
-    _, text_record = records[config.index]
+def _read_records(path: str) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        return read_graph6_lines(fh.read())
+
+
+def _run_gen_pair(args: argparse.Namespace) -> int:
+    records = _read_records(args.graph6)
+    if args.index >= len(records):
+        raise ValueError(f"record index {args.index} out of range ({len(records)} records)")
+    _, text_record = records[args.index]
     graph = graph6_decode(text_record)
-    tau = _parse_tau(config.tau, graph.n)
+    tau = _parse_tau(args.tau, graph.n)
     A, B, sigma = gen_pair(graph, tau)
     # pair files are bare wire-format JSON so the verify commands can ingest them
-    _emit(config, dumps(pair_to_dict(A, B, sigma)) + "\n")
+    _emit(args, dumps(pair_to_dict(A, B, sigma)) + "\n")
     return 0 if sigma is not None else 1
 
 
-def _run_verify_tutte(config: RunConfig) -> int:
-    data = _read_json(config.input_paths[0])
+def _read_certified_pair(path: str):
+    data = _read_json(path)
     A, B, sigma = pair_from_dict(data)
     if sigma is None:
         raise NotHypomorphic("pair file carries no certificate (sigma is null)")
-    kwargs = {}
-    if "tol_tutte" in config.tol_overrides:
-        kwargs["tol"] = config.tol_overrides["tol_tutte"]
-    report = verify_tutte(A, B, sigma, lambda_grid=config.lambda_grid,
-                          t_grid=config.t_grid, force=config.force, **kwargs)
-    text, passed = _envelope(config, report_to_dict(report), report.passed,
-                             {"pair": content_hash(data)}, {"tutte": report.tol}, "grid")
-    _emit(config, text)
-    return 0 if passed else 1
+    return data, A, B, sigma
 
 
-def _run_verify_main(config: RunConfig) -> int:
-    data = _read_json(config.input_paths[0])
-    A, B, sigma = pair_from_dict(data)
-    if sigma is None:
-        raise NotHypomorphic("pair file carries no certificate (sigma is null)")
-    kwargs = {}
-    if "tol_eig" in config.tol_overrides:
-        kwargs["eig_tol"] = config.tol_overrides["tol_eig"]
-    if "tol_gap" in config.tol_overrides:
-        kwargs["gap_tol"] = config.tol_overrides["tol_gap"]
-    if "tol_align" in config.tol_overrides:
-        kwargs["align_tol"] = config.tol_overrides["tol_align"]
-    report = verify_main_theorem(A, B, sigma, n_t_samples=config.t_samples,
-                                 force=config.force, **kwargs)
+def _run_verify_tutte(args: argparse.Namespace) -> int:
+    lambda_grid = _parse_grid(args.grid_lambda) if args.grid_lambda else None
+    t_grid = _parse_grid(args.grid_t) if args.grid_t else None
+    data, A, B, sigma = _read_certified_pair(args.pair)
+    report = verify_tutte(A, B, sigma, lambda_grid=lambda_grid, t_grid=t_grid,
+                          tol=args.tol_tutte, force=args.force)
+    return _report(args, report_to_dict(report), report.passed,
+                   {"pair": content_hash(data)}, {"tutte": report.tol}, "grid")
+
+
+def _run_verify_main(args: argparse.Namespace) -> int:
+    data, A, B, sigma = _read_certified_pair(args.pair)
+    report = verify_main_theorem(A, B, sigma, n_t_samples=args.t_samples,
+                                 eig_tol=args.tol_eig, gap_tol=args.tol_gap,
+                                 align_tol=args.tol_align, force=args.force)
     tolerances = {"eig": report.eig_tol, "gap": report.gap_tol, "align": report.align_tol}
-    text, passed = _envelope(config, report_to_dict(report), report.passed,
-                             {"pair": content_hash(data)}, tolerances, "main")
-    _emit(config, text)
-    return 0 if passed else 1
+    return _report(args, report_to_dict(report), report.passed,
+                   {"pair": content_hash(data)}, tolerances, "main")
 
 
-def _run_verify_geometry(config: RunConfig) -> int:
-    tol = config.tol_overrides.get("tol_eig", 1e-9)
-    report = run_geometry_suite(seed=config.seed, count=config.count, resid_tol=tol,
-                                mc_samples=min(config.samples, 50_000))
-    text, passed = _envelope(config, report_to_dict(report), report.passed,
-                             {}, {"resid": tol}, "suite")
-    _emit(config, text)
-    return 0 if passed else 1
+def _run_verify_geometry(args: argparse.Namespace) -> int:
+    mc_samples = min(args.samples, GEOMETRY_MAX_SAMPLES)
+    report = run_geometry_suite(seed=args.seed, count=args.count, resid_tol=args.tol_eig,
+                                mc_samples=mc_samples)
+    return _report(args, report_to_dict(report), report.passed, {},
+                   {"resid": args.tol_eig}, "suite", samples=mc_samples)
 
 
-def _run_ingest(config: RunConfig) -> int:
-    with open(config.input_paths[0], "r", encoding="utf-8") as fh:
-        records = read_graph6_lines(fh.read())
-    out_dir = config.out
+def _run_ingest(args: argparse.Namespace) -> int:
+    records = _read_records(args.graph6)
+    out_dir = args.out
     emitted = []
     for ordinal, (lineno, text_record) in enumerate(records):
         try:
@@ -340,31 +216,75 @@ def _run_ingest(config: RunConfig) -> int:
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    if config.command == "angle":
-        return _run_angle(config, force_mc=config.monte_carlo)
-    if config.command == "deck":
-        return _run_deck(config)
-    if config.command == "gen-pair":
-        return _run_gen_pair(config)
-    if config.command == "verify-tutte":
-        return _run_verify_tutte(config)
-    if config.command == "verify-main":
-        return _run_verify_main(config)
-    if config.command == "verify-geometry":
-        return _run_verify_geometry(config)
-    if config.command == "ingest":
-        return _run_ingest(config)
-    raise ValueError(f"unknown command {config.command!r}")
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="reconlab", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"reconlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, help, *, sampled=True, csv=False, force=False):
+        """A subcommand with the shared flags it reads; `handler(args)` runs it."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if sampled:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--samples", type=int, default=200_000)
+        p.add_argument("--out", help="write the report here instead of stdout")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--deterministic", action="store_true",
+                       help="omit timestamps so identical runs are byte-identical")
+        if force:
+            p.add_argument("--force", action="store_true",
+                           help="bypass the certificate gate (negative controls)")
+        return p
+
+    p = command("angle", _run_angle, "solid-angle fraction of a cone", csv=True)
+    p.add_argument("--cone", required=True)
+    p.add_argument("--monte-carlo", action="store_true",
+                   help="sample even when a closed form applies")
+
+    p = command("deck", _run_deck, "vertex-deleted submatrices of a matrix")
+    p.add_argument("--matrix", required=True)
+
+    p = command("gen-pair", _run_gen_pair, "relabel a graph and search the certificate",
+                sampled=False)
+    p.add_argument("--graph6", required=True)
+    p.add_argument("--index", type=int, default=0, help="record index within the file")
+    p.add_argument("--tau", default="rot",
+                   help="rot[:k] | ref | id | swap:i,j | comma image")
+
+    p = command("verify-tutte", _run_verify_tutte, "shifted-determinant identity on a grid",
+                csv=True, force=True)
+    p.add_argument("--pair", required=True)
+    p.add_argument("--grid-lambda", help="lo:hi:count or comma values")
+    p.add_argument("--grid-t", help="lo:hi:count or comma values")
+    p.add_argument("--tol-tutte", type=float, default=TUTTE_TOL)
+
+    p = command("verify-main", _run_verify_main,
+                "lowest-eigenpair agreement on the t interval", csv=True, force=True)
+    p.add_argument("--pair", required=True)
+    p.add_argument("--t-samples", type=int, default=10)
+    p.add_argument("--tol-eig", type=float, default=EIG_TOL)
+    p.add_argument("--tol-gap", type=float, default=GAP_TOL)
+    p.add_argument("--tol-align", type=float, default=ALIGN_TOL)
+
+    p = command("verify-geometry", _run_verify_geometry, "seeded invariant suite", csv=True)
+    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--tol-eig", type=float, default=DEFAULT_RESID_TOL,
+                   help="residual tolerance for the eigen-based invariants")
+
+    p = command("ingest", _run_ingest, "graph6 file to matrix JSON records", sampled=False)
+    p.add_argument("--graph6", required=True)
+
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        if "samples" in args and args.samples < 1:
+            raise ValueError("samples must be >= 1")
+        return args.handler(args)
     except _MATH_ERRORS as exc:
         sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

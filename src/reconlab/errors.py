@@ -13,6 +13,10 @@ class NotSymmetric(ReconError):
     """Input matrix violates the symmetry tolerance."""
 
 
+class NotFinite(ReconError):
+    """Input matrix has a NaN or infinite entry."""
+
+
 class DimensionMismatch(ReconError):
     """Operands have incompatible sizes."""
 
@@ -59,6 +63,10 @@ class NotHypomorphic(ReconError):
 
 class LambdaTooSmall(ReconError):
     """Shift parameter below the certified threshold."""
+
+
+class NotCertified(ReconError):
+    """No shift could be certified within the search budget."""
 
 
 class ConsistencyError(ReconError):

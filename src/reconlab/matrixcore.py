@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOrder, DimensionMismatch, NotSymmetric
+from .errors import DegenerateOrder, DimensionMismatch, NotFinite, NotSymmetric
 
 SYM_TOL_FACTOR = 1e-10
 
@@ -25,7 +25,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Real symmetric n x n matrix. Asymmetric input is rejected, not repaired."""
+    """Real symmetric n x n matrix. Asymmetric or non-finite input is rejected, not repaired."""
 
     entries: np.ndarray
 
@@ -35,7 +35,10 @@ class SymmetricMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DegenerateOrder("matrix order must be at least 1")
-        scale = max(1.0, float(np.max(np.abs(a))))
+        peak = float(np.max(np.abs(a)))  # NaN if any entry is NaN, inf if any is infinite
+        if not np.isfinite(peak):
+            raise NotFinite(f"matrix has a non-finite entry (max |entry| = {peak})")
+        scale = max(1.0, peak)
         asym = float(np.max(np.abs(a - a.T)))
         if asym > SYM_TOL_FACTOR * scale:
             raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {SYM_TOL_FACTOR * scale:.3e}")
@@ -57,10 +60,6 @@ class SymmetricMatrix:
     @classmethod
     def zeros(cls, n: int) -> "SymmetricMatrix":
         return cls(np.zeros((n, n)))
-
-
-def ones_vector(n: int) -> np.ndarray:
-    return np.ones(n)
 
 
 def as_matrix(a) -> SymmetricMatrix:
@@ -150,11 +149,21 @@ def deck(A: SymmetricMatrix) -> list:
     return cards
 
 
-def shifted_det(A: SymmetricMatrix, lam: float, t: float) -> float:
-    """det(A - lam*I + t*J), via LAPACK's pivoted LU. Singular input gives 0.0."""
+def shifted_det_grid(A: SymmetricMatrix, lams, ts) -> np.ndarray:
+    """det(A - lam*I + t*J) at every (lam, t) pair, shape (len(lams), len(ts)).
+
+    One batched LAPACK pivoted-LU call over the stacked matrices; each entry
+    is bit-identical to the determinant of that matrix taken on its own.
+    """
     A = as_matrix(A)
-    m = A.entries - lam * np.eye(A.n) + t * np.ones((A.n, A.n))
-    return float(np.linalg.det(m))
+    lams = np.asarray(lams, dtype=float)[:, None, None, None]
+    ts = np.asarray(ts, dtype=float)[None, :, None, None]
+    return np.linalg.det(A.entries - lams * np.eye(A.n) + ts * np.ones((A.n, A.n)))
+
+
+def shifted_det(A: SymmetricMatrix, lam: float, t: float) -> float:
+    """det(A - lam*I + t*J). Singular input gives 0.0."""
+    return float(shifted_det_grid(A, [lam], [t])[0, 0])
 
 
 def eigen_sorted(A: SymmetricMatrix) -> EigenData:

@@ -20,6 +20,7 @@ from .errors import (
     BadPosition,
     ConsistencyError,
     DimensionMismatch,
+    NotCertified,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
 )
@@ -219,11 +220,12 @@ def _positivity_margin_ok(A: SymmetricMatrix, lam: float, margin: float) -> bool
     if w[0] < PD_TOL_FACTOR * _scale(shifted):
         return False
     x = np.linalg.solve(shifted, np.ones(A.n))
-    return bool(np.min(x) >= margin)
+    # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
+    return bool(np.min(x) >= margin / _scale(A.entries))
 
 
 def lambda0_certified(A: SymmetricMatrix, lam: float, margin: float = POS_MARGIN) -> bool:
-    """(A + c*I)^-1 1 strictly positive with margin, at c in {lam, 2*lam, 10*lam}."""
+    """(A + c*I)^-1 1 strictly positive with margin / scale(A), at c in {lam, 2*lam, 10*lam}."""
     A = as_matrix(A)
     return all(_positivity_margin_ok(A, c, margin) for c in (lam, 2 * lam, 10 * lam))
 
@@ -244,7 +246,7 @@ def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN,
         hi *= 2.0
         doublings += 1
         if doublings > 200:
-            raise RuntimeError("lambda0 doubling failed to certify; check inputs")
+            raise NotCertified(f"no certified lambda0 after 200 doublings (reached {hi:.3e})")
     lo = hi / 2.0
     for _ in range(bisect_steps):
         mid = 0.5 * (lo + hi)

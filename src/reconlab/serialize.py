@@ -19,7 +19,6 @@ from .errors import ParseError
 from .hypomorphism import Hypomorphism
 from .matrixcore import Permutation, SymmetricMatrix
 from .solidangle import Cone, SolidAngleEstimate
-from .presentation import Presentation
 
 
 def _format_float(x: float) -> str:
@@ -32,29 +31,41 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _plain(obj):
+    """One conversion step towards JSON: a dataclass to a dict of its fields, an
+    enum to its value, a numpy array or scalar to Python values. Anything else
+    is returned unchanged."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return obj
+
+
 def dumps(obj) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, enum.Enum):
-        return dumps(obj.value)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+    if isinstance(obj, float):
+        return _format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
-    if is_dataclass(obj):
-        return dumps({f.name: getattr(obj, f.name) for f in fields(obj)})
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    plain = _plain(obj)
+    if plain is obj:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return dumps(plain)
 
 
 def sha256_hex(text: str) -> str:
@@ -105,23 +116,6 @@ def pair_from_dict(d: dict):
     return A, B, sigma
 
 
-def presentation_to_dict(U: Presentation) -> dict:
-    return {"n": U.n, "columns": U.columns.T.tolist()}
-
-
-def presentation_from_dict(d: dict) -> Presentation:
-    try:
-        cols = np.asarray(d["columns"], dtype=float).T
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad presentation JSON: {exc}", 0)
-    return Presentation(cols)
-
-
-def cone_to_dict(c: Cone) -> dict:
-    return {"apex": c.apex.tolist(), "generators": c.generators.tolist(),
-            "ambient_dim": c.ambient_dim}
-
-
 def cone_from_dict(d: dict) -> Cone:
     try:
         apex = np.asarray(d["apex"], dtype=float)
@@ -141,25 +135,13 @@ def estimate_to_dict(est: SolidAngleEstimate, seed: Optional[int] = None) -> dic
 
 
 def report_to_dict(report) -> dict:
-    """Generic dataclass flattening; nested dataclasses, arrays, enums handled."""
-    def convert(v):
-        if is_dataclass(v):
-            return {f.name: convert(getattr(v, f.name)) for f in fields(v)}
-        if isinstance(v, enum.Enum):
-            return v.value
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, (list, tuple)):
-            return [convert(x) for x in v]
-        if isinstance(v, dict):
-            return {str(k): convert(x) for k, x in v.items()}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        return v
-
-    return convert(report)
+    """The report as plain Python values, converted by the same step as `dumps`."""
+    report = _plain(report)
+    if isinstance(report, (list, tuple)):
+        return [report_to_dict(v) for v in report]
+    if isinstance(report, dict):
+        return {str(k): report_to_dict(v) for k, v in report.items()}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +153,7 @@ def _csv_line(values) -> str:
 
 def report_to_csv(kind: str, data: dict) -> str:
     """Flatten a report dict into CSV rows. Supported kinds: grid, main, angle,
-    suite, partition."""
+    suite."""
     lines = []
     if kind == "grid":
         lines.append("lambda,t,abs_residual")
@@ -191,11 +173,6 @@ def report_to_csv(kind: str, data: dict) -> str:
         lines.append("invariant,passed,failed,flagged")
         for name, tally in data["tallies"].items():
             lines.append(_csv_line([name, tally["passed"], tally["failed"], tally["flagged"]]))
-    elif kind == "partition":
-        lines.append("index,fraction")
-        for i, f in enumerate(data["fractions"]):
-            lines.append(_csv_line([i, f]))
-        lines.append(_csv_line(["sum", data["sum_fraction"]]))
     else:
         raise ValueError(f"no CSV flattening for report kind {kind!r}")
     return "\n".join(lines) + "\n"

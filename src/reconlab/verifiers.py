@@ -2,8 +2,10 @@
 
 Every verifier gates on the deck-matching certificate itself (reports must be
 self-certifying); `force=True` bypasses the gate for negative controls. Grid
-verdicts rely on the usual degree argument: the determinants are polynomials
-of degree <= n in the shift, so 9 grid points over-determine them for n <= 8.
+verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
+and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
+decides the identity. The default 9-point lam grid does so only for n <= 8;
+larger pairs need a `lambda_grid` (CLI: `--grid-lambda`) of n + 1 points or more.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import BadPosition, LambdaTooSmall, NotHypomorphic
 from .hypomorphism import Hypomorphism, verify_hypomorphism
-from .matrixcore import SymmetricMatrix, as_matrix, eigen_sorted, shifted_det
+from .matrixcore import SymmetricMatrix, as_matrix, eigen_sorted, shifted_det_grid
 from .presentation import (
     factor_presentation,
     good_position_report,
@@ -47,7 +49,7 @@ def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism, force: bo
 
 
 @dataclass(frozen=True)
-class TutteReport:
+class GridReport:
     lambda_grid: tuple
     t_grid: tuple
     residuals: np.ndarray
@@ -57,67 +59,47 @@ class TutteReport:
     passed: bool
 
 
-def verify_tutte(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                 lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
-                 tol: float = TUTTE_TOL, force: bool = False) -> TutteReport:
-    """det(A - lam*I + t*J) must equal det(B - lam*I + t*J) across the grid."""
-    A, B = as_matrix(A), as_matrix(B)
-    _gate(A, B, sigma, force)
-    lams = np.asarray(default_grid() if lambda_grid is None else lambda_grid, dtype=float)
-    ts = np.asarray(default_grid() if t_grid is None else t_grid, dtype=float)
-    resid = np.empty((lams.size, ts.size))
-    scale = 0.0
-    for i, lam in enumerate(lams):
-        for j, t in enumerate(ts):
-            da = shifted_det(A, lam, t)
-            db = shifted_det(B, lam, t)
-            resid[i, j] = abs(da - db)
-            scale = max(scale, abs(da), abs(db))
-    max_diff = float(np.max(resid))
-    return TutteReport(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
-                       max_abs_diff=max_diff, scale=scale, tol=tol,
-                       passed=max_diff <= tol * max(1.0, scale))
+def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
+                 lambda_grid: Optional[Sequence], t_grid: Optional[Sequence], tol: float,
+                 force: bool, against_lambda_zero: bool) -> GridReport:
+    """Gate, then compare f = det(A - lam I + t J) - det(B - lam I + t J) on the grid.
 
-
-@dataclass(frozen=True)
-class Eq1Report:
-    lambda_grid: tuple
-    t_grid: tuple
-    residuals: np.ndarray
-    max_abs_diff: float
-    scale: float
-    tol: float
-    passed: bool
-
-
-def verify_eq1(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-               lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
-               tol: float = EQ1_TOL, force: bool = False) -> Eq1Report:
-    """The determinant difference must be constant in the spectral shift.
-
-    For each t, f(lam, t) = det(A - lam I + t J) - det(B - lam I + t J) is
-    compared against its value at lam = 0.
+    The residual is |f| or, with `against_lambda_zero`, |f - f(0, t)|; the
+    lam = 0 reference row then also counts towards the scale.
     """
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     lams = np.asarray(default_grid() if lambda_grid is None else lambda_grid, dtype=float)
     ts = np.asarray(default_grid() if t_grid is None else t_grid, dtype=float)
-    resid = np.empty((lams.size, ts.size))
-    scale = 0.0
-    for j, t in enumerate(ts):
-        da0 = shifted_det(A, 0.0, t)
-        db0 = shifted_det(B, 0.0, t)
-        f0 = da0 - db0
-        scale = max(scale, abs(da0), abs(db0))
-        for i, lam in enumerate(lams):
-            da = shifted_det(A, lam, t)
-            db = shifted_det(B, lam, t)
-            resid[i, j] = abs((da - db) - f0)
-            scale = max(scale, abs(da), abs(db))
+    rows = np.append(lams, 0.0) if against_lambda_zero else lams
+    da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
+    diff = da - db
+    resid = np.abs(diff[:lams.size] - diff[-1]) if against_lambda_zero else np.abs(diff)
+    scale = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
     max_diff = float(np.max(resid))
-    return Eq1Report(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
-                     max_abs_diff=max_diff, scale=scale, tol=tol,
-                     passed=max_diff <= tol * max(1.0, scale))
+    return GridReport(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
+                      max_abs_diff=max_diff, scale=scale, tol=tol,
+                      passed=max_diff <= tol * max(1.0, scale))
+
+
+def verify_tutte(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
+                 lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
+                 tol: float = TUTTE_TOL, force: bool = False) -> GridReport:
+    """det(A - lam*I + t*J) must equal det(B - lam*I + t*J) across the grid."""
+    return _grid_report(A, B, sigma, lambda_grid, t_grid, tol, force,
+                        against_lambda_zero=False)
+
+
+def verify_eq1(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
+               lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
+               tol: float = EQ1_TOL, force: bool = False) -> GridReport:
+    """The determinant difference must be constant in the spectral shift.
+
+    For each t, f(lam, t) = det(A - lam I + t J) - det(B - lam I + t J) is
+    compared against its value at lam = 0.
+    """
+    return _grid_report(A, B, sigma, lambda_grid, t_grid, tol, force,
+                        against_lambda_zero=True)
 
 
 @dataclass(frozen=True)
@@ -263,20 +245,6 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
                              eig_tol=eig_tol, gap_tol=gap_tol, align_tol=align_tol,
                              collapsed=False, t_values=tuple(float(t) for t in t_values),
                              passed=ok)
-
-
-def verify_top_eigenspace_mirror(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                                 n_t_samples: int = 10, force: bool = False) -> MainTheoremReport:
-    """Experimental: the mirrored statement for the highest eigenspaces.
-
-    Negating both matrices swaps lowest and highest eigenpairs, so the lowest
-    eigenspace run on (-A, -B) exercises top-eigenspace agreement of (A, B)
-    at the negated rank-one coefficient. Exposed for exploration only.
-    """
-    A, B = as_matrix(A), as_matrix(B)
-    neg_a = SymmetricMatrix(-A.entries)
-    neg_b = SymmetricMatrix(-B.entries)
-    return verify_main_theorem(neg_a, neg_b, sigma, n_t_samples=n_t_samples, force=force)
 
 
 def good_position_shift(A: SymmetricMatrix, lam: float) -> SymmetricMatrix:

@@ -1,21 +1,19 @@
 import json
 
-import numpy as np
 import pytest
 
 from reconlab.cli import main
 from reconlab.graph6 import graph6_encode
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
 from reconlab.matrixcore import Permutation, SymmetricMatrix
-from reconlab.serialize import cone_to_dict, dumps, matrix_to_dict, pair_to_dict
-from reconlab.solidangle import Cone
+from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
 
 
 @pytest.fixture
 def octant_path(tmp_path):
-    cone = Cone(apex=np.zeros(3), generators=np.eye(3))
     path = tmp_path / "octant.json"
-    path.write_text(dumps(cone_to_dict(cone)))
+    path.write_text('{"apex": [0.0, 0.0, 0.0], "generators": [[1.0, 0.0, 0.0], '
+                    '[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "ambient_dim": null}')
     return str(path)
 
 
@@ -77,6 +75,14 @@ class TestDeck:
         assert code == 0
         cards = json.loads(out)["report"]["deck"]
         assert len(cards) == 3 and cards[0]["n"] == 2
+
+    def test_nan_entry_is_input_error(self, tmp_path, capsys):
+        # json.load accepts the NaN literal, so the matrix type must reject it
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 3, "entries": [[NaN, 1, 0], [1, 0, 1], [0, 1, 0]]}')
+        code, out, err = run_cli(capsys, "deck", "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "NotFinite"
 
 
 class TestGenPair:
@@ -143,6 +149,25 @@ class TestVerifyCommands:
         assert code == 0
         assert out.splitlines()[0].startswith("t,lambda_n_a")
 
+    def test_tutte_csv(self, pair_path, capsys):
+        code, out, _ = run_cli(capsys, "verify-tutte", "--pair", pair_path,
+                               "--grid-lambda=-1:1:3", "--grid-t", "0,2", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "lambda,t,abs_residual" and len(lines) == 1 + 3 * 2
+        assert lines[1].startswith("-1.0,0.0,")
+
+    def test_large_scale_pair_keeps_exit_contract(self, tmp_path, capsys):
+        # lambda0 grows with the matrix scale; an absolute positivity margin
+        # could never be met at 1e13 and the search used to escape main()
+        A, B, sigma = matrix_pair(cycle_adjacency(5), Permutation.swap(5, 1, 3))
+        path = tmp_path / "big.json"
+        path.write_text(dumps(pair_to_dict(SymmetricMatrix(1e13 * A.entries),
+                                           SymmetricMatrix(1e13 * B.entries), sigma)))
+        code, out, _ = run_cli(capsys, "verify-main", "--pair", str(path), "--deterministic")
+        assert code in (0, 1)
+        assert "passed" in json.loads(out)
+
 
 class TestVerifyGeometry:
     def test_small_run(self, capsys):
@@ -158,6 +183,20 @@ class TestVerifyGeometry:
                                "--samples", "5000", "--tol-eig", "0")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_reports_the_samples_it_ran(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-geometry", "--count", "1", "--seed", "9",
+                               "--samples", "60000")
+        assert code == 0
+        assert json.loads(out)["samples"] == 50_000
+
+    def test_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-geometry", "--count", "1", "--seed", "9",
+                               "--samples", "5000", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "invariant,passed,failed,flagged"
+        assert any(line.startswith("lemma1_equivalence,") for line in lines[1:])
 
 
 class TestIngest:
@@ -189,9 +228,15 @@ class TestIngest:
 
 
 class TestUsageContract:
-    def test_unknown_flag_exits_two(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["angle", "--cone", "x.json", "--bogus"],
+        ["deck", "--matrix", "m.json", "--format", "csv"],
+        ["angle", "--cone", "x.json", "--force"],
+        ["ingest", "--graph6", "g.g6", "--seed", "3"],
+    ], ids=["bogus", "deck-format", "angle-force", "ingest-seed"])
+    def test_unknown_flag_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["angle", "--cone", "x.json", "--bogus"])
+            main(argv)
         assert err.value.code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from reconlab import (
     DegenerateOrder,
     DimensionMismatch,
+    NotFinite,
     NotSymmetric,
     Permutation,
     SymmetricMatrix,
@@ -40,6 +41,14 @@ class TestSymmetricMatrix:
     def test_accepts_subtolerance_noise(self):
         a = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
         assert SymmetricMatrix(a).n == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        off_diagonal = np.array([[0.0, bad], [bad, 0.0]])
+        diagonal = np.diag([bad, 1.0])
+        for a in (off_diagonal, diagonal):
+            with pytest.raises(NotFinite):
+                SymmetricMatrix(a)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):

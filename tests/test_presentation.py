@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from reconlab import (
     BadPosition,
     GoodPositionReason,
+    NotCertified,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
     Presentation,
@@ -234,6 +235,18 @@ class TestLambda0:
             lam0 = lambda0_search(a)
             assert lambda0_certified(a, lam0)
             assert lambda0_certified(a, 10.0 * lam0)
+
+    def test_large_scale_certifies(self):
+        # (A + lam I)^-1 1 ~ 1/lam, so the margin must shrink with the scale of A
+        a = SymmetricMatrix(1e13 * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                                             [1.0, 1.0, 0.0]]))
+        lam0 = lambda0_search(a)
+        assert lambda0_certified(a, lam0)
+
+    def test_exhausted_doubling_is_typed(self):
+        # x ~ 1/lam < 1 at every probed lam, so a margin of 1 is never met
+        with pytest.raises(NotCertified):
+            lambda0_search(SymmetricMatrix.identity(3), margin=1.0)
 
 
 class TestInteriorEquivalence:

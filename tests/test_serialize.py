@@ -3,22 +3,33 @@ import json
 import numpy as np
 import pytest
 
-from reconlab import Cone, ParseError, Permutation, SymmetricMatrix
+from reconlab import (
+    ParseError,
+    Permutation,
+    SymmetricMatrix,
+    angle_fraction,
+    lambda0_search,
+    run_geometry_suite,
+    verify_hypomorphism,
+    verify_main1_t_agreement,
+    verify_main2,
+    verify_main_theorem,
+    verify_tutte,
+)
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
-from reconlab.presentation import Presentation
 from reconlab.serialize import (
     cone_from_dict,
-    cone_to_dict,
     content_hash,
     dumps,
     matrix_from_dict,
     matrix_to_dict,
     pair_from_dict,
     pair_to_dict,
-    presentation_from_dict,
-    presentation_to_dict,
     report_to_csv,
+    report_to_dict,
 )
+from reconlab.solidangle import Cone
+from reconlab.verifiers import good_position_shift
 
 
 def test_floats_round_trip_exactly():
@@ -59,17 +70,11 @@ def test_pair_null_sigma():
     assert sigma is None
 
 
-def test_presentation_round_trip():
-    U = Presentation(np.arange(9, dtype=float).reshape(3, 3))
-    d = json.loads(dumps(presentation_to_dict(U)))
-    assert np.array_equal(presentation_from_dict(d).columns, U.columns)
-
-
 def test_cone_round_trip():
-    c = Cone(apex=np.zeros(3), generators=np.eye(3)[:2], ambient_dim=3)
-    d = json.loads(dumps(cone_to_dict(c)))
-    c2 = cone_from_dict(d)
-    assert c2.ambient_dim == 3 and np.array_equal(c2.generators, c.generators)
+    text = '{"apex": [0.0, 0.0, 0.0], "generators": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ' \
+           '"ambient_dim": 3}'
+    c = cone_from_dict(json.loads(text))
+    assert c.ambient_dim == 3 and np.array_equal(c.generators, np.eye(3)[:2])
 
 
 def test_content_hash_stable():
@@ -89,3 +94,40 @@ def test_grid_csv():
 def test_unknown_csv_kind():
     with pytest.raises(ValueError):
         report_to_csv("nope", {})
+
+
+def _c5_pair():
+    return matrix_pair(cycle_adjacency(5), Permutation.swap(5, 1, 3))
+
+
+def _t_agreement():
+    A, B, sigma = _c5_pair()
+    lam = max(lambda0_search(A), lambda0_search(B)) + 1.0
+    return verify_main1_t_agreement(A, B, sigma, lam)
+
+
+def _kernel_match():
+    A, B, sigma = _c5_pair()
+    lam = max(lambda0_search(A), lambda0_search(B)) + 1.0
+    return verify_main2(good_position_shift(A, lam), good_position_shift(B, lam), sigma)
+
+
+REPORTS = {
+    "grid": lambda: verify_tutte(*_c5_pair()),
+    "t-agreement": _t_agreement,
+    "main-theorem": lambda: verify_main_theorem(*_c5_pair(), n_t_samples=3),
+    "kernel-match": _kernel_match,
+    "certificate": lambda: verify_hypomorphism(*_c5_pair()),
+    "suite": lambda: run_geometry_suite(seed=5, count=1, mc_samples=2000),
+    "estimate": lambda: angle_fraction(Cone(apex=np.zeros(4), generators=np.eye(4) + 0.3),
+                                       samples=2000, seed=3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_report_to_dict_serialises_like_the_report(kind):
+    report = REPORTS[kind]()
+    as_dict = report_to_dict(report)
+    assert dumps(as_dict) == dumps(report)
+    # plain Python values only, so the standard library can encode it too
+    assert json.loads(json.dumps(as_dict)) == json.loads(dumps(report))

@@ -18,7 +18,6 @@ from reconlab import (
     verify_main1_t_agreement,
     verify_main2,
     verify_main_theorem,
-    verify_top_eigenspace_mirror,
     verify_tutte,
 )
 from reconlab.hypomorphism import (
@@ -76,6 +75,23 @@ class TestTutte:
     def test_residuals_shape(self, c5_pair):
         rep = verify_tutte(*c5_pair, lambda_grid=[-1.0, 0.0, 1.0], t_grid=[0.0, 2.0])
         assert rep.residuals.shape == (3, 2)
+
+    def test_batched_grid_matches_per_point_loop(self, c6_pair):
+        # the batched determinant grid against one shifted_det call per point
+        A, B, sigma = c6_pair
+        bumped = B.entries.copy()
+        bumped[2, 4] = bumped[4, 2] = 0.3
+        B2 = SymmetricMatrix(bumped)
+        lams, ts = np.linspace(-3.0, 5.0, 11), [-2.0, 0.0, 1.5, 3.0]
+        tutte = verify_tutte(A, B2, sigma, lambda_grid=lams, t_grid=ts, force=True)
+        eq1 = verify_eq1(A, B2, sigma, lambda_grid=lams, t_grid=ts, force=True)
+        for j, t in enumerate(ts):
+            f0 = shifted_det(A, 0.0, t) - shifted_det(B2, 0.0, t)
+            for i, lam in enumerate(lams):
+                f = shifted_det(A, lam, t) - shifted_det(B2, lam, t)
+                assert tutte.residuals[i, j] == abs(f)
+                assert eq1.residuals[i, j] == abs(f - f0)
+        assert not tutte.passed and not eq1.passed
 
 
 class TestEq1:
@@ -186,10 +202,6 @@ class TestMainTheorem:
         scale = max(1.0, float(np.max(np.abs(eigs))))
         assert abs(eigs[0]) <= 1e-9 * scale
         assert good_position_report(shifted).is_good
-
-    def test_top_mirror_experimental(self, c5_pair):
-        rep = verify_top_eigenspace_mirror(*c5_pair, n_t_samples=5)
-        assert rep.passed
 
 
 @pytest.fixture(scope="module")
