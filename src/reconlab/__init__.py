@@ -15,6 +15,7 @@ from .errors import (
     ConsistencyError,
     DegenerateOrder,
     DimensionMismatch,
+    DrawFailed,
     LambdaTooSmall,
     NonSimplicialCone,
     NotCertified,

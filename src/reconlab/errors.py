@@ -69,5 +69,9 @@ class NotCertified(ReconError):
     """No shift could be certified within the search budget."""
 
 
+class DrawFailed(ReconError):
+    """A random construction found no acceptable draw within its attempt budget."""
+
+
 class ConsistencyError(ReconError):
     """Two independent closed forms of the same quantity disagree."""

@@ -13,6 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .errors import DrawFailed
 from .matrixcore import SymmetricMatrix
 from .presentation import (
     Presentation,
@@ -82,7 +83,7 @@ def random_good_position_presentation(rng: np.random.Generator, n: int) -> Prese
         cols = np.column_stack([lead, last])
         cols = np.vstack([cols, np.zeros(n)])  # embed in R^n, span stays n-1
         return Presentation(cols)
-    raise RuntimeError("failed to draw a well-conditioned good-position instance")
+    raise DrawFailed("no well-conditioned good-position instance in 20 draws")
 
 
 def _direct_good_position(U: Presentation, tol: float) -> bool:

@@ -21,6 +21,7 @@ from .errors import (
     ConsistencyError,
     DimensionMismatch,
     NotCertified,
+    NotFinite,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
 )
@@ -43,6 +44,8 @@ class Presentation:
         c = np.array(self.columns, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionMismatch(f"presentation must be a square array, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise NotFinite("presentation has a non-finite entry")
         c.setflags(write=False)
         object.__setattr__(self, "columns", c)
 

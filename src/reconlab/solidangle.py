@@ -12,9 +12,21 @@ living in different coordinate spaces be compared through congruence.
 
 Directional sampling: since a cone is radial, the fraction of the ball inside
 it equals the fraction of unit directions inside it, so the Monte Carlo path
-samples Gaussian-normalized directions in span coordinates. Sampling is
-chunked with a counter-based substream per chunk, so the estimate for a given
+tests Gaussian directions in span coordinates. Membership does not depend on
+length, so directions are never normalised. Sampling is chunked with a
+counter-based substream per chunk, so the estimate for a given
 (seed, samples) pair is bit-identical no matter how chunks are scheduled.
+
+Rotation reuse (Genz & Monahan 1998): each chunk draws 16 groups of 16 Haar
+rotations, and every Gaussian base vector of a group is tested under each of
+its group's rotations. Given z, the copies R_k z are independent uniform
+directions, and copies of different base vectors are independent, so the hit
+indicators are pairwise uncorrelated and the binomial error
+sqrt(p(1-p)/N) stays exact. Fresh rotations per group of base vectors keep
+the error's own spread at the binomial one; one rotation set per chunk makes
+the variance random and fattens the tails. A chunk of `count` directions
+uses the first `count` of the 256 * ceil(count / 256) rotated copies.
+An empty or full count reports the Agresti-Coull error instead of zero.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from .errors import (
     BadPosition,
     DimensionMismatch,
     NonSimplicialCone,
+    NotFinite,
     NotNested,
     PreconditionViolated,
 )
@@ -39,6 +52,8 @@ COEF_TOL = 1e-12
 SPAN_TOL_FACTOR = 1e-10
 RANK_TOL_FACTOR = 1e-10
 CHUNK_SIZE = 1 << 16
+_GROUPS = 16  # rotation groups per chunk, each with its own Gaussian base vectors
+_ROTATIONS = 16  # Haar rotations applied to every base vector of a group
 _INTERIOR_TOL = 1e-12
 
 
@@ -70,6 +85,8 @@ class Cone:
             raise DimensionMismatch(f"apex in R^{apex.shape}, generators in R^{gens.shape[1]}")
         if self.ambient_dim is not None and self.ambient_dim > gens.shape[1]:
             raise DimensionMismatch("ambient_dim exceeds coordinate dimension")
+        if not (np.isfinite(apex).all() and np.isfinite(gens).all()):
+            raise NotFinite("cone apex or generators have a non-finite entry")
         apex.setflags(write=False)
         gens.setflags(write=False)
         object.__setattr__(self, "apex", apex)
@@ -148,25 +165,43 @@ def _exact_3d(cone: Cone, d: int) -> SolidAngleEstimate:
     return _estimate(omega / (4.0 * math.pi), d, 0.0, 0, AngleMethod.EXACT_3D)
 
 
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed rotations from standard Gaussian blocks g[..., d, d].
+
+    Gram-Schmidt over the columns of each block, vectorised over the leading
+    axes; this is the Q factor of the QR decomposition with a positive diagonal.
+    """
+    q = np.empty_like(g)
+    for j in range(g.shape[-1]):
+        v = g[..., j].copy()
+        for i in range(j):
+            v -= np.sum(q[..., i] * v, axis=-1, keepdims=True) * q[..., i]
+        q[..., j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return q
+
+
 def _monte_carlo(cone: Cone, q: np.ndarray, d: int, samples: int, seed: int) -> SolidAngleEstimate:
     coef_matrix = q.T @ cone.generators.T  # d x d, invertible for simplicial cones
     lu_inv = np.linalg.inv(coef_matrix)
+    per_column = _GROUPS * _ROTATIONS  # directions made from one column index of z
     hits = 0
     done = 0
     chunk_index = 0
     while done < samples:
         count = min(CHUNK_SIZE, samples - done)
         rng = np.random.default_rng([seed, chunk_index])
-        z = rng.standard_normal((count, d))
-        norms = np.linalg.norm(z, axis=1)
-        norms[norms == 0.0] = 1.0
-        z /= norms[:, None]
-        coefs = lu_inv @ z.T
-        hits += int(np.sum(np.all(coefs >= -COEF_TOL, axis=0)))
+        rot = _haar(rng.standard_normal((_GROUPS, _ROTATIONS, d, d)))
+        z = rng.standard_normal((_GROUPS, 1, d, -(-count // per_column)))
+        inside = np.all((lu_inv @ rot) @ z >= -COEF_TOL, axis=-2).ravel()
+        hits += int(np.count_nonzero(inside[:count]))
         done += count
         chunk_index += 1
     fraction = hits / samples
-    std_error = math.sqrt(fraction * (1.0 - fraction) / samples)
+    if 0 < hits < samples:
+        std_error = math.sqrt(fraction * (1.0 - fraction) / samples)
+    else:  # Agresti-Coull: an empty or full count does not make the fraction exact
+        p_tilde = (hits + 2.0) / (samples + 4.0)
+        std_error = math.sqrt(p_tilde * (1.0 - p_tilde) / samples)
     return _estimate(fraction, d, std_error, samples, AngleMethod.MONTE_CARLO)
 
 

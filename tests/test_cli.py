@@ -61,6 +61,14 @@ class TestAngle:
         assert code == 0
         assert out.splitlines()[0] == "fraction,abs_norm,std_error,samples,method"
 
+    def test_nan_cone_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan_cone.json"
+        path.write_text('{"apex": [0.0, 0.0, 0.0], "generators": [[NaN, 0.0, 0.0], '
+                        '[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "ambient_dim": null}')
+        code, out, err = run_cli(capsys, "angle", "--cone", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "NotFinite"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "angle", "--cone", str(tmp_path / "nope.json"))
         assert code == 2

@@ -1,4 +1,21 @@
-from reconlab import run_geometry_suite
+import numpy as np
+import pytest
+
+from reconlab import DrawFailed, run_geometry_suite
+from reconlab.geometry_suite import random_good_position_presentation
+
+
+class _SingularDraws:
+    """Generator stand-in whose Gaussian blocks are all singular."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def uniform(self, low, high, size):
+        return self._rng.uniform(low, high, size)
+
+    def standard_normal(self, size):
+        return np.ones(size)
 
 
 def test_small_run_passes():
@@ -19,3 +36,8 @@ def test_deterministic_tallies():
 def test_zero_tolerance_fails():
     rep = run_geometry_suite(seed=5, count=5, resid_tol=0.0)
     assert not rep.passed
+
+
+def test_ill_conditioned_draws_raise_typed_error():
+    with pytest.raises(DrawFailed):
+        random_good_position_presentation(_SingularDraws(), 4)

@@ -7,6 +7,7 @@ from reconlab import (
     BadPosition,
     GoodPositionReason,
     NotCertified,
+    NotFinite,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
     Presentation,
@@ -42,6 +43,12 @@ def affine_distance_sq(points: np.ndarray) -> float:
     coef, _, _, _ = np.linalg.lstsq(dirs, -base, rcond=None)
     closest = base + dirs @ coef
     return float(closest @ closest)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_presentation_rejects_non_finite(bad):
+    with pytest.raises(NotFinite):
+        Presentation(np.array([[bad, 1.0], [1.0, 0.0]]))
 
 
 class TestFactor:

@@ -10,6 +10,7 @@ from reconlab import (
     BadPosition,
     Cone,
     NonSimplicialCone,
+    NotFinite,
     NotNested,
     PreconditionViolated,
     Presentation,
@@ -23,6 +24,7 @@ from reconlab import (
     monotonicity_check,
     partition_check,
 )
+from reconlab.solidangle import _haar
 
 
 def quadrant():
@@ -70,6 +72,13 @@ class TestContains:
             flipped = coef.copy()
             flipped[0] = -flipped[0]
             assert not cone_contains(c, flipped @ gens)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cone_rejected(self, bad):
+        with pytest.raises(NotFinite):
+            Cone(apex=np.zeros(2), generators=np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(NotFinite):
+            Cone(apex=np.array([0.0, bad]), generators=np.eye(2))
 
     def test_dependent_generators_rejected(self):
         gens = np.array([[1.0, 0.0], [2.0, 0.0]])
@@ -156,6 +165,60 @@ class TestAngleFraction:
             exact = angle_fraction(cone)
             mc = angle_fraction(cone, samples=50_000, seed=500 + i, force_monte_carlo=True)
             assert abs(mc.fraction - exact.fraction) <= 4.0 * mc.std_error + 1e-12, i
+
+    def test_empty_count_reports_agresti_coull_error(self):
+        thin = Cone(apex=np.zeros(4), generators=np.array(
+            [[1, 0, 0, 0], [1, 1e-3, 0, 0], [1, 0, 1e-3, 0], [1, 0, 0, 1e-3]]))
+        est = angle_fraction(thin, samples=20_000)
+        p_tilde = 2.0 / 20_004.0
+        assert est.fraction == 0.0
+        assert est.std_error == pytest.approx(math.sqrt(p_tilde * (1 - p_tilde) / 20_000))
+
+    def test_single_sample_error_is_symmetric(self):
+        # one direction is always an empty or a full count: p~ is 2/5 or 3/5
+        for seed in range(8):
+            est = angle_fraction(quadrant(), samples=1, seed=seed, force_monte_carlo=True)
+            assert est.fraction in (0.0, 1.0)
+            assert est.std_error == pytest.approx(math.sqrt(0.24))
+
+    def test_uses_exactly_the_requested_samples(self):
+        # counts that need the same number of base vectors share every direction,
+        # so the hit counts over one such range are a running sum
+        wide = Cone(apex=np.zeros(2), generators=np.array([[1.0, 0.0], [-1.0, 1.0]]))
+        for counts in (range(1, 257), range(513, 769)):
+            hits = []
+            for n in counts:
+                est = angle_fraction(wide, samples=n, seed=4, force_monte_carlo=True)
+                assert est.samples == n
+                hits.append(round(est.fraction * n))
+            assert set(np.diff(hits)) <= {0, 1} and hits[-1] > hits[0]
+            assert hits[0] <= counts[0]
+
+    def test_haar_rotations_are_orthogonal(self):
+        for d in range(1, 7):
+            g = np.random.default_rng([8, d]).standard_normal((16, 16, d, d))
+            rot = _haar(g)
+            gram = np.swapaxes(rot, -1, -2) @ rot
+            assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
+            for block, q_block in zip(g[0], rot[0]):
+                q, r = np.linalg.qr(block)
+                np.testing.assert_allclose(q_block, q * np.sign(np.diag(r)), atol=1e-10)
+
+    def test_calibration_against_closed_forms(self):
+        # 400 seeded estimates: their z-scores must look standard normal
+        zs = []
+        for i in range(400):
+            d = 2 + i % 2
+            rng = np.random.default_rng([1998, i])
+            while True:
+                cone = Cone(apex=np.zeros(d), generators=rng.standard_normal((d, d)))
+                exact = angle_fraction(cone).fraction
+                if 0.02 <= exact <= 0.48:
+                    break
+            mc = angle_fraction(cone, samples=20_000, seed=i, force_monte_carlo=True)
+            zs.append((mc.fraction - exact) / mc.std_error)
+        assert abs(np.mean(zs)) < 0.15
+        assert 0.8 <= np.var(zs) <= 1.25
 
 
 class TestMonotonicity:
