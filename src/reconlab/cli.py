@@ -106,16 +106,11 @@ def _report(args: argparse.Namespace, report: dict, passed: bool, inputs: dict,
     if csv_kind is not None and args.format == "csv":
         text = report_to_csv(csv_kind, report)
     else:
-        out = {
-            "command": args.command,
-            "version": __version__,
-            "seed": args.seed,
-            "samples": args.samples if samples is None else samples,
-            "inputs": inputs,
-            "tolerances": tolerances,
-            "passed": passed,
-            "report": report,
-        }
+        out = {"command": args.command, "version": __version__}
+        if "samples" in args:  # only the sampled commands take --seed/--samples
+            out["seed"] = args.seed
+            out["samples"] = args.samples if samples is None else samples
+        out.update(inputs=inputs, tolerances=tolerances, passed=passed, report=report)
         if not args.deterministic:
             out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         text = dumps(out) + "\n"
@@ -243,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monte-carlo", action="store_true",
                    help="sample even when a closed form applies")
 
-    p = command("deck", _run_deck, "vertex-deleted submatrices of a matrix")
+    p = command("deck", _run_deck, "vertex-deleted submatrices of a matrix", sampled=False)
     p.add_argument("--matrix", required=True)
 
     p = command("gen-pair", _run_gen_pair, "relabel a graph and search the certificate",
@@ -254,14 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rot[:k] | ref | id | swap:i,j | comma image")
 
     p = command("verify-tutte", _run_verify_tutte, "shifted-determinant identity on a grid",
-                csv=True, force=True)
+                sampled=False, csv=True, force=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--grid-lambda", help="lo:hi:count or comma values")
     p.add_argument("--grid-t", help="lo:hi:count or comma values")
     p.add_argument("--tol-tutte", type=float, default=TUTTE_TOL)
 
     p = command("verify-main", _run_verify_main,
-                "lowest-eigenpair agreement on the t interval", csv=True, force=True)
+                "lowest-eigenpair agreement on the t interval", sampled=False, csv=True,
+                force=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--t-samples", type=int, default=10)
     p.add_argument("--tol-eig", type=float, default=EIG_TOL)

@@ -5,6 +5,10 @@ U^T U = A. "Good position" means the origin is interior to conv(U) and conv(U)
 has dimension n-1; numerically this is rank(A) = n-1 together with a strictly
 positive kernel vector. Translating a presentation along the projection u0 of
 the origin onto its affine hull realizes the family A + t*J geometrically.
+
+The lambda path (t(lambda), the lambda0 certificate and its search) reads one
+eigendecomposition of A per call: (A + lambda I)^-1 1 = Q (c / (mu + lambda))
+with c = Q^T 1, so no shifted matrix is factored.
 """
 
 from __future__ import annotations
@@ -207,30 +211,65 @@ def perturbation_path(U: Presentation, s: float) -> PerturbationPath:
                             t=(s * s - 2.0 * s) * base.u0_norm_sq)
 
 
+class _ShiftedSpectrum:
+    """One eigendecomposition A = Q diag(mu) Q^T that serves every shift lam.
+
+    (A + lam I)^-1 1 = Q (c / (mu + lam)) with c = Q^T 1, so t(lam), the
+    positive-definiteness test and the positivity certificate cost O(n^2) per
+    shift. The smallest and largest diagonal entries and the largest
+    off-diagonal magnitude of A give _scale(A + lam I) exactly without forming
+    the shifted matrix.
+    """
+
+    def __init__(self, A: SymmetricMatrix):
+        a = A.entries
+        self.mu, self.q = np.linalg.eigh(a)
+        self.c = self.q.T @ np.ones(A.n)
+        self.c_sq = self.c ** 2
+        diag = np.diag(a)
+        self.diag_lo, self.diag_hi = float(np.min(diag)), float(np.max(diag))
+        off = np.abs(a)
+        np.fill_diagonal(off, 0.0)
+        self.off_peak = max(1.0, float(np.max(off)))
+        self.scale = _scale(a)
+
+    def pd_bound(self, lam: float) -> tuple:
+        """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
+        shifted_scale = max(self.off_peak, abs(self.diag_lo + lam), abs(self.diag_hi + lam))
+        return float(self.mu[0]) + lam, PD_TOL_FACTOR * shifted_scale
+
+    def inverse_ones(self, lams) -> np.ndarray:
+        """(A + lam I)^-1 1 as column k for the k-th shift in lams."""
+        return self.q @ (self.c[:, None] / (self.mu[:, None] + np.asarray(lams, dtype=float)))
+
+    def t(self, lams) -> np.ndarray:
+        """t(lam) = -1 / (1^T (A + lam I)^-1 1) = -1 / sum_i c_i^2 / (mu_i + lam), per shift."""
+        lams = np.asarray(lams, dtype=float)
+        return -1.0 / np.sum(self.c_sq / (self.mu + lams[..., None]), axis=-1)
+
+    def certified(self, lam: float, margin: float) -> bool:
+        """PD and (A + p I)^-1 1 >= margin / scale(A) at every p in {lam, 2 lam, 10 lam}."""
+        probes = (lam, 2.0 * lam, 10.0 * lam)
+        for p in probes:
+            w, tol = self.pd_bound(p)
+            if w < tol:
+                return False
+        # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
+        return bool(self.inverse_ones(probes).min() >= margin / self.scale)
+
+
 def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
     """-1 / (1^T (A + lam*I)^-1 1); requires A + lam*I positive definite."""
-    A = as_matrix(A)
-    shifted = SymmetricMatrix(A.entries + lam * np.eye(A.n))
-    require_positive_definite(shifted)
-    ones = np.ones(A.n)
-    x = np.linalg.solve(shifted.entries, ones)
-    return float(-1.0 / (ones @ x))
-
-
-def _positivity_margin_ok(A: SymmetricMatrix, lam: float, margin: float) -> bool:
-    shifted = A.entries + lam * np.eye(A.n)
-    w = np.linalg.eigvalsh(shifted)
-    if w[0] < PD_TOL_FACTOR * _scale(shifted):
-        return False
-    x = np.linalg.solve(shifted, np.ones(A.n))
-    # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
-    return bool(np.min(x) >= margin / _scale(A.entries))
+    spec = _ShiftedSpectrum(as_matrix(A))
+    w, tol = spec.pd_bound(lam)
+    if w < tol:
+        raise NotPositiveDefinite(f"min eigenvalue {w:.3e} below PD tolerance {tol:.3e}")
+    return float(spec.t(lam))
 
 
 def lambda0_certified(A: SymmetricMatrix, lam: float, margin: float = POS_MARGIN) -> bool:
     """(A + c*I)^-1 1 strictly positive with margin / scale(A), at c in {lam, 2*lam, 10*lam}."""
-    A = as_matrix(A)
-    return all(_positivity_margin_ok(A, c, margin) for c in (lam, 2 * lam, 10 * lam))
+    return _ShiftedSpectrum(as_matrix(A)).certified(lam, margin)
 
 
 def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN,
@@ -240,12 +279,12 @@ def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN,
     Start at operator-norm + 1, double until the certificate holds, then
     bisect downward. Tightening is best effort; the returned value is always
     re-certified (existence is guaranteed for large shifts, minimality is not).
+    Every probe reads the one eigendecomposition of A.
     """
-    A = as_matrix(A)
-    op_norm = float(np.max(np.abs(np.linalg.eigvalsh(A.entries)))) if A.n else 0.0
-    hi = op_norm + 1.0
+    spec = _ShiftedSpectrum(as_matrix(A))
+    hi = float(np.max(np.abs(spec.mu))) + 1.0
     doublings = 0
-    while not lambda0_certified(A, hi, margin):
+    while not spec.certified(hi, margin):
         hi *= 2.0
         doublings += 1
         if doublings > 200:
@@ -253,7 +292,7 @@ def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN,
     lo = hi / 2.0
     for _ in range(bisect_steps):
         mid = 0.5 * (lo + hi)
-        if lambda0_certified(A, mid, margin):
+        if spec.certified(mid, margin):
             hi = mid
         else:
             lo = mid

@@ -6,6 +6,8 @@ verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
 and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
 decides the identity. The default 9-point lam grid does so only for n <= 8;
 larger pairs need a `lambda_grid` (CLI: `--grid-lambda`) of n + 1 points or more.
+
+The main theorem's t grid comes from one eigendecomposition of A.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import BadPosition, LambdaTooSmall, NotHypomorphic
 from .hypomorphism import Hypomorphism, verify_hypomorphism
 from .matrixcore import SymmetricMatrix, as_matrix, eigen_sorted, shifted_det_grid
 from .presentation import (
+    _ShiftedSpectrum,
     factor_presentation,
     good_position_report,
     lambda0_search,
@@ -220,10 +223,11 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
+    spectrum = _ShiftedSpectrum(A)
     upper = 4.0 * lam0 + 1.0
     for _ in range(3):
         grid = np.geomspace(lam0, upper, GEOM_GRID_POINTS)
-        t_values = np.array([t_of_lambda(A, lam) for lam in grid])
+        t_values = spectrum.t(grid)
         t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
         if t_hi - t_lo >= 1e-12:
             break

@@ -81,8 +81,10 @@ class TestDeck:
         path.write_text(dumps(matrix_to_dict(SymmetricMatrix.identity(3))))
         code, out, _ = run_cli(capsys, "deck", "--matrix", str(path))
         assert code == 0
-        cards = json.loads(out)["report"]["deck"]
+        envelope = json.loads(out)
+        cards = envelope["report"]["deck"]
         assert len(cards) == 3 and cards[0]["n"] == 2
+        assert "seed" not in envelope and "samples" not in envelope
 
     def test_nan_entry_is_input_error(self, tmp_path, capsys):
         # json.load accepts the NaN literal, so the matrix type must reject it
@@ -123,6 +125,7 @@ class TestVerifyCommands:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["report"]["max_abs_diff"] <= 1e-8 * max(1.0, report["report"]["scale"])
+        assert "seed" not in report and "samples" not in report
 
     def test_tutte_custom_grid(self, pair_path, capsys):
         # values starting with '-' need the '=' form, per argparse convention
@@ -151,6 +154,7 @@ class TestVerifyCommands:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True and len(report["report"]["samples"]) == 6
+        assert "seed" not in report and "samples" not in report
 
     def test_main_csv(self, pair_path, capsys):
         code, out, _ = run_cli(capsys, "verify-main", "--pair", pair_path, "--format", "csv")
@@ -241,7 +245,10 @@ class TestUsageContract:
         ["deck", "--matrix", "m.json", "--format", "csv"],
         ["angle", "--cone", "x.json", "--force"],
         ["ingest", "--graph6", "g.g6", "--seed", "3"],
-    ], ids=["bogus", "deck-format", "angle-force", "ingest-seed"])
+        ["deck", "--matrix", "m.json", "--seed", "3"],
+        ["verify-main", "--pair", "p.json", "--samples", "5"],
+    ], ids=["bogus", "deck-format", "angle-force", "ingest-seed", "deck-seed",
+            "verify-main-samples"])
     def test_unknown_flag_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)

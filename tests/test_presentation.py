@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from reconlab import (
     t_of_lambda,
     volume_eigenvector,
 )
+from reconlab.presentation import PD_TOL_FACTOR, POS_MARGIN, _ShiftedSpectrum
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -254,6 +257,116 @@ class TestLambda0:
         # x ~ 1/lam < 1 at every probed lam, so a margin of 1 is never met
         with pytest.raises(NotCertified):
             lambda0_search(SymmetricMatrix.identity(3), margin=1.0)
+
+
+def random_symmetric(rng, n):
+    w = rng.standard_normal((n, n))
+    return SymmetricMatrix(0.5 * (w + w.T))
+
+
+def well_conditioned_shift(rng, a):
+    return float(-np.linalg.eigvalsh(a.entries)[0] + rng.uniform(0.5, 5.0))
+
+
+def solve_certificate(a, lam, margin=POS_MARGIN):
+    """Reference certificate: eigvalsh and solve on each shifted matrix, and the
+    smallest distance of min (A + p I)^-1 1 from its threshold (None when not PD)."""
+    ok, closest = True, np.inf
+    for p in (lam, 2.0 * lam, 10.0 * lam):
+        shifted = a.entries + p * np.eye(a.n)
+        if np.linalg.eigvalsh(shifted)[0] < PD_TOL_FACTOR * max(1.0, np.max(np.abs(shifted))):
+            return False, None
+        x = np.linalg.solve(shifted, np.ones(a.n))
+        gap = np.min(x) - margin / max(1.0, np.max(np.abs(a.entries)))
+        ok = ok and gap >= 0
+        closest = min(closest, abs(gap) / np.max(np.abs(x)))
+    return ok, closest
+
+
+class TestSpectralAgainstSolve:
+    """The one-eigendecomposition lambda path against per-shift LAPACK solves."""
+
+    def test_inverse_ones_and_t(self, rng):
+        for _ in range(60):
+            a = random_symmetric(rng, int(rng.integers(2, 9)))
+            lam = well_conditioned_shift(rng, a)
+            ones = np.ones(a.n)
+            x_ref = np.linalg.solve(a.entries + lam * np.eye(a.n), ones)
+            x = _ShiftedSpectrum(a).inverse_ones([lam])[:, 0]
+            assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+            t_ref = -1.0 / (ones @ x_ref)
+            assert abs(t_of_lambda(a, lam) - t_ref) <= 1e-12 * abs(t_ref)
+
+    def test_lambda0_certified(self, rng):
+        compared = 0
+        for _ in range(40):
+            a = random_symmetric(rng, int(rng.integers(2, 9)))
+            lam0 = lambda0_search(a)
+            shifts = [well_conditioned_shift(rng, a)] + \
+                [f * lam0 for f in (0.25, 0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 10.0)]
+            for lam in shifts:
+                ok, closest = solve_certificate(a, lam)
+                if closest is not None and closest <= 1e-10:
+                    continue  # within roundoff of the threshold: either verdict is right
+                assert lambda0_certified(a, lam) == ok
+                compared += 1
+        assert compared >= 300
+
+
+def exact_inverse_ones(adjacency, lam):
+    """x with (A + lam I) x = 1 by Gauss-Jordan elimination over the rationals; None if singular."""
+    n = len(adjacency)
+    rows = [[Fraction(int(adjacency[i][j])) + (lam if i == j else 0) for j in range(n)]
+            + [Fraction(1)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+# lambda0 times these, exactly: the certificate itself probes only 1, 2 and 10
+RAY = (Fraction(1), 1 + Fraction(1, 10 ** 6), 1 + Fraction(1, 10 ** 3), Fraction(11, 10),
+       Fraction(2), Fraction(10), Fraction(1000))
+
+
+def atlas_adjacency(g):
+    n = g.number_of_nodes()
+    adj = np.zeros((n, n), dtype=int)
+    for u, v in g.edges():
+        adj[u, v] = adj[v, u] = 1
+    return adj
+
+
+class TestWholeRayExact:
+    """(A + lam I)^-1 1 > 0 in exact arithmetic along the ray past the returned lambda0."""
+
+    def assert_positive_on_ray(self, adj):
+        lam0 = Fraction(lambda0_search(SymmetricMatrix(adj.astype(float))))
+        for k in RAY:
+            x = exact_inverse_ones(adj, k * lam0)
+            assert x is not None and min(x) > 0, (adj.tolist(), float(k))
+
+    def test_atlas_graphs_on_3_to_6_vertices(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [g for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
+        assert len(graphs) == 205
+        for g in graphs:
+            self.assert_positive_on_ray(atlas_adjacency(g))
+
+    def test_atlas_236_just_past_a_singular_shift(self):
+        # -2 is an eigenvalue, so lambda0 sits within roundoff of the singular
+        # shift lambda = 2, where a float solve is off by ~1e-7 and x is ~5e-11
+        nx = pytest.importorskip("networkx")
+        adj = atlas_adjacency(nx.graph_atlas(236))
+        assert exact_inverse_ones(adj, Fraction(2)) is None
+        assert 2.0 < lambda0_search(SymmetricMatrix(adj.astype(float))) < 2.0 + 1e-8
+        self.assert_positive_on_ray(adj)
 
 
 class TestInteriorEquivalence:

@@ -10,6 +10,7 @@ from reconlab import (
     find_hypomorphism,
     good_position_report,
     good_position_shift,
+    lambda0_certified,
     lambda0_search,
     shifted_det,
     t_of_lambda,
@@ -202,6 +203,17 @@ class TestMainTheorem:
         scale = max(1.0, float(np.max(np.abs(eigs))))
         assert abs(eigs[0]) <= 1e-9 * scale
         assert good_position_report(shifted).is_good
+
+
+@pytest.mark.parametrize("exponent", range(-8, 14))
+def test_scale_sweep_c6_shuffle(c6_pair, exponent):
+    # lambda0's margin and the main theorem's tolerances are relative to the scale
+    A, B, sigma = c6_pair
+    scale = 10.0 ** exponent
+    A, B = SymmetricMatrix(scale * A.entries), SymmetricMatrix(scale * B.entries)
+    lam0 = lambda0_search(A)
+    assert lambda0_certified(A, lam0)
+    assert verify_main_theorem(A, B, sigma).passed
 
 
 @pytest.fixture(scope="module")
