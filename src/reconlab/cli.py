@@ -139,7 +139,7 @@ def _read_records(path: str) -> list:
 
 def _run_gen_pair(args: argparse.Namespace) -> int:
     records = _read_records(args.graph6)
-    if args.index >= len(records):
+    if not 0 <= args.index < len(records):
         raise ValueError(f"record index {args.index} out of range ({len(records)} records)")
     _, text_record = records[args.index]
     graph = graph6_decode(text_record)

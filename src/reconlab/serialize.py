@@ -87,7 +87,7 @@ def matrix_from_dict(d: dict) -> SymmetricMatrix:
     try:
         n = int(d["n"])
         entries = np.asarray(d["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}", 0)
     if entries.shape != (n, n):
         raise ParseError(f"matrix JSON n={n} but entries shape {entries.shape}", 0)
@@ -104,15 +104,20 @@ def pair_to_dict(A: SymmetricMatrix, B: SymmetricMatrix,
 
 
 def pair_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ParseError(f"bad pair JSON: expected an object, got {type(d).__name__}", 0)
     try:
         A = matrix_from_dict(d["A"])
         B = matrix_from_dict(d["B"])
-        raw = d.get("sigma")
     except KeyError as exc:
         raise ParseError(f"bad pair JSON: missing {exc}", 0)
-    sigma = None
-    if raw is not None:
+    raw = d.get("sigma")
+    if raw is None:
+        return A, B, None
+    try:
         sigma = Hypomorphism(tuple(Permutation(tuple(img)) for img in raw))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad pair JSON: sigma must be a list of integer lists ({exc})", 0)
     return A, B, sigma
 
 
@@ -120,10 +125,11 @@ def cone_from_dict(d: dict) -> Cone:
     try:
         apex = np.asarray(d["apex"], dtype=float)
         gens = np.asarray(d["generators"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = d.get("ambient_dim")
+        dim = None if dim is None else int(dim)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad cone JSON: {exc}", 0)
-    dim = d.get("ambient_dim")
-    return Cone(apex=apex, generators=gens, ambient_dim=None if dim is None else int(dim))
+    return Cone(apex=apex, generators=gens, ambient_dim=dim)
 
 
 def estimate_to_dict(est: SolidAngleEstimate, seed: Optional[int] = None) -> dict:

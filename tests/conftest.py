@@ -1,8 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from reconlab import SymmetricMatrix
+
+# derandomized runs in CI, so a property failure reproduces on the next push
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @st.composite

@@ -260,6 +260,31 @@ class TestUsageContract:
         assert code == 2
         assert "samples" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("command, flag, text", [
+        ("verify-tutte", "--pair", "[1, 2]"),
+        ("verify-main", "--pair", "[1, 2]"),
+        ("verify-tutte", "--pair", '{"A": {"n": 3, "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, '
+                                   '"B": {"n": 3, "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, '
+                                   '"sigma": 5}'),
+        ("deck", "--matrix", '{"n": 1e400, "entries": [[1.0]]}'),
+        ("angle", "--cone", '{"apex": [0.0, 0.0], "generators": [[1.0, 0.0], [0.0, 1.0]], '
+                            '"ambient_dim": 1e400}'),
+    ], ids=["tutte-list", "main-list", "sigma-int", "deck-n-overflow", "angle-dim-overflow"])
+    def test_malformed_json_is_parse_error(self, command, flag, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("index", ["-1", "-5", "1"])
+    def test_record_index_out_of_range(self, index, tmp_path, capsys):
+        g6 = tmp_path / "c.g6"
+        g6.write_text(graph6_encode(cycle_adjacency(5).entries) + "\n")
+        code, out, err = run_cli(capsys, "gen-pair", "--graph6", str(g6), f"--index={index}")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_unreadable_pair_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

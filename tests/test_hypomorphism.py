@@ -16,6 +16,7 @@ from reconlab import (
     majors_multiset,
     perm_similarity,
     verify_hypomorphism,
+    verify_tutte,
 )
 from reconlab.graph6 import Graph6Record, graph6_encode
 from reconlab.hypomorphism import (
@@ -48,6 +49,32 @@ def brute_force_exists(A, B, tol=EXACT_TOL) -> bool:
     return False
 
 
+def per_card_gate(A, B, sigma, tol=EXACT_TOL):
+    """Oracle: the deck gate as a loop over per-card matrices."""
+    deck_a, deck_b = deck(A), deck(B)
+    worst, failing = 0.0, None
+    for i in range(A.n):
+        mapped = perm_similarity(deck_a[i], sigma.sigmas[i])
+        resid = float(np.max(np.abs(deck_b[i].entries - mapped.entries)))
+        worst = max(worst, resid)
+        if resid > tol and failing is None:
+            failing = i
+    return failing is None, worst, failing
+
+
+def random_circulant(rng, n, integer):
+    """Symmetric circulant: vertex transitive, so every relabeling has a certificate."""
+    m = n // 2 + 1
+    half = rng.integers(-3, 4, m).astype(float) if integer else rng.normal(size=m)
+    row = np.array([half[min(k, n - k)] for k in range(n)])
+    return SymmetricMatrix(np.array([np.roll(row, i) for i in range(n)]))
+
+
+def random_symmetric(rng, n, integer):
+    a = rng.integers(-3, 4, (n, n)).astype(float) if integer else rng.normal(size=(n, n))
+    return SymmetricMatrix(np.triu(a) + np.triu(a, 1).T)
+
+
 class TestVerify:
     def test_identity_family_on_identity(self):
         cert = verify_hypomorphism(SymmetricMatrix.identity(3), SymmetricMatrix.identity(3),
@@ -66,6 +93,47 @@ class TestVerify:
     @given(symmetric_matrices(min_n=3))
     def test_identity_family_is_always_valid(self, A):
         assert verify_hypomorphism(A, A, Hypomorphism.identity(A.n)).valid
+
+    def test_matches_per_card_loop(self):
+        rng = np.random.default_rng(20261018)
+        valid_seen = failing_seen = 0
+        for trial in range(240):
+            n = 3 + trial % 7
+            integer = trial % 2 == 0
+            if trial % 3:
+                A = random_circulant(rng, n, integer)
+                B = perm_similarity(A, Permutation(tuple(rng.permutation(n))))
+                sigma = find_hypomorphism(A, B)
+                assert sigma is not None
+            else:
+                A = random_symmetric(rng, n, integer)
+                B, sigma = A, Hypomorphism.identity(n)
+            if trial % 4 == 1:  # residuals near the tolerance on both sides
+                noise = rng.normal(scale=1e-12, size=(n, n))
+                B = SymmetricMatrix(B.entries + noise + noise.T)
+            # a true certificate, one sigma_i corrupted, or several
+            corrupted = (0, 1, int(rng.integers(2, n + 1)))[int(rng.integers(0, 3))]
+            sigmas = list(sigma.sigmas)
+            for i in rng.choice(n, size=corrupted, replace=False):
+                sigmas[i] = Permutation(tuple(rng.permutation(n - 1)))
+            sigma = Hypomorphism(tuple(sigmas))
+            valid, worst, failing = per_card_gate(A, B, sigma)
+            for tol in (EXACT_TOL, worst):  # a residual equal to tol passes
+                cert = verify_hypomorphism(A, B, sigma, tol=tol)
+                ref_valid, _, ref_failing = per_card_gate(A, B, sigma, tol)
+                assert cert.valid == ref_valid and cert.failing_index == ref_failing
+                assert cert.worst_residual == worst  # bit-equal, not approximate
+            valid_seen += valid
+            failing_seen += not valid
+        assert valid_seen > 40 and failing_seen > 40
+
+    def test_card_scale_does_not_tighten_symmetry(self):
+        # asymmetry 5e-8 is within 1e-10 * 1000, the tolerance at A's own scale;
+        # the card that deletes row 0 has scale 1, where it would not be
+        A = SymmetricMatrix([[0.0, 1000.0, 0.0], [1000.0, 0.0, 0.5], [0.0, 0.5 + 5e-8, 0.0]])
+        cert = verify_hypomorphism(A, A, Hypomorphism.identity(3))
+        assert cert.valid and cert.worst_residual == 0.0 and cert.failing_index is None
+        assert verify_tutte(A, A, Hypomorphism.identity(3)).passed
 
 
 class TestFind:

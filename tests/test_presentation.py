@@ -312,6 +312,18 @@ class TestSpectralAgainstSolve:
                 compared += 1
         assert compared >= 300
 
+    def test_every_probe_counts(self):
+        # no real matrix is known whose (A + p I)^-1 1 turns negative only at
+        # p = 10 lam, so stub that column and check the certificate reads it
+        spec = _ShiftedSpectrum(SymmetricMatrix(np.eye(4)))
+        lam = 3.0
+        for bad in (lam, 2.0 * lam, 10.0 * lam):
+            spec.inverse_ones = lambda lams, bad=bad: np.where(
+                np.asarray(lams) == bad, -1.0, 1.0) * np.ones((4, 1))
+            assert not spec.certified(lam, POS_MARGIN)
+        spec.inverse_ones = lambda lams: np.ones((4, len(lams)))
+        assert spec.certified(lam, POS_MARGIN)
+
 
 def exact_inverse_ones(adjacency, lam):
     """x with (A + lam I) x = 1 by Gauss-Jordan elimination over the rationals; None if singular."""
