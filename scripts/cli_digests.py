@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Print one `sha256 label` line per deterministic CLI report on the cycle corpus.
+
+Builds the relabeled-cycle pairs C5..C8 in a temporary directory and runs a
+fixed list of `reconlab <command> --deterministic` calls in-process: `deck`,
+`verify-tutte` on every pair (and once with explicit grids), `verify-main` on
+every pair and a closed-form `angle`. Each digest covers the exit code, stdout
+and stderr, so two runs or two checkouts compare with `diff`:
+
+    PYTHONPATH=src python scripts/cli_digests.py > digests.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from reconlab import cli
+from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus
+from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
+
+OCTANT = {"apex": [0.0, 0.0, 0.0],
+          "generators": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+
+
+def _write(path, obj) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(obj) + "\n")
+    return path
+
+
+def commands(root: str) -> list:
+    """(label, argv) for every command; the input files are written under root."""
+    out = []
+    for n in (5, 8):
+        path = _write(os.path.join(root, f"C{n}.matrix.json"), matrix_to_dict(cycle_adjacency(n)))
+        out.append((f"deck C{n}", ["deck", "--matrix", path]))
+    pairs = [(p["name"], _write(os.path.join(root, f"{p['name']}.json"),
+                                pair_to_dict(p["A"], p["B"], p["sigma"])))
+             for p in cycle_pair_corpus()]
+    out += [(f"verify-tutte {name}", ["verify-tutte", "--pair", path]) for name, path in pairs]
+    name, path = pairs[-1]
+    out.append((f"verify-tutte {name} explicit-grids",
+                ["verify-tutte", "--pair", path, "--grid-lambda=-3:3:11", "--grid-t=-1,0,2"]))
+    out += [(f"verify-main {name}", ["verify-main", "--pair", path]) for name, path in pairs]
+    octant = _write(os.path.join(root, "octant.json"), OCTANT)
+    out.append(("angle octant", ["angle", "--cone", octant]))
+    return out
+
+
+def main():
+    with tempfile.TemporaryDirectory() as root:
+        for label, argv in commands(root):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main(argv + ["--deterministic"])
+                except SystemExit as exc:  # usage errors leave argparse this way
+                    code = exc.code
+            text = f"{code}\n{stdout.getvalue()}{stderr.getvalue()}"
+            print(hashlib.sha256(text.encode("utf-8")).hexdigest(), label)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from .errors import DrawFailed
-from .matrixcore import SymmetricMatrix
+from .matrixcore import REL_TOL, SymmetricMatrix, scale
 from .presentation import (
     Presentation,
     factor_presentation,
@@ -30,6 +30,7 @@ from .solidangle import Cone, angle_fraction
 DEFAULT_COUNT = 200
 DEFAULT_MC_SAMPLES = 20_000
 DEFAULT_RESID_TOL = 1e-9
+ANGLE_INSTANCES = 25  # the solid-angle checks run on the first instances only
 
 
 @dataclass
@@ -95,9 +96,9 @@ def _direct_good_position(U: Presentation, tol: float) -> bool:
     rhs[-1] = 1.0
     w, _, _, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
     resid = float(np.max(np.abs(stacked @ w - rhs)))
-    scale = max(1.0, float(np.max(np.abs(U.columns))))
-    rank = int(np.linalg.matrix_rank(U.columns, tol=1e-10 * scale))
-    return resid <= 1e-7 * scale and float(np.min(w)) > 0.0 and rank == n - 1
+    unit = scale(U.columns)
+    rank = int(np.linalg.matrix_rank(U.columns, tol=REL_TOL * unit))
+    return resid <= 1e-7 * unit and float(np.min(w)) > 0.0 and rank == n - 1
 
 
 def _check_good_position_instance(report: SuiteReport, rng: np.random.Generator, n: int,
@@ -110,10 +111,9 @@ def _check_good_position_instance(report: SuiteReport, rng: np.random.Generator,
 
     if gp.is_good:
         alpha = volume_eigenvector(U)
-        scale = max(1.0, float(np.max(np.abs(A.entries))))
         kernel_resid = float(np.max(np.abs(A.entries @ alpha)))
         report.tally("lemma2_volume_kernel").record(
-            kernel_resid <= tol * scale and float(np.min(alpha)) > 0.0)
+            kernel_resid <= tol * scale(A.entries) and float(np.min(alpha)) > 0.0)
 
     # rank-n control: the equivalence must also hold in the negative direction
     pd = random_pd_matrix(rng, n)
@@ -127,23 +127,21 @@ def _check_projection_instance(report: SuiteReport, rng: np.random.Generator, n:
     A = random_pd_matrix(rng, n)
     U = factor_presentation(A)
     path = project_origin(U)
-    scale = max(1.0, float(np.max(np.abs(U.columns))) ** 2)
     worst = max(
         abs(float(path.u0 @ (U.columns[:, i] - path.u0))) for i in range(n))
-    report.tally("u0_orthogonality").record(worst <= tol * scale)
+    report.tally("u0_orthogonality").record(worst <= tol * scale(U.columns) ** 2)
 
     j = np.ones((n, n))
     for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
         shifted = perturb_presentation(U, s)
         target = A.entries + (s * s - 2.0 * s) * path.u0_norm_sq * j
         gap = float(np.max(np.abs(shifted.gram().entries - target)))
-        report.tally("perturbation_gram_law").record(gap <= tol * max(1.0, float(np.max(np.abs(target)))))
+        report.tally("perturbation_gram_law").record(gap <= tol * scale(target))
 
     eps = 1e-4 * path.u0_norm_sq
-    scale_a = max(1.0, float(np.max(np.abs(A.entries))))
     inside = np.linalg.eigvalsh(A.entries + (-path.u0_norm_sq + eps) * j)[0]
     boundary = np.linalg.eigvalsh(A.entries + (-path.u0_norm_sq) * j)[0]
-    report.tally("pd_boundary").record(inside > 0.0 and boundary <= 1e-8 * scale_a)
+    report.tally("pd_boundary").record(inside > 0.0 and boundary <= 1e-8 * scale(A.entries))
 
     rep = per1_report(A)
     ok = rep.cond2 == rep.cond3
@@ -220,18 +218,15 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
 def run_geometry_suite(seed: int = 0x5EED, count: int = DEFAULT_COUNT,
                        resid_tol: float = DEFAULT_RESID_TOL,
                        mc_samples: int = DEFAULT_MC_SAMPLES,
-                       angle_instances: Optional[int] = None,
                        n_low: int = 3, n_high: int = 8) -> SuiteReport:
     """Run every invariant on `count` seeded instances with sizes in [n_low, n_high]."""
     report = SuiteReport(seed=seed, count=count, resid_tol=resid_tol)
-    if angle_instances is None:
-        angle_instances = min(count, 25)
     for idx in range(count):
         rng = np.random.default_rng([seed, idx])
         n = int(rng.integers(n_low, n_high + 1))
         _check_good_position_instance(report, rng, n, resid_tol)
         _check_projection_instance(report, rng, n, resid_tol)
         _check_t_monotonicity(report, rng, n)
-        if idx < angle_instances:
+        if idx < ANGLE_INSTANCES:
             _check_angle_instance(report, rng, mc_samples, seed + idx)
     return report

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, SearchTooLarge
 from .graph6 import Graph6Record
-from .matrixcore import Permutation, SymmetricMatrix, as_matrix, deck, perm_similarity
+from .matrixcore import Permutation, SymmetricMatrix, as_matrix, deck, perm_similarity, scale
 
-EXACT_TOL = 1e-12
+EXACT_TOL = 1e-12  # relative: residuals are compared with EXACT_TOL * scale(A, B)
 SEARCH_CAP = 9
 _SPECTRUM_PRUNE_TOL = 1e-9
 
@@ -54,12 +54,12 @@ class HypomorphyCertificate:
     valid: bool
     worst_residual: float
     failing_index: Optional[int]
-    tol: float
+    tol: float  # the threshold applied, tol * scale(A, B)
 
 
 def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
                         tol: float = EXACT_TOL) -> HypomorphyCertificate:
-    """Check B_i == sigma_i A_i sigma_i^T entrywise for every deleted index i.
+    """Check B_i == sigma_i A_i sigma_i^T within tol * scale(A, B) for every deleted index i.
 
     All n cards are compared at once by exact reindexing of A and B, with no
     per-card matrices. Card i keeps the indices keep[i] (every index but i),
@@ -80,10 +80,11 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     diff = (B.entries[moved[:, :, None], moved[:, None, :]]
             - A.entries[keep[:, :, None], keep[:, None, :]])
     resid = np.abs(diff).reshape(n, -1).max(axis=1)
-    failing = np.flatnonzero(resid > tol)
+    threshold = tol * scale(A.entries, B.entries)
+    failing = np.flatnonzero(resid > threshold)
     return HypomorphyCertificate(valid=failing.size == 0, worst_residual=float(resid.max()),
                                  failing_index=int(failing[0]) if failing.size else None,
-                                 tol=tol)
+                                 tol=threshold)
 
 
 def _match_submatrix(a: np.ndarray, b: np.ndarray, atol: float) -> Optional[Permutation]:
@@ -94,9 +95,8 @@ def _match_submatrix(a: np.ndarray, b: np.ndarray, atol: float) -> Optional[Perm
     # cheap global prunes: sorted row sums, then sorted spectra
     if np.max(np.abs(np.sort(a.sum(axis=1)) - np.sort(b.sum(axis=1)))) > max(atol, 1e-9):
         return None
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     ev_a, ev_b = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
-    if np.max(np.abs(ev_a - ev_b)) > _SPECTRUM_PRUNE_TOL * scale:
+    if np.max(np.abs(ev_a - ev_b)) > _SPECTRUM_PRUNE_TOL * scale(a, b):
         return None
 
     rows_a = np.sort(a, axis=1)
@@ -147,9 +147,10 @@ def find_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
     if A.n > search_cap:
         raise SearchTooLarge(f"order {A.n} exceeds search cap {search_cap}")
     deck_a, deck_b = deck(A), deck(B)
+    atol = EXACT_TOL * scale(A.entries, B.entries)  # the gate's threshold
     sigmas = []
     for i in range(A.n):
-        match = _match_submatrix(deck_a[i].entries, deck_b[i].entries, EXACT_TOL)
+        match = _match_submatrix(deck_a[i].entries, deck_b[i].entries, atol)
         if match is None:
             return None
         sigmas.append(match)

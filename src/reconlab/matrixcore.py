@@ -14,7 +14,15 @@ import numpy as np
 
 from .errors import DegenerateOrder, DimensionMismatch, NotFinite, NotSymmetric
 
-SYM_TOL_FACTOR = 1e-10
+REL_TOL = 1e-10  # relative decisions compare a residual with REL_TOL * scale(inputs)
+
+
+def scale(*arrays) -> float:
+    """max(1, largest |entry|) over the arrays (scalars count as arrays)."""
+    peak = 1.0
+    for a in arrays:
+        peak = max(peak, float(np.abs(a).max()))
+    return peak
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -38,10 +46,10 @@ class SymmetricMatrix:
         peak = float(np.max(np.abs(a)))  # NaN if any entry is NaN, inf if any is infinite
         if not np.isfinite(peak):
             raise NotFinite(f"matrix has a non-finite entry (max |entry| = {peak})")
-        scale = max(1.0, peak)
+        tol = REL_TOL * max(1.0, peak)  # scale(a), from the peak already taken
         asym = float(np.max(np.abs(a - a.T)))
-        if asym > SYM_TOL_FACTOR * scale:
-            raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {SYM_TOL_FACTOR * scale:.3e}")
+        if asym > tol:
+            raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
         object.__setattr__(self, "entries", _frozen_array(a))
 
     @property

@@ -29,11 +29,8 @@ from .errors import (
     NotPositiveDefinite,
     NotPositiveSemidefinite,
 )
-from .matrixcore import SymmetricMatrix, as_matrix
+from .matrixcore import REL_TOL, SymmetricMatrix, as_matrix, scale
 
-PSD_TOL_FACTOR = 1e-10
-PD_TOL_FACTOR = 1e-10
-RANK_TOL_FACTOR = 1e-10
 POS_MARGIN = 1e-12
 _KERNEL_POS_TOL = 1e-12
 
@@ -89,31 +86,25 @@ class PerturbationPath:
     t: float
 
 
-def _scale(a: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-
-
-def _check_psd(A: SymmetricMatrix) -> np.ndarray:
-    """Ascending eigenvalues, raising if the smallest is below -psdTol."""
-    w = np.linalg.eigvalsh(A.entries)
-    tol = PSD_TOL_FACTOR * _scale(A.entries)
+def _eigh_psd(A: SymmetricMatrix) -> tuple:
+    """Ascending eigenvalues and eigenvectors, raising if one is below -REL_TOL * scale(A)."""
+    w, q = np.linalg.eigh(A.entries)
+    tol = REL_TOL * scale(A.entries)
     if w[0] < -tol:
         raise NotPositiveSemidefinite(f"min eigenvalue {w[0]:.3e} below -{tol:.3e}")
-    return w
+    return w, q
 
 
 def require_positive_definite(A: SymmetricMatrix) -> None:
     w = np.linalg.eigvalsh(A.entries)
-    tol = PD_TOL_FACTOR * _scale(A.entries)
+    tol = REL_TOL * scale(A.entries)
     if w[0] < tol:
         raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} below PD tolerance {tol:.3e}")
 
 
 def factor_presentation(A: SymmetricMatrix) -> Presentation:
     """U = Lambda^(1/2) Q^T from A = Q Lambda Q^T; tiny negative eigenvalues clip to 0."""
-    A = as_matrix(A)
-    _check_psd(A)
-    w, q = np.linalg.eigh(A.entries)
+    w, q = _eigh_psd(as_matrix(A))
     w = np.clip(w, 0.0, None)
     u = np.sqrt(w)[:, None] * q.T
     return Presentation(u)
@@ -128,13 +119,13 @@ def good_position_report(A: SymmetricMatrix) -> GoodPositionReport:
     to unit 1-norm with its first nonzero entry positive.
     """
     A = as_matrix(A)
-    w = _check_psd(A)
-    thresh = RANK_TOL_FACTOR * max(abs(w[0]), abs(w[-1]))
+    w, vecs = _eigh_psd(A)
+    # relative to the spectral radius alone: rank does not depend on the magnitude of A
+    thresh = REL_TOL * max(abs(w[0]), abs(w[-1]))
     rank = int(np.sum(w > thresh))
     if rank != A.n - 1:
         return GoodPositionReport(rank=rank, kernel_vector=None, is_good=False,
                                   reason=GoodPositionReason.RANK_NOT_N_MINUS_1)
-    _, vecs = np.linalg.eigh(A.entries)
     alpha = vecs[:, 0]
     lead = next((i for i in range(A.n) if abs(alpha[i]) > _KERNEL_POS_TOL), 0)
     if alpha[lead] < 0:
@@ -148,15 +139,6 @@ def good_position_report(A: SymmetricMatrix) -> GoodPositionReport:
                               reason=GoodPositionReason.GOOD)
 
 
-def span_basis(columns: np.ndarray, rank: Optional[int] = None) -> np.ndarray:
-    """Orthonormal basis (as columns) of the column span, via SVD."""
-    u, s, _ = np.linalg.svd(columns)
-    if rank is None:
-        tol = RANK_TOL_FACTOR * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > tol))
-    return u[:, :rank]
-
-
 def volume_eigenvector(U: Presentation) -> np.ndarray:
     """Kernel direction recovered from leave-one-out simplex volumes.
 
@@ -168,7 +150,7 @@ def volume_eigenvector(U: Presentation) -> np.ndarray:
     report = good_position_report(U.gram())
     if not report.is_good:
         raise BadPosition(f"presentation not in good position: {report.reason.value}")
-    q = span_basis(U.columns, rank=n - 1)
+    q = np.linalg.svd(U.columns)[0][:, :n - 1]  # orthonormal basis of the (n-1)-dim span
     coords = q.T @ U.columns
     fact = float(math.factorial(n - 1))
     alpha = np.empty(n)
@@ -193,7 +175,7 @@ def project_origin(U: Presentation) -> PerturbationPath:
     u0 = (U.columns @ x) * norm_sq
     u0_alt = np.linalg.solve(U.columns.T, ones) * norm_sq
     gap = float(np.max(np.abs(u0 - u0_alt)))
-    if gap > 1e-10 * max(1.0, float(np.max(np.abs(u0)))):
+    if gap > REL_TOL * scale(u0):
         raise ConsistencyError(f"u0 closed forms disagree by {gap:.3e}")
     u0.setflags(write=False)
     return PerturbationPath(u0=u0, u0_norm_sq=norm_sq, s=0.0, t=0.0)
@@ -217,7 +199,7 @@ class _ShiftedSpectrum:
     (A + lam I)^-1 1 = Q (c / (mu + lam)) with c = Q^T 1, so t(lam), the
     positive-definiteness test and the positivity certificate cost O(n^2) per
     shift. The smallest and largest diagonal entries and the largest
-    off-diagonal magnitude of A give _scale(A + lam I) exactly without forming
+    off-diagonal magnitude of A give scale(A + lam I) exactly without forming
     the shifted matrix.
     """
 
@@ -230,13 +212,13 @@ class _ShiftedSpectrum:
         self.diag_lo, self.diag_hi = float(np.min(diag)), float(np.max(diag))
         off = np.abs(a)
         np.fill_diagonal(off, 0.0)
-        self.off_peak = max(1.0, float(np.max(off)))
-        self.scale = _scale(a)
+        self.off_peak = scale(off)
+        self.scale = scale(a)
 
     def pd_bound(self, lam: float) -> tuple:
         """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
         shifted_scale = max(self.off_peak, abs(self.diag_lo + lam), abs(self.diag_hi + lam))
-        return float(self.mu[0]) + lam, PD_TOL_FACTOR * shifted_scale
+        return float(self.mu[0]) + lam, REL_TOL * shifted_scale
 
     def inverse_ones(self, lams) -> np.ndarray:
         """(A + lam I)^-1 1 as column k for the k-th shift in lams."""
@@ -272,12 +254,11 @@ def lambda0_certified(A: SymmetricMatrix, lam: float, margin: float = POS_MARGIN
     return _ShiftedSpectrum(as_matrix(A)).certified(lam, margin)
 
 
-def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN,
-                   bisect_steps: int = 40) -> float:
+def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN) -> float:
     """A shift lambda0 past which the inverse applied to the ones vector stays positive.
 
     Start at operator-norm + 1, double until the certificate holds, then
-    bisect downward. Tightening is best effort; the returned value is always
+    bisect downward in 40 steps. Tightening is best effort; the returned value is always
     re-certified (existence is guaranteed for large shifts, minimality is not).
     Every probe reads the one eigendecomposition of A.
     """
@@ -290,7 +271,7 @@ def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN,
         if doublings > 200:
             raise NotCertified(f"no certified lambda0 after 200 doublings (reached {hi:.3e})")
     lo = hi / 2.0
-    for _ in range(bisect_steps):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if spec.certified(mid, margin):
             hi = mid
@@ -325,9 +306,9 @@ def per1_report(A: SymmetricMatrix) -> InteriorReport:
     path = project_origin(U)
     w = x / float(ones @ x)
     resid = float(np.max(np.abs(U.columns @ w - path.u0)))
-    if resid > 1e-8 * max(1.0, float(np.max(np.abs(path.u0)))):
+    if resid > 1e-8 * scale(path.u0):
         raise ConsistencyError(f"barycentric reconstruction residual {resid:.3e}")
-    if abs(float(np.sum(w)) - 1.0) > 1e-10:
+    if abs(float(np.sum(w)) - 1.0) > REL_TOL:
         raise ConsistencyError("barycentric weights do not sum to 1")
     cond2 = bool(np.min(w) > 0.0)
     w.setflags(write=False)

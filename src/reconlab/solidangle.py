@@ -46,11 +46,10 @@ from .errors import (
     NotNested,
     PreconditionViolated,
 )
+from .matrixcore import REL_TOL, scale
 from .presentation import Presentation, good_position_report
 
 COEF_TOL = 1e-12
-SPAN_TOL_FACTOR = 1e-10
-RANK_TOL_FACTOR = 1e-10
 CHUNK_SIZE = 1 << 16
 _GROUPS = 16  # rotation groups per chunk, each with its own Gaussian base vectors
 _ROTATIONS = 16  # Haar rotations applied to every base vector of a group
@@ -79,6 +78,8 @@ class Cone:
     def __post_init__(self):
         apex = np.array(self.apex, dtype=float)
         gens = np.atleast_2d(np.array(self.generators, dtype=float))
+        if gens.ndim != 2:
+            raise DimensionMismatch(f"generators must be rows of a 2-D array, got {gens.shape}")
         if gens.shape[0] < 1:
             raise NonSimplicialCone("at least one generator required")
         if apex.shape != (gens.shape[1],):
@@ -117,7 +118,7 @@ def _span_data(cone: Cone):
     g = cone.generators.T  # columns are generators
     u, s, _ = np.linalg.svd(g, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > RANK_TOL_FACTOR * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > REL_TOL * smax)) if smax > 0 else 0
     if rank < cone.k:
         raise NonSimplicialCone(f"{cone.k} generators span only {rank} dimensions")
     return u[:, :rank], rank
@@ -133,7 +134,7 @@ def cone_contains(cone: Cone, x) -> bool:
     x = np.asarray(x, dtype=float)
     coords = q.T @ x
     resid = float(np.linalg.norm(x - q @ coords))
-    if resid > SPAN_TOL_FACTOR * max(1.0, float(np.linalg.norm(x))):
+    if resid > REL_TOL * scale(np.linalg.norm(x)):
         return False
     coef = np.linalg.solve(q.T @ cone.generators.T, coords)
     return bool(np.min(coef) >= -COEF_TOL)
@@ -263,7 +264,7 @@ def _simplex_coefficients(apex: np.ndarray, points: np.ndarray, target: np.ndarr
     coef, resid, rank, _ = np.linalg.lstsq(gens, rhs, rcond=None)
     if rank < gens.shape[1]:
         return None
-    if float(np.linalg.norm(gens @ coef - rhs)) > 1e-9 * max(1.0, float(np.linalg.norm(rhs))):
+    if float(np.linalg.norm(gens @ coef - rhs)) > 1e-9 * scale(np.linalg.norm(rhs)):
         return None
     return coef
 
@@ -342,7 +343,7 @@ def displacement_check(u, points: Sequence, v, samples: int = 200_000,
         raise PreconditionViolated("u and v must differ")
     gens_u = pts - u
     dots = gens_u @ (u - v)
-    if float(np.max(np.abs(dots))) > 1e-9 * max(1.0, float(np.max(np.abs(gens_u))) * float(np.linalg.norm(u - v))):
+    if float(np.max(np.abs(dots))) > 1e-9 * scale(gens_u * np.linalg.norm(u - v)):
         raise PreconditionViolated("u - v is not orthogonal to the u-generators")
 
     # projection of u onto aff(points): affine weights must be strictly positive

@@ -4,7 +4,7 @@ Every verifier gates on the deck-matching certificate itself (reports must be
 self-certifying); `force=True` bypasses the gate for negative controls. Grid
 verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
 and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
-decides the identity. The default 9-point lam grid does so only for n <= 8;
+decides the identity. The default 9-point lam grid (DEFAULT_GRID) does so only for n <= 8;
 larger pairs need a `lambda_grid` (CLI: `--grid-lambda`) of n + 1 points or more.
 
 The main theorem's t grid comes from one eigendecomposition of A.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadPosition, LambdaTooSmall, NotHypomorphic
 from .hypomorphism import Hypomorphism, verify_hypomorphism
-from .matrixcore import SymmetricMatrix, as_matrix, eigen_sorted, shifted_det_grid
+from .matrixcore import SymmetricMatrix, as_matrix, eigen_sorted, scale, shifted_det_grid
 from .presentation import (
     _ShiftedSpectrum,
     factor_presentation,
@@ -29,17 +29,13 @@ from .presentation import (
     volume_eigenvector,
 )
 
-TUTTE_TOL = 1e-8
-EQ1_TOL = 1e-8
+TUTTE_TOL = 1e-8  # both determinant-grid verifiers
 EIG_TOL = 1e-9
 GAP_TOL = 1e-8
 ALIGN_TOL = 1e-9
 T_AGREE_TOL = 1e-10
 GEOM_GRID_POINTS = 16
-
-
-def default_grid() -> np.ndarray:
-    return np.linspace(-4.0, 4.0, 9)
+DEFAULT_GRID = tuple(np.linspace(-4.0, 4.0, 9))
 
 
 def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism, force: bool):
@@ -72,17 +68,17 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     """
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
-    lams = np.asarray(default_grid() if lambda_grid is None else lambda_grid, dtype=float)
-    ts = np.asarray(default_grid() if t_grid is None else t_grid, dtype=float)
+    lams = np.asarray(DEFAULT_GRID if lambda_grid is None else lambda_grid, dtype=float)
+    ts = np.asarray(DEFAULT_GRID if t_grid is None else t_grid, dtype=float)
     rows = np.append(lams, 0.0) if against_lambda_zero else lams
     da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
     diff = da - db
     resid = np.abs(diff[:lams.size] - diff[-1]) if against_lambda_zero else np.abs(diff)
-    scale = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
+    peak = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
     max_diff = float(np.max(resid))
     return GridReport(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
-                      max_abs_diff=max_diff, scale=scale, tol=tol,
-                      passed=max_diff <= tol * max(1.0, scale))
+                      max_abs_diff=max_diff, scale=peak, tol=tol,
+                      passed=max_diff <= tol * scale(peak))
 
 
 def verify_tutte(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
@@ -95,7 +91,7 @@ def verify_tutte(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
 
 def verify_eq1(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
                lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
-               tol: float = EQ1_TOL, force: bool = False) -> GridReport:
+               tol: float = TUTTE_TOL, force: bool = False) -> GridReport:
     """The determinant difference must be constant in the spectral shift.
 
     For each t, f(lam, t) = det(A - lam I + t J) - det(B - lam I + t J) is
@@ -163,7 +159,7 @@ def verify_main1_t_agreement(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypo
     t_b = t_of_lambda(B, lam)
     diff = abs(t_a - t_b)
     return TAgreementReport(lam=lam, t_a=t_a, t_b=t_b, abs_diff=diff, tol=tol,
-                            passed=diff <= tol * max(1.0, abs(t_a)))
+                            passed=diff <= tol * scale(t_a))
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,6 @@ class MainTheoremReport:
     eig_tol: float
     gap_tol: float
     align_tol: float
-    collapsed: bool
     t_values: tuple
     passed: bool
 
@@ -195,7 +190,6 @@ def _lowest_eigen_sample(A: SymmetricMatrix, B: SymmetricMatrix, t: float) -> Lo
     j = np.ones((n, n))
     ea = eigen_sorted(SymmetricMatrix(A.entries + t * j))
     eb = eigen_sorted(SymmetricMatrix(B.entries + t * j))
-    scale = max(1.0, float(np.max(np.abs(ea.values))), float(np.max(np.abs(eb.values))))
     va, vb = ea.vectors[:, -1], eb.vectors[:, -1]
     return LowestEigenSample(
         t=float(t),
@@ -204,7 +198,7 @@ def _lowest_eigen_sample(A: SymmetricMatrix, B: SymmetricMatrix, t: float) -> Lo
         eigengap_a=float(ea.values[-2] - ea.values[-1]),
         eigengap_b=float(eb.values[-2] - eb.values[-1]),
         eigvec_alignment=float(abs(va @ vb)),
-        scale=scale,
+        scale=scale(ea.values, eb.values),
     )
 
 
@@ -223,20 +217,9 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
-    spectrum = _ShiftedSpectrum(A)
-    upper = 4.0 * lam0 + 1.0
-    for _ in range(3):
-        grid = np.geomspace(lam0, upper, GEOM_GRID_POINTS)
-        t_values = spectrum.t(grid)
-        t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
-        if t_hi - t_lo >= 1e-12:
-            break
-        upper = 4.0 * upper + 1.0
-    collapsed = (t_hi - t_lo) < 1e-12
-    if collapsed:
-        return MainTheoremReport(lambda0=lam0, t_interval=(t_lo, t_hi), samples=(),
-                                 eig_tol=eig_tol, gap_tol=gap_tol, align_tol=align_tol,
-                                 collapsed=True, t_values=tuple(t_values), passed=False)
+    t_values = _ShiftedSpectrum(A).t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
+    # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + 1) / n
+    t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
     sampled = np.linspace(t_lo, t_hi, n_t_samples + 2)[1:-1]
     samples = tuple(_lowest_eigen_sample(A, B, t) for t in sampled)
     ok = all(
@@ -247,7 +230,7 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
         for s in samples)
     return MainTheoremReport(lambda0=lam0, t_interval=(t_lo, t_hi), samples=samples,
                              eig_tol=eig_tol, gap_tol=gap_tol, align_tol=align_tol,
-                             collapsed=False, t_values=tuple(float(t) for t in t_values),
+                             t_values=tuple(float(t) for t in t_values),
                              passed=ok)
 
 

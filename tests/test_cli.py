@@ -69,6 +69,13 @@ class TestAngle:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "NotFinite"
 
+    def test_three_dimensional_generators_are_input_error(self, tmp_path, capsys):
+        path = tmp_path / "cube_cone.json"
+        path.write_text('{"apex": [0], "generators": [[[1]]]}')
+        code, out, err = run_cli(capsys, "angle", "--cone", str(path), "--samples", "1000")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DimensionMismatch"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "angle", "--cone", str(tmp_path / "nope.json"))
         assert code == 2

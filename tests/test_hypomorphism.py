@@ -26,6 +26,7 @@ from reconlab.hypomorphism import (
     cycle_pair_corpus,
     path_adjacency,
 )
+from reconlab.matrixcore import scale
 
 from conftest import symmetric_matrices
 
@@ -50,14 +51,15 @@ def brute_force_exists(A, B, tol=EXACT_TOL) -> bool:
 
 
 def per_card_gate(A, B, sigma, tol=EXACT_TOL):
-    """Oracle: the deck gate as a loop over per-card matrices."""
+    """Oracle: the deck gate as a loop over per-card matrices, at tol * scale(A, B)."""
     deck_a, deck_b = deck(A), deck(B)
+    threshold = tol * scale(A.entries, B.entries)
     worst, failing = 0.0, None
     for i in range(A.n):
         mapped = perm_similarity(deck_a[i], sigma.sigmas[i])
         resid = float(np.max(np.abs(deck_b[i].entries - mapped.entries)))
         worst = max(worst, resid)
-        if resid > tol and failing is None:
+        if resid > threshold and failing is None:
             failing = i
     return failing is None, worst, failing
 
@@ -118,11 +120,13 @@ class TestVerify:
                 sigmas[i] = Permutation(tuple(rng.permutation(n - 1)))
             sigma = Hypomorphism(tuple(sigmas))
             valid, worst, failing = per_card_gate(A, B, sigma)
-            for tol in (EXACT_TOL, worst):  # a residual equal to tol passes
+            # a residual equal to the threshold passes
+            for tol in (EXACT_TOL, worst / scale(A.entries, B.entries)):
                 cert = verify_hypomorphism(A, B, sigma, tol=tol)
                 ref_valid, _, ref_failing = per_card_gate(A, B, sigma, tol)
                 assert cert.valid == ref_valid and cert.failing_index == ref_failing
                 assert cert.worst_residual == worst  # bit-equal, not approximate
+                assert cert.tol == tol * scale(A.entries, B.entries)
             valid_seen += valid
             failing_seen += not valid
         assert valid_seen > 40 and failing_seen > 40
@@ -181,6 +185,17 @@ class TestFind:
             assert (found is not None) == brute_force_exists(A, B)
             if found is not None:
                 assert verify_hypomorphism(A, B, found, tol=1e-12).valid
+
+    @pytest.mark.parametrize("rel, found", [(1e-13, True), (1e-11, False)])
+    def test_search_and_gate_share_the_relative_threshold(self, rel, found):
+        # at scale 1e6 the threshold is EXACT_TOL * 1e6 = 1e-6: a perturbation of
+        # 1e-7 matches, one of 1e-5 does not, in the search and in the gate alike
+        A = SymmetricMatrix(1e6 * cycle_adjacency(6).entries)
+        B = perm_similarity(A, Permutation.swap(6, 1, 3))
+        B_near = SymmetricMatrix(B.entries * (1.0 + rel))
+        assert (find_hypomorphism(A, B_near) is not None) == found
+        cert = verify_hypomorphism(A, B_near, find_hypomorphism(A, B))
+        assert cert.valid == found and cert.tol == EXACT_TOL * scale(A.entries, B_near.entries)
 
 
 class TestGenPair:

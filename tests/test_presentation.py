@@ -25,7 +25,8 @@ from reconlab import (
     t_of_lambda,
     volume_eigenvector,
 )
-from reconlab.presentation import PD_TOL_FACTOR, POS_MARGIN, _ShiftedSpectrum
+from reconlab.matrixcore import REL_TOL
+from reconlab.presentation import POS_MARGIN, _ShiftedSpectrum
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -274,7 +275,7 @@ def solve_certificate(a, lam, margin=POS_MARGIN):
     ok, closest = True, np.inf
     for p in (lam, 2.0 * lam, 10.0 * lam):
         shifted = a.entries + p * np.eye(a.n)
-        if np.linalg.eigvalsh(shifted)[0] < PD_TOL_FACTOR * max(1.0, np.max(np.abs(shifted))):
+        if np.linalg.eigvalsh(shifted)[0] < REL_TOL * max(1.0, np.max(np.abs(shifted))):
             return False, None
         x = np.linalg.solve(shifted, np.ones(a.n))
         gap = np.min(x) - margin / max(1.0, np.max(np.abs(a.entries)))

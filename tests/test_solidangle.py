@@ -9,6 +9,7 @@ from reconlab import (
     AngleMethod,
     BadPosition,
     Cone,
+    DimensionMismatch,
     NonSimplicialCone,
     NotFinite,
     NotNested,
@@ -79,6 +80,10 @@ class TestContains:
             Cone(apex=np.zeros(2), generators=np.array([[1.0, bad], [0.0, 1.0]]))
         with pytest.raises(NotFinite):
             Cone(apex=np.array([0.0, bad]), generators=np.eye(2))
+
+    def test_generator_array_must_be_two_dimensional(self):
+        with pytest.raises(DimensionMismatch):
+            Cone(apex=np.zeros(1), generators=np.ones((1, 1, 1)))
 
     def test_dependent_generators_rejected(self):
         gens = np.array([[1.0, 0.0], [2.0, 0.0]])
