@@ -4,8 +4,11 @@
 Builds the relabeled-cycle pairs C5..C8 in a temporary directory and runs a
 fixed list of `reconlab <command> --deterministic` calls in-process: `deck`,
 `verify-tutte` on every pair (and once with explicit grids), `verify-main` on
-every pair and a closed-form `angle`. Each digest covers the exit code, stdout
-and stderr, so two runs or two checkouts compare with `diff`:
+every pair and a closed-form `angle`, then the two sampled commands: a Monte
+Carlo `angle` on the 4-D orthant (70,001 directions, so it crosses a chunk
+boundary and ends on a lone direction) and a small `verify-geometry`. Each
+digest covers the exit code, stdout and stderr, so two runs or two checkouts
+compare with `diff`:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 """
@@ -22,6 +25,8 @@ from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
 
 OCTANT = {"apex": [0.0, 0.0, 0.0],
           "generators": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+ORTHANT4 = {"apex": [0.0] * 4,
+            "generators": [[float(i == j) for j in range(4)] for i in range(4)]}
 
 
 def _write(path, obj) -> str:
@@ -46,6 +51,11 @@ def commands(root: str) -> list:
     out += [(f"verify-main {name}", ["verify-main", "--pair", path]) for name, path in pairs]
     octant = _write(os.path.join(root, "octant.json"), OCTANT)
     out.append(("angle octant", ["angle", "--cone", octant]))
+    orthant4 = _write(os.path.join(root, "orthant4.json"), ORTHANT4)
+    out.append(("angle orthant4 monte-carlo",
+                ["angle", "--cone", orthant4, "--monte-carlo", "--samples", "70001", "--seed", "7"]))
+    out.append(("verify-geometry count-2",
+                ["verify-geometry", "--count", "2", "--samples", "20000", "--seed", "24301"]))
     return out
 
 

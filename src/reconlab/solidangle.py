@@ -17,16 +17,28 @@ length, so directions are never normalised. Sampling is chunked with a
 counter-based substream per chunk, so the estimate for a given
 (seed, samples) pair is bit-identical no matter how chunks are scheduled.
 
-Rotation reuse (Genz & Monahan 1998): each chunk draws 16 groups of 16 Haar
+Rotation reuse (Genz & Monahan 1998): each chunk draws 8 groups of 16 Haar
 rotations, and every Gaussian base vector of a group is tested under each of
 its group's rotations. Given z, the copies R_k z are independent uniform
-directions, and copies of different base vectors are independent, so the hit
-indicators are pairwise uncorrelated and the binomial error
-sqrt(p(1-p)/N) stays exact. Fresh rotations per group of base vectors keep
-the error's own spread at the binomial one; one rotation set per chunk makes
-the variance random and fattens the tails. A chunk of `count` directions
-uses the first `count` of the 256 * ceil(count / 256) rotated copies.
-An empty or full count reports the Agresti-Coull error instead of zero.
+directions, and copies of different base vectors are independent. Fresh
+rotations per group of base vectors keep the error's own spread at the
+binomial one; one rotation set per chunk makes the variance random and
+fattens the tails.
+
+Antithetic pairs (Hammersley & Morton 1956): every rotated copy y, taken in
+coefficient coordinates, is tested as the two directions y and -y, that is
+all(y >= -COEF_TOL) and all(y <= COEF_TOL). A simplicial cone is pointed, so
+both are hits only if every coordinate of y is within COEF_TOL of zero, which
+has measure zero: a pair holds Bernoulli(2p) hits, and distinct pairs are
+pairwise independent because their copies are. For N = 2M + r directions,
+r in {0, 1}, the hit count H has Var(H) = M 2p(1-2p) + r p(1-p), and the
+standard error is sqrt(Var(H)) / N at p = H / N, which is sqrt(p(1-2p)/N)
+at even N. Where that plug-in variance is not positive (no hits, or a hit in
+every pair and in the lone direction) the Agresti-Coull error is reported.
+
+Layout: a chunk of `count` directions is the ravel of (group, rotation,
+column, sign), + before -, over ceil(count / 256) base vectors per group,
+and uses the first `count` of those directions.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from .presentation import Presentation, good_position_report
 
 COEF_TOL = 1e-12
 CHUNK_SIZE = 1 << 16
-_GROUPS = 16  # rotation groups per chunk, each with its own Gaussian base vectors
+_GROUPS = 8  # rotation groups per chunk, each with its own Gaussian base vectors
 _ROTATIONS = 16  # Haar rotations applied to every base vector of a group
 _INTERIOR_TOL = 1e-12
 
@@ -184,7 +196,7 @@ def _haar(g: np.ndarray) -> np.ndarray:
 def _monte_carlo(cone: Cone, q: np.ndarray, d: int, samples: int, seed: int) -> SolidAngleEstimate:
     coef_matrix = q.T @ cone.generators.T  # d x d, invertible for simplicial cones
     lu_inv = np.linalg.inv(coef_matrix)
-    per_column = _GROUPS * _ROTATIONS  # directions made from one column index of z
+    per_column = 2 * _GROUPS * _ROTATIONS  # directions made from one column index of z
     hits = 0
     done = 0
     chunk_index = 0
@@ -193,14 +205,20 @@ def _monte_carlo(cone: Cone, q: np.ndarray, d: int, samples: int, seed: int) -> 
         rng = np.random.default_rng([seed, chunk_index])
         rot = _haar(rng.standard_normal((_GROUPS, _ROTATIONS, d, d)))
         z = rng.standard_normal((_GROUPS, 1, d, -(-count // per_column)))
-        inside = np.all((lu_inv @ rot) @ z >= -COEF_TOL, axis=-2).ravel()
-        hits += int(np.count_nonzero(inside[:count]))
+        y = (lu_inv @ rot) @ z
+        plus = np.all(y >= -COEF_TOL, axis=-2).ravel()
+        minus = np.all(y <= COEF_TOL, axis=-2).ravel()  # the antithetic direction -y
+        # the first `count` directions: + of the first ceil(count/2) pairs, - of the rest
+        hits += int(np.count_nonzero(plus[:count - count // 2]))
+        hits += int(np.count_nonzero(minus[:count // 2]))
         done += count
         chunk_index += 1
     fraction = hits / samples
-    if 0 < hits < samples:
-        std_error = math.sqrt(fraction * (1.0 - fraction) / samples)
-    else:  # Agresti-Coull: an empty or full count does not make the fraction exact
+    pairs, lone = divmod(samples, 2)
+    var = pairs * 2.0 * fraction * (1.0 - 2.0 * fraction) + lone * fraction * (1.0 - fraction)
+    if var > 0:
+        std_error = math.sqrt(var) / samples
+    else:  # Agresti-Coull: no hits, or a hit in every pair, does not make the fraction exact
         p_tilde = (hits + 2.0) / (samples + 4.0)
         std_error = math.sqrt(p_tilde * (1.0 - p_tilde) / samples)
     return _estimate(fraction, d, std_error, samples, AngleMethod.MONTE_CARLO)
@@ -247,7 +265,8 @@ def combined_std_error(*estimates: SolidAngleEstimate) -> float:
 def monotonicity_check(cone_inner: Cone, cone_outer: Cone, samples: int = 200_000,
                        seed: int = 0x5EED) -> bool:
     """Nested cones must have ordered norms, up to 4 combined standard errors."""
-    if not np.allclose(cone_inner.apex, cone_outer.apex, atol=1e-12):
+    a, b = cone_inner.apex, cone_outer.apex
+    if a.shape != b.shape or np.max(np.abs(a - b)) > REL_TOL * scale(a, b):
         raise NotNested("cones must share the apex")
     for g in cone_inner.generators:
         if not cone_contains(cone_outer, g):

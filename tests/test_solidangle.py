@@ -120,8 +120,18 @@ class TestAngleFraction:
                             samples=200_000, seed=11, force_monte_carlo=True)
         assert mc.method is AngleMethod.MONTE_CARLO
         assert abs(mc.fraction - exact.fraction) <= 4.0 * mc.std_error
+        # antithetic pairs: each pair's hit count is Bernoulli(2p), so the
+        # variance of the fraction at even N is p(1 - 2p)/N
         assert mc.std_error == pytest.approx(
-            math.sqrt(mc.fraction * (1 - mc.fraction) / mc.samples))
+            math.sqrt(mc.fraction * (1 - 2 * mc.fraction) / mc.samples))
+
+    @pytest.mark.parametrize("samples", [2, 256, 1000, (1 << 16) + 2])
+    def test_half_line_pairs_are_antithetic(self, samples):
+        # every pair tests y and -y, and exactly one of them lies on the half-line
+        half_line = Cone(apex=[0], generators=[[1.0]])
+        est = angle_fraction(half_line, samples=samples, seed=3)
+        assert est.method is AngleMethod.MONTE_CARLO
+        assert est.fraction == 0.5
 
     def test_deterministic_across_chunk_boundary(self):
         c = Cone(apex=np.zeros(4), generators=np.eye(4))
@@ -225,6 +235,29 @@ class TestAngleFraction:
         assert abs(np.mean(zs)) < 0.15
         assert 0.8 <= np.var(zs) <= 1.25
 
+    def test_calibration_against_closed_forms_odd_count(self):
+        # as above at an odd N, where the lone last direction has its own term
+        zs = []
+        for i in range(400):
+            d = 2 + i % 2
+            rng = np.random.default_rng([1998, i])
+            while True:
+                cone = Cone(apex=np.zeros(d), generators=rng.standard_normal((d, d)))
+                exact = angle_fraction(cone).fraction
+                if 0.02 <= exact <= 0.48:
+                    break
+            mc = angle_fraction(cone, samples=20_001, seed=i, force_monte_carlo=True)
+            zs.append((mc.fraction - exact) / mc.std_error)
+        assert abs(np.mean(zs)) < 0.15
+        assert 0.8 <= np.var(zs) <= 1.25
+
+    def test_odd_count_error_has_lone_direction_term(self):
+        est = angle_fraction(Cone(apex=np.zeros(4), generators=np.eye(4)),
+                             samples=70_001, seed=7)
+        p, pairs = est.fraction, 35_000
+        var = pairs * 2 * p * (1 - 2 * p) + p * (1 - p)
+        assert est.std_error == pytest.approx(math.sqrt(var) / 70_001, rel=1e-12)
+
 
 class TestMonotonicity:
     def test_nested_planar(self):
@@ -239,6 +272,26 @@ class TestMonotonicity:
         tilted = Cone(apex=np.zeros(2), generators=np.array([[-1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(NotNested):
             monotonicity_check(tilted, quadrant())
+
+    @pytest.mark.parametrize("apex, moved", [
+        ([1.0, 0.0], [1.0 + 5e-6, 0.0]),
+        ([1e6, 0.0], [1e6 + 5.0, 0.0]),
+        ([0.0, 0.0], [1e-9, 0.0]),
+    ])
+    def test_apex_must_match_to_relative_tolerance(self, apex, moved):
+        inner = Cone(apex=apex, generators=np.array([[1.0, 0.0], [1.0, 1.0]]))
+        outer = Cone(apex=moved, generators=np.eye(2))
+        with pytest.raises(NotNested):
+            monotonicity_check(inner, outer)
+
+    def test_apex_roundoff_is_shared(self):
+        inner = Cone(apex=[1e6, 0.0], generators=np.array([[1.0, 0.0], [1.0, 1.0]]))
+        outer = Cone(apex=[1e6 * (1 + 1e-15), 0.0], generators=np.eye(2))
+        assert monotonicity_check(inner, outer)
+
+    def test_apex_dimensions_must_match(self):
+        with pytest.raises(NotNested):
+            monotonicity_check(quadrant(), octant())
 
     def test_constructed_nesting(self, rng):
         for _ in range(5):
