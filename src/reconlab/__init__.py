@@ -45,11 +45,9 @@ from .hypomorphism import (
     verify_hypomorphism,
 )
 from .matrixcore import (
-    EigenData,
     Permutation,
     SymmetricMatrix,
     deck,
-    eigen_sorted,
     majors_multiset,
     perm_similarity,
     shifted_det,

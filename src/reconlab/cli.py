@@ -39,7 +39,6 @@ from .serialize import (
     content_hash,
     cone_from_dict,
     dumps,
-    estimate_to_dict,
     matrix_from_dict,
     matrix_to_dict,
     pair_from_dict,
@@ -122,7 +121,7 @@ def _run_angle(args: argparse.Namespace) -> int:
     data = _read_json(args.cone)
     cone = cone_from_dict(data)
     est = angle_fraction(cone, args.samples, args.seed, force_monte_carlo=args.monte_carlo)
-    report = estimate_to_dict(est, seed=args.seed)
+    report = {**report_to_dict(est), "seed": args.seed}
     return _report(args, report, True, {"cone": content_hash(data)}, {}, "angle")
 
 

@@ -220,6 +220,8 @@ def run_geometry_suite(seed: int = 0x5EED, count: int = DEFAULT_COUNT,
                        mc_samples: int = DEFAULT_MC_SAMPLES,
                        n_low: int = 3, n_high: int = 8) -> SuiteReport:
     """Run every invariant on `count` seeded instances with sizes in [n_low, n_high]."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     report = SuiteReport(seed=seed, count=count, resid_tol=resid_tol)
     for idx in range(count):
         rng = np.random.default_rng([seed, idx])

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix primitives.
 
 Decks (row/column deletions), shifted determinants det(A - lambda*I + t*J),
-sorted eigensystems with a deterministic sign convention, permutation
-similarity, and principal-minor multisets. Everything here is a pure function
-of immutable inputs; arrays stored on the dataclasses are write-protected.
+permutation similarity, principal-minor multisets and the shared relative
+tolerance policy. Everything here is a pure function of immutable inputs;
+arrays stored on the dataclasses are write-protected.
 """
 
 from __future__ import annotations
@@ -75,23 +75,6 @@ def as_matrix(a) -> SymmetricMatrix:
     if isinstance(a, SymmetricMatrix):
         return a
     return SymmetricMatrix(np.asarray(a, dtype=float))
-
-
-@dataclass(frozen=True)
-class EigenData:
-    """Full eigensystem, eigenvalues sorted non-increasing.
-
-    `vectors[:, i]` is the unit eigenvector for `values[i]`. Each vector is
-    oriented so its first component of largest magnitude is positive, which
-    makes repeated computations bit-identical.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-        object.__setattr__(self, "vectors", _frozen_array(self.vectors))
 
 
 @dataclass(frozen=True)
@@ -172,20 +155,6 @@ def shifted_det_grid(A: SymmetricMatrix, lams, ts) -> np.ndarray:
 def shifted_det(A: SymmetricMatrix, lam: float, t: float) -> float:
     """det(A - lam*I + t*J). Singular input gives 0.0."""
     return float(shifted_det_grid(A, [lam], [t])[0, 0])
-
-
-def eigen_sorted(A: SymmetricMatrix) -> EigenData:
-    """Eigenvalues descending with orthonormal, sign-fixed eigenvectors."""
-    A = as_matrix(A)
-    w, v = np.linalg.eigh(A.entries)
-    w = w[::-1]
-    v = v[:, ::-1]
-    v = v.copy()
-    for j in range(v.shape[1]):
-        lead = int(np.argmax(np.abs(v[:, j])))
-        if v[lead, j] < 0:
-            v[:, j] = -v[:, j]
-    return EigenData(values=w, vectors=v)
 
 
 def perm_similarity(A: SymmetricMatrix, tau: Permutation) -> SymmetricMatrix:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParseError
 from .hypomorphism import Hypomorphism
 from .matrixcore import Permutation, SymmetricMatrix
-from .solidangle import Cone, SolidAngleEstimate
+from .solidangle import Cone
 
 
 def _format_float(x: float) -> str:
@@ -68,12 +68,8 @@ def dumps(obj) -> str:
     return dumps(plain)
 
 
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def content_hash(obj) -> str:
-    return sha256_hex(dumps(obj))
+    return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +126,6 @@ def cone_from_dict(d: dict) -> Cone:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad cone JSON: {exc}", 0)
     return Cone(apex=apex, generators=gens, ambient_dim=dim)
-
-
-def estimate_to_dict(est: SolidAngleEstimate, seed: Optional[int] = None) -> dict:
-    out = {"fraction": est.fraction, "abs_norm": est.abs_norm, "std_error": est.std_error,
-           "samples": est.samples, "method": est.method.value}
-    if seed is not None:
-        out["seed"] = seed
-    return out
 
 
 def report_to_dict(report) -> dict:

@@ -7,7 +7,10 @@ and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
 decides the identity. The default 9-point lam grid (DEFAULT_GRID) does so only for n <= 8;
 larger pairs need a `lambda_grid` (CLI: `--grid-lambda`) of n + 1 points or more.
 
-The main theorem's t grid comes from one eigendecomposition of A.
+The main theorem's t grid comes from one eigendecomposition of A, and its
+samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
+t_k. Input that would check nothing (an empty or non-finite grid, no t
+sample) is rejected rather than passed.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadPosition, LambdaTooSmall, NotHypomorphic
+from .errors import BadPosition, DimensionMismatch, LambdaTooSmall, NotFinite, NotHypomorphic
 from .hypomorphism import Hypomorphism, verify_hypomorphism
-from .matrixcore import SymmetricMatrix, as_matrix, eigen_sorted, scale, shifted_det_grid
+from .matrixcore import SymmetricMatrix, as_matrix, scale, shifted_det_grid
 from .presentation import (
     _ShiftedSpectrum,
     factor_presentation,
@@ -66,10 +69,14 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     The residual is |f| or, with `against_lambda_zero`, |f - f(0, t)|; the
     lam = 0 reference row then also counts towards the scale.
     """
-    A, B = as_matrix(A), as_matrix(B)
-    _gate(A, B, sigma, force)
     lams = np.asarray(DEFAULT_GRID if lambda_grid is None else lambda_grid, dtype=float)
     ts = np.asarray(DEFAULT_GRID if t_grid is None else t_grid, dtype=float)
+    if lams.size == 0 or ts.size == 0:
+        raise DimensionMismatch(f"empty grid ({lams.size} lam values, {ts.size} t values)")
+    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(ts))):
+        raise NotFinite("grid has a non-finite value")
+    A, B = as_matrix(A), as_matrix(B)
+    _gate(A, B, sigma, force)
     rows = np.append(lams, 0.0) if against_lambda_zero else lams
     da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
     diff = da - db
@@ -185,23 +192,6 @@ class MainTheoremReport:
     passed: bool
 
 
-def _lowest_eigen_sample(A: SymmetricMatrix, B: SymmetricMatrix, t: float) -> LowestEigenSample:
-    n = A.n
-    j = np.ones((n, n))
-    ea = eigen_sorted(SymmetricMatrix(A.entries + t * j))
-    eb = eigen_sorted(SymmetricMatrix(B.entries + t * j))
-    va, vb = ea.vectors[:, -1], eb.vectors[:, -1]
-    return LowestEigenSample(
-        t=float(t),
-        lambda_n_a=float(ea.values[-1]),
-        lambda_n_b=float(eb.values[-1]),
-        eigengap_a=float(ea.values[-2] - ea.values[-1]),
-        eigengap_b=float(eb.values[-2] - eb.values[-1]),
-        eigvec_alignment=float(abs(va @ vb)),
-        scale=scale(ea.values, eb.values),
-    )
-
-
 def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
                         n_t_samples: int = 10, eig_tol: float = EIG_TOL,
                         gap_tol: float = GAP_TOL, align_tol: float = ALIGN_TOL,
@@ -214,6 +204,8 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     equal lowest eigenvalues, one-dimensionality via the eigengap, and
     colinear lowest eigenvectors by absolute cosine.
     """
+    if n_t_samples < 1:
+        raise ValueError(f"n_t_samples must be >= 1, got {n_t_samples}")
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
@@ -221,7 +213,18 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + 1) / n
     t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
     sampled = np.linspace(t_lo, t_hi, n_t_samples + 2)[1:-1]
-    samples = tuple(_lowest_eigen_sample(A, B, t) for t in sampled)
+    # w[s, k] ascending, v[s, k][:, 0] its lowest eigenvector, for side s (A, B) at t_k
+    shift = sampled[:, None, None] * np.ones((A.n, A.n))
+    w, v = np.linalg.eigh(np.stack([A.entries + shift, B.entries + shift]))
+    samples = tuple(LowestEigenSample(
+        t=float(t),
+        lambda_n_a=float(w[0, k, 0]),
+        lambda_n_b=float(w[1, k, 0]),
+        eigengap_a=float(w[0, k, 1] - w[0, k, 0]),
+        eigengap_b=float(w[1, k, 1] - w[1, k, 0]),
+        eigvec_alignment=float(abs(v[0, k, :, 0] @ v[1, k, :, 0])),
+        scale=scale(w[0, k], w[1, k]),
+    ) for k, t in enumerate(sampled))
     ok = all(
         abs(s.lambda_n_a - s.lambda_n_b) <= eig_tol * s.scale
         and s.eigengap_a > gap_tol * s.scale

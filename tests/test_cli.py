@@ -267,6 +267,23 @@ class TestUsageContract:
         assert code == 2
         assert "samples" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["verify-main", "--t-samples", "0"], "ValueError"),
+        (["verify-main", "--t-samples", "-1"], "ValueError"),
+        (["verify-tutte", "--grid-lambda=nan,1"], "NotFinite"),
+        (["verify-tutte", "--grid-t=1e400"], "NotFinite"),
+        (["verify-tutte", "--grid-lambda=1:2:0"], "DimensionMismatch"),
+    ], ids=["t-samples-0", "t-samples-negative", "nan-grid", "overflowing-grid", "empty-grid"])
+    def test_vacuous_or_non_finite_verify_input(self, argv, error, pair_path, capsys):
+        code, out, err = run_cli(capsys, *argv[:1], "--pair", pair_path, *argv[1:])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
+
+    def test_zero_count_geometry_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify-geometry", "--count", "0")
+        assert code == 2 and out == ""
+        assert "count" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("command, flag, text", [
         ("verify-tutte", "--pair", "[1, 2]"),
         ("verify-main", "--pair", "[1, 2]"),

@@ -33,6 +33,13 @@ def test_deterministic_tallies():
            {k: (t.passed, t.failed, t.flagged) for k, t in b.tallies.items()}
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_needs_an_instance(count):
+    # no instance means empty tallies, which would pass vacuously
+    with pytest.raises(ValueError, match="count"):
+        run_geometry_suite(seed=5, count=count)
+
+
 def test_zero_tolerance_fails():
     rep = run_geometry_suite(seed=5, count=5, resid_tol=0.0)
     assert not rep.passed

@@ -11,7 +11,6 @@ from reconlab import (
     Permutation,
     SymmetricMatrix,
     deck,
-    eigen_sorted,
     majors_multiset,
     perm_similarity,
     shifted_det,
@@ -100,54 +99,10 @@ class TestShiftedDet:
     @settings(max_examples=30, deadline=None)
     @given(symmetric_matrices(max_n=8), st.floats(-3, 3, allow_nan=False))
     def test_char_poly_product(self, A, lam):
-        values = eigen_sorted(A).values
+        values = np.linalg.eigvalsh(A.entries)
         expected = float(np.prod(values - lam))
         scale = max(1.0, abs(expected))
         assert abs(shifted_det(A, lam, 0.0) - expected) <= 1e-8 * scale
-
-
-class TestEigenSorted:
-    def test_identity(self):
-        np.testing.assert_allclose(eigen_sorted(SymmetricMatrix.identity(3)).values, 1.0)
-
-    def test_all_ones(self):
-        data = eigen_sorted(SymmetricMatrix.all_ones(3))
-        np.testing.assert_allclose(data.values, [3.0, 0.0, 0.0], atol=1e-12)
-        top = data.vectors[:, 0]
-        np.testing.assert_allclose(top, np.ones(3) / np.sqrt(3), atol=1e-12)
-
-    def test_cycle_against_root_oracle(self):
-        # eigenvalues of the n-cycle adjacency are 2*cos(2*pi*k/n)
-        data = eigen_sorted(cycle_adjacency(5))
-        oracle = sorted((2.0 * np.cos(2.0 * np.pi * k / 5.0) for k in range(5)), reverse=True)
-        np.testing.assert_allclose(data.values, oracle, atol=1e-12)
-
-    def test_descending_and_orthonormal(self, rng):
-        w = rng.standard_normal((6, 6))
-        data = eigen_sorted(SymmetricMatrix(w @ w.T))
-        assert all(a >= b for a, b in zip(data.values, data.values[1:]))
-        np.testing.assert_allclose(data.vectors.T @ data.vectors, np.eye(6), atol=1e-9)
-
-    def test_residual(self, rng):
-        w = rng.standard_normal((5, 5))
-        a = SymmetricMatrix(0.5 * (w + w.T))
-        data = eigen_sorted(a)
-        for i in range(5):
-            resid = a.entries @ data.vectors[:, i] - data.values[i] * data.vectors[:, i]
-            assert np.max(np.abs(resid)) < 1e-12 * max(1.0, np.max(np.abs(data.values)))
-
-    def test_sign_convention(self):
-        data = eigen_sorted(SymmetricMatrix(np.diag([2.0, 1.0])))
-        for j in range(2):
-            lead = np.argmax(np.abs(data.vectors[:, j]))
-            assert data.vectors[lead, j] > 0
-
-    def test_idempotent_bits(self, rng):
-        w = rng.standard_normal((5, 5))
-        a = SymmetricMatrix(0.5 * (w + w.T))
-        d1, d2 = eigen_sorted(a), eigen_sorted(a)
-        assert d1.values.tobytes() == d2.values.tobytes()
-        assert d1.vectors.tobytes() == d2.vectors.tobytes()
 
 
 class TestPermSimilarity:
@@ -178,8 +133,8 @@ class TestPermSimilarity:
         img = list(range(A.n))
         rnd.shuffle(img)
         tau = Permutation(tuple(img))
-        np.testing.assert_allclose(eigen_sorted(perm_similarity(A, tau)).values,
-                                   eigen_sorted(A).values, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.eigvalsh(perm_similarity(A, tau).entries),
+                                   np.linalg.eigvalsh(A.entries), atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(symmetric_matrices(min_n=3), st.randoms(use_true_random=False))
@@ -191,8 +146,8 @@ class TestPermSimilarity:
         deck_b = deck(perm_similarity(A, tau))
         for i in range(A.n):
             np.testing.assert_allclose(
-                eigen_sorted(deck_b[tau(i)]).values,
-                eigen_sorted(deck_a[i]).values, atol=1e-9)
+                np.linalg.eigvalsh(deck_b[tau(i)].entries),
+                np.linalg.eigvalsh(deck_a[i].entries), atol=1e-9)
 
 
 class TestMajors:

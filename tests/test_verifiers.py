@@ -3,8 +3,10 @@ import pytest
 
 from reconlab import (
     BadPosition,
+    DimensionMismatch,
     Hypomorphism,
     LambdaTooSmall,
+    NotFinite,
     NotHypomorphic,
     SymmetricMatrix,
     find_hypomorphism,
@@ -27,7 +29,8 @@ from reconlab.hypomorphism import (
     cycle_pair_corpus,
     matrix_pair,
 )
-from reconlab.matrixcore import Permutation
+from reconlab.matrixcore import Permutation, scale
+from reconlab.verifiers import LowestEigenSample
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -76,6 +79,25 @@ class TestTutte:
     def test_residuals_shape(self, c5_pair):
         rep = verify_tutte(*c5_pair, lambda_grid=[-1.0, 0.0, 1.0], t_grid=[0.0, 2.0])
         assert rep.residuals.shape == (3, 2)
+
+    @pytest.mark.parametrize("grids", [
+        {"lambda_grid": [float("nan"), 1.0]},
+        {"t_grid": [float("inf")]},
+        {"lambda_grid": [0.0, float("-inf")], "t_grid": [0.0]},
+    ], ids=["nan-lambda", "inf-t", "minus-inf-lambda"])
+    def test_non_finite_grid_rejected(self, c5_pair, grids):
+        with pytest.raises(NotFinite):
+            verify_tutte(*c5_pair, **grids)
+        with pytest.raises(NotFinite):
+            verify_eq1(*c5_pair, **grids)
+
+    @pytest.mark.parametrize("grids", [{"lambda_grid": []}, {"t_grid": ()}],
+                             ids=["empty-lambda", "empty-t"])
+    def test_empty_grid_rejected(self, c5_pair, grids):
+        with pytest.raises(DimensionMismatch):
+            verify_tutte(*c5_pair, **grids)
+        with pytest.raises(DimensionMismatch):
+            verify_eq1(*c5_pair, **grids)
 
     def test_batched_grid_matches_per_point_loop(self, c6_pair):
         # the batched determinant grid against one shifted_det call per point
@@ -210,6 +232,12 @@ class TestMainTheorem:
         with pytest.raises(NotHypomorphic):
             verify_main_theorem(A, B, forged)
 
+    @pytest.mark.parametrize("n_t_samples", [0, -1])
+    def test_needs_a_t_sample(self, c5_pair, n_t_samples):
+        # an empty sample set would pass vacuously
+        with pytest.raises(ValueError, match="n_t_samples"):
+            verify_main_theorem(*c5_pair, n_t_samples=n_t_samples)
+
     def test_lowest_eigenvalue_is_minus_lambda(self, c5_pair):
         # cross-module coherence: A + lam I + t(lam) J is singular PSD in good position
         A, _, _ = c5_pair
@@ -268,6 +296,50 @@ def test_scale_sweep_cycle_corpus(name, verifier, exponent):
     A, B = SymmetricMatrix(scale * pair["A"].entries), SymmetricMatrix(scale * pair["B"].entries)
     lam = 1.5 * max(lambda0_search(A), lambda0_search(B))
     assert SWEEP_VERIFIERS[verifier](A, B, pair["sigma"], lam)
+
+
+def _per_t_reference(A, B, samples):
+    """The samples recomputed with one eigh of A + tJ and one of B + tJ per t."""
+    ones = np.ones((A.n, A.n))
+    out = []
+    for s in samples:
+        wa, va = np.linalg.eigh(A.entries + s.t * ones)
+        wb, vb = np.linalg.eigh(B.entries + s.t * ones)
+        out.append(LowestEigenSample(
+            t=s.t, lambda_n_a=float(wa[0]), lambda_n_b=float(wb[0]),
+            eigengap_a=float(wa[1] - wa[0]), eigengap_b=float(wb[1] - wb[0]),
+            eigvec_alignment=float(abs(va[:, 0] @ vb[:, 0])), scale=scale(wa, wb)))
+    return tuple(out)
+
+
+class TestStackedSamples:
+    """The stacked eigh gives every sample field bit for bit as a per-t eigh does."""
+
+    @pytest.mark.parametrize("name", SWEEP_PAIRS)
+    def test_cycle_corpus(self, name):
+        pair = SWEEP_PAIRS[name]
+        rep = verify_main_theorem(pair["A"], pair["B"], pair["sigma"])
+        assert len(rep.samples) == 10
+        assert rep.samples == _per_t_reference(pair["A"], pair["B"], rep.samples)
+
+    def test_forced_negative_control(self, c6_pair):
+        # B differs from A, so swapping the sides or the eigenpairs shows
+        A, B, sigma = c6_pair
+        bumped = B.entries.copy()
+        bumped[0, 0] += 0.5
+        B2 = SymmetricMatrix(bumped)
+        rep = verify_main_theorem(A, B2, sigma, n_t_samples=7, force=True)
+        assert not rep.passed
+        assert rep.samples == _per_t_reference(A, B2, rep.samples)
+
+    def test_atlas(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [SymmetricMatrix(nx.to_numpy_array(g))
+                  for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
+        assert len(graphs) == 205
+        for A in graphs:
+            rep = verify_main_theorem(A, A, Hypomorphism.identity(A.n), n_t_samples=3)
+            assert rep.samples == _per_t_reference(A, A, rep.samples)
 
 
 @pytest.fixture(scope="module")
