@@ -5,12 +5,15 @@ Reports are the only output channel: JSON (default) or CSV to stdout or an
 was inconclusive (including rejected certificates and geometric
 preconditions), 2 malformed input or usage. Usage errors emit a
 machine-readable JSON object on stderr.
+
+`main()` builds the parser once per process and reuses it on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -98,12 +101,15 @@ def _emit(args: argparse.Namespace, text: str):
         sys.stdout.write(text)
 
 
-def _report(args: argparse.Namespace, report: dict, passed: bool, inputs: dict,
+def _report(args: argparse.Namespace, report, passed: bool, inputs: dict,
             tolerances: dict, csv_kind: Optional[str] = None,
             samples: Optional[int] = None) -> int:
-    """Write the report envelope (or its CSV flattening); returns the exit code."""
+    """Write the report envelope (or its CSV flattening); returns the exit code.
+
+    `report` is a report object or a dict; `dumps` converts it while writing.
+    """
     if csv_kind is not None and args.format == "csv":
-        text = report_to_csv(csv_kind, report)
+        text = report_to_csv(csv_kind, report_to_dict(report))
     else:
         out = {"command": args.command, "version": __version__}
         if "samples" in args:  # only the sampled commands take --seed/--samples
@@ -163,7 +169,7 @@ def _run_verify_tutte(args: argparse.Namespace) -> int:
     data, A, B, sigma = _read_certified_pair(args.pair)
     report = verify_tutte(A, B, sigma, lambda_grid=lambda_grid, t_grid=t_grid,
                           tol=args.tol_tutte, force=args.force)
-    return _report(args, report_to_dict(report), report.passed,
+    return _report(args, report, report.passed,
                    {"pair": content_hash(data)}, {"tutte": report.tol}, "grid")
 
 
@@ -173,7 +179,7 @@ def _run_verify_main(args: argparse.Namespace) -> int:
                                  eig_tol=args.tol_eig, gap_tol=args.tol_gap,
                                  align_tol=args.tol_align, force=args.force)
     tolerances = {"eig": report.eig_tol, "gap": report.gap_tol, "align": report.align_tol}
-    return _report(args, report_to_dict(report), report.passed,
+    return _report(args, report, report.passed,
                    {"pair": content_hash(data)}, tolerances, "main")
 
 
@@ -181,7 +187,7 @@ def _run_verify_geometry(args: argparse.Namespace) -> int:
     mc_samples = min(args.samples, GEOMETRY_MAX_SAMPLES)
     report = run_geometry_suite(seed=args.seed, count=args.count, resid_tol=args.tol_eig,
                                 mc_samples=mc_samples)
-    return _report(args, report_to_dict(report), report.passed, {},
+    return _report(args, report, report.passed, {},
                    {"resid": args.tol_eig}, "suite", samples=mc_samples)
 
 
@@ -210,7 +216,11 @@ def _run_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `reconlab` parser, built once per process and shared by every `main()`
+    call; callers must not mutate it. Each parse returns a fresh `Namespace`,
+    and no option has a mutable default."""
     parser = _Parser(prog="reconlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"reconlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,8 +9,8 @@ larger pairs need a `lambda_grid` (CLI: `--grid-lambda`) of n + 1 points or more
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
-t_k. Input that would check nothing (an empty or non-finite grid, no t
-sample) is rejected rather than passed.
+t_k. Input that would check nothing (an empty or non-finite grid, a grid
+whose determinants overflow, no t sample) is rejected rather than passed.
 """
 
 from __future__ import annotations
@@ -78,7 +78,10 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     rows = np.append(lams, 0.0) if against_lambda_zero else lams
-    da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
+    if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
+        raise NotFinite("a determinant on the grid overflows; use smaller grid values")
     diff = da - db
     resid = np.abs(diff[:lams.size] - diff[-1]) if against_lambda_zero else np.abs(diff)
     peak = float(max(np.max(np.abs(da)), np.max(np.abs(db))))

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from reconlab.cli import main
+from reconlab import __version__
+from reconlab.cli import build_parser, main
 from reconlab.graph6 import graph6_encode
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
 from reconlab.matrixcore import Permutation, SymmetricMatrix
 from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
+from reconlab.verifiers import DEFAULT_GRID
 
 
 @pytest.fixture
@@ -273,7 +275,9 @@ class TestUsageContract:
         (["verify-tutte", "--grid-lambda=nan,1"], "NotFinite"),
         (["verify-tutte", "--grid-t=1e400"], "NotFinite"),
         (["verify-tutte", "--grid-lambda=1:2:0"], "DimensionMismatch"),
-    ], ids=["t-samples-0", "t-samples-negative", "nan-grid", "overflowing-grid", "empty-grid"])
+        (["verify-tutte", "--grid-lambda=1e70,1"], "NotFinite"),
+    ], ids=["t-samples-0", "t-samples-negative", "nan-grid", "overflowing-grid", "empty-grid",
+            "overflowing-det"])
     def test_vacuous_or_non_finite_verify_input(self, argv, error, pair_path, capsys):
         code, out, err = run_cli(capsys, *argv[:1], "--pair", pair_path, *argv[1:])
         assert code == 2 and out == ""
@@ -314,3 +318,40 @@ class TestUsageContract:
         bad.write_text("{not json")
         code, _, _ = run_cli(capsys, "verify-tutte", "--pair", str(bad))
         assert code == 2
+
+
+class TestParserReuse:
+    """main() shares one parser per process; no call may leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_same_argv_twice(self, pair_path, capsys):
+        argv = ("verify-tutte", "--pair", pair_path, "--grid-t=0,2", "--deterministic")
+        assert run_cli(capsys, *argv)[:2] == run_cli(capsys, *argv)[:2]
+
+    def test_no_default_leaks_between_calls(self, pair_path, capsys):
+        code, out, _ = run_cli(capsys, "verify-tutte", "--pair", pair_path,
+                               "--grid-lambda=-3:5:11", "--deterministic")
+        assert code == 0 and len(json.loads(out)["report"]["lambda_grid"]) == 11
+        code, out, _ = run_cli(capsys, "verify-tutte", "--pair", pair_path, "--deterministic")
+        assert code == 0
+        assert json.loads(out)["report"]["lambda_grid"] == list(DEFAULT_GRID)
+
+    def test_usage_error_between_good_calls(self, octant_path, capsys):
+        argv = ("angle", "--cone", octant_path, "--deterministic")
+        first = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as err:
+            main(["angle", "--cone", octant_path, "--bogus"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"] == "usage"
+        assert run_cli(capsys, *argv) == first and first[0] == 0
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["--version"])
+            assert err.value.code == 0
+            assert capsys.readouterr().out == f"reconlab {__version__}\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from reconlab.hypomorphism import (
     matrix_pair,
 )
 from reconlab.matrixcore import Permutation, scale
-from reconlab.verifiers import LowestEigenSample
+from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -84,12 +86,17 @@ class TestTutte:
         {"lambda_grid": [float("nan"), 1.0]},
         {"t_grid": [float("inf")]},
         {"lambda_grid": [0.0, float("-inf")], "t_grid": [0.0]},
-    ], ids=["nan-lambda", "inf-t", "minus-inf-lambda"])
+        {"lambda_grid": [1e70, 1.0]},
+    ], ids=["nan-lambda", "inf-t", "minus-inf-lambda", "overflowing-det"])
     def test_non_finite_grid_rejected(self, c5_pair, grids):
-        with pytest.raises(NotFinite):
-            verify_tutte(*c5_pair, **grids)
-        with pytest.raises(NotFinite):
-            verify_eq1(*c5_pair, **grids)
+        # a finite grid value whose determinant overflows is rejected the same
+        # way, without numpy's overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite):
+                verify_tutte(*c5_pair, **grids)
+            with pytest.raises(NotFinite):
+                verify_eq1(*c5_pair, **grids)
 
     @pytest.mark.parametrize("grids", [{"lambda_grid": []}, {"t_grid": ()}],
                              ids=["empty-lambda", "empty-t"])
@@ -115,6 +122,31 @@ class TestTutte:
                 assert tutte.residuals[i, j] == abs(f)
                 assert eq1.residuals[i, j] == abs(f - f0)
         assert not tutte.passed and not eq1.passed
+
+
+class TestGridScaleDefects:
+    """Grid verdicts judged against one global determinant scale; the exact
+    coefficient identity of ROADMAP item 3 cures both."""
+
+    @pytest.mark.xfail(strict=True, reason="t = 1e200 swamps the matrix: both dets are 0.0")
+    def test_swamping_t_value_still_fails_a_forged_pair(self):
+        pair = {p["name"]: p for p in cycle_pair_corpus(ns=(5,))}["C5-shuffle"]
+        bumped = pair["B"].entries.copy()
+        bumped[0, 0] += 0.5
+        rep = verify_tutte(pair["A"], SymmetricMatrix(bumped), pair["sigma"],
+                           t_grid=[1e200], force=True)
+        assert not rep.passed
+
+    @pytest.mark.xfail(strict=True, reason="one peak |det| ~ 1e15 is the scale of every point")
+    def test_large_lambda_does_not_hide_a_signed_near_miss(self):
+        # C5 against C5 with one edge's sign flipped: det differs by 4 at every
+        # point, and the default grid alone fails the pair
+        A = cycle_adjacency(5)
+        flipped = A.entries.copy()
+        flipped[0, 1] = flipped[1, 0] = -1.0
+        rep = verify_tutte(A, SymmetricMatrix(flipped), Hypomorphism.identity(5),
+                           lambda_grid=DEFAULT_GRID + (1000.0,), t_grid=[0.0], force=True)
+        assert not rep.passed
 
 
 class TestEq1:
