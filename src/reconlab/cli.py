@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolated,
     ReconError,
 )
-from .geometry_suite import DEFAULT_RESID_TOL, run_geometry_suite
+from .geometry_suite import DEFAULT_COUNT, DEFAULT_RESID_TOL, run_geometry_suite
 from .graph6 import graph6_decode, read_graph6_lines
 from .hypomorphism import gen_pair
 from .matrixcore import Permutation, deck
@@ -49,10 +49,9 @@ from .serialize import (
     report_to_csv,
     report_to_dict,
 )
-from .solidangle import angle_fraction
-from .verifiers import ALIGN_TOL, EIG_TOL, GAP_TOL, TUTTE_TOL, verify_main_theorem, verify_tutte
+from .solidangle import DEFAULT_SAMPLES, DEFAULT_SEED, angle_fraction
+from .verifiers import verify_main_theorem, verify_tutte
 
-DEFAULT_SEED = 0x5EED
 GEOMETRY_MAX_SAMPLES = 50_000  # Monte Carlo samples per geometry-suite estimate
 _MATH_ERRORS = (NotHypomorphic, BadPosition, PreconditionViolated, NotNested,
                 LambdaTooSmall, NotCertified, NotPositiveDefinite, NotPositiveSemidefinite,
@@ -167,17 +166,14 @@ def _run_verify_tutte(args: argparse.Namespace) -> int:
     lambda_grid = _parse_grid(args.grid_lambda) if args.grid_lambda else None
     t_grid = _parse_grid(args.grid_t) if args.grid_t else None
     data, A, B, sigma = _read_certified_pair(args.pair)
-    report = verify_tutte(A, B, sigma, lambda_grid=lambda_grid, t_grid=t_grid,
-                          tol=args.tol_tutte, force=args.force)
+    report = verify_tutte(A, B, sigma, lambda_grid=lambda_grid, t_grid=t_grid, force=args.force)
     return _report(args, report, report.passed,
                    {"pair": content_hash(data)}, {"tutte": report.tol}, "grid")
 
 
 def _run_verify_main(args: argparse.Namespace) -> int:
     data, A, B, sigma = _read_certified_pair(args.pair)
-    report = verify_main_theorem(A, B, sigma, n_t_samples=args.t_samples,
-                                 eig_tol=args.tol_eig, gap_tol=args.tol_gap,
-                                 align_tol=args.tol_align, force=args.force)
+    report = verify_main_theorem(A, B, sigma, n_t_samples=args.t_samples, force=args.force)
     tolerances = {"eig": report.eig_tol, "gap": report.gap_tol, "align": report.align_tol}
     return _report(args, report, report.passed,
                    {"pair": content_hash(data)}, tolerances, "main")
@@ -231,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         if sampled:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--samples", type=int, default=200_000)
+            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--out", help="write the report here instead of stdout")
         if csv:
             p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -262,19 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--grid-lambda", help="lo:hi:count or comma values")
     p.add_argument("--grid-t", help="lo:hi:count or comma values")
-    p.add_argument("--tol-tutte", type=float, default=TUTTE_TOL)
 
     p = command("verify-main", _run_verify_main,
                 "lowest-eigenpair agreement on the t interval", sampled=False, csv=True,
                 force=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--t-samples", type=int, default=10)
-    p.add_argument("--tol-eig", type=float, default=EIG_TOL)
-    p.add_argument("--tol-gap", type=float, default=GAP_TOL)
-    p.add_argument("--tol-align", type=float, default=ALIGN_TOL)
 
     p = command("verify-geometry", _run_verify_geometry, "seeded invariant suite", csv=True)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p.add_argument("--tol-eig", type=float, default=DEFAULT_RESID_TOL,
                    help="residual tolerance for the eigen-based invariants")
 

@@ -25,12 +25,13 @@ from .presentation import (
     t_of_lambda,
     volume_eigenvector,
 )
-from .solidangle import Cone, angle_fraction
+from .solidangle import DEFAULT_SEED, Cone, angle_fraction
 
 DEFAULT_COUNT = 200
 DEFAULT_MC_SAMPLES = 20_000
 DEFAULT_RESID_TOL = 1e-9
 ANGLE_INSTANCES = 25  # the solid-angle checks run on the first instances only
+N_LOW, N_HIGH = 3, 8  # instance orders are drawn from [N_LOW, N_HIGH]
 
 
 @dataclass
@@ -215,17 +216,16 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
     report.tally("zero_law").record(angle_fraction(degenerate, mc_samples, seed).fraction == 0.0)
 
 
-def run_geometry_suite(seed: int = 0x5EED, count: int = DEFAULT_COUNT,
+def run_geometry_suite(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT,
                        resid_tol: float = DEFAULT_RESID_TOL,
-                       mc_samples: int = DEFAULT_MC_SAMPLES,
-                       n_low: int = 3, n_high: int = 8) -> SuiteReport:
-    """Run every invariant on `count` seeded instances with sizes in [n_low, n_high]."""
+                       mc_samples: int = DEFAULT_MC_SAMPLES) -> SuiteReport:
+    """Run every invariant on `count` seeded instances with sizes in [N_LOW, N_HIGH]."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     report = SuiteReport(seed=seed, count=count, resid_tol=resid_tol)
     for idx in range(count):
         rng = np.random.default_rng([seed, idx])
-        n = int(rng.integers(n_low, n_high + 1))
+        n = int(rng.integers(N_LOW, N_HIGH + 1))
         _check_good_position_instance(report, rng, n, resid_tol)
         _check_projection_instance(report, rng, n, resid_tol)
         _check_t_monotonicity(report, rng, n)

@@ -132,8 +132,7 @@ def _match_submatrix(a: np.ndarray, b: np.ndarray, atol: float) -> Optional[Perm
     return Permutation(tuple(image)) if extend(0) else None
 
 
-def find_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
-                      search_cap: int = SEARCH_CAP) -> Optional[Hypomorphism]:
+def find_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix) -> Optional[Hypomorphism]:
     """Search each sigma_i independently by pruned backtracking.
 
     Deterministic: returns the lexicographically first sigma_i at every index.
@@ -144,8 +143,8 @@ def find_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
         raise DimensionMismatch(f"orders differ: {A.n} vs {B.n}")
     if A.n < 3:
         raise DimensionMismatch("deck matching requires order >= 3")
-    if A.n > search_cap:
-        raise SearchTooLarge(f"order {A.n} exceeds search cap {search_cap}")
+    if A.n > SEARCH_CAP:
+        raise SearchTooLarge(f"order {A.n} exceeds search cap {SEARCH_CAP}")
     deck_a, deck_b = deck(A), deck(B)
     atol = EXACT_TOL * scale(A.entries, B.entries)  # the gate's threshold
     sigmas = []
@@ -165,9 +164,7 @@ def gen_pair(graph: Graph6Record, tau: Permutation):
     """
     if tau.degree != graph.n:
         raise DimensionMismatch(f"tau degree {tau.degree} != vertex count {graph.n}")
-    A = SymmetricMatrix(graph.adjacency.astype(float))
-    B = perm_similarity(A, tau)
-    return A, B, find_hypomorphism(A, B)
+    return matrix_pair(SymmetricMatrix(graph.adjacency.astype(float)), tau)
 
 
 def matrix_pair(A: SymmetricMatrix, tau: Permutation):

@@ -102,13 +102,6 @@ class Permutation:
             inv[v] = k
         return Permutation(tuple(inv))
 
-    def to_matrix(self) -> np.ndarray:
-        """Matrix P with P[image[k], k] = 1, so (P A P^T)[image(i), image(j)] = A[i, j]."""
-        p = np.zeros((self.degree, self.degree))
-        for k, v in enumerate(self.image):
-            p[v, k] = 1.0
-        return p
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))

@@ -241,7 +241,9 @@ class _ShiftedSpectrum:
 
 
 def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
-    """-1 / (1^T (A + lam*I)^-1 1); requires A + lam*I positive definite."""
+    """-1 / (1^T (A + lam*I)^-1 1); requires a finite lam with A + lam*I positive definite."""
+    if not math.isfinite(lam):
+        raise NotFinite(f"lambda {lam} is not finite")
     spec = _ShiftedSpectrum(as_matrix(A))
     w, tol = spec.pd_bound(lam)
     if w < tol:

@@ -61,6 +61,8 @@ from .errors import (
 from .matrixcore import REL_TOL, scale
 from .presentation import Presentation, good_position_report
 
+DEFAULT_SEED = 0x5EED
+DEFAULT_SAMPLES = 200_000
 COEF_TOL = 1e-12
 CHUNK_SIZE = 1 << 16
 _GROUPS = 8  # rotation groups per chunk, each with its own Gaussian base vectors
@@ -232,7 +234,7 @@ def _zero_method(d: int) -> AngleMethod:
     return AngleMethod.MONTE_CARLO
 
 
-def angle_fraction(cone: Cone, samples: int = 200_000, seed: int = 0x5EED,
+def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                    force_monte_carlo: bool = False) -> SolidAngleEstimate:
     """Fraction of the ambient unit ball covered by the cone.
 
@@ -262,8 +264,8 @@ def combined_std_error(*estimates: SolidAngleEstimate) -> float:
     return math.sqrt(sum(e.std_error ** 2 for e in estimates))
 
 
-def monotonicity_check(cone_inner: Cone, cone_outer: Cone, samples: int = 200_000,
-                       seed: int = 0x5EED) -> bool:
+def monotonicity_check(cone_inner: Cone, cone_outer: Cone, samples: int = DEFAULT_SAMPLES,
+                       seed: int = DEFAULT_SEED) -> bool:
     """Nested cones must have ordered norms, up to 4 combined standard errors."""
     a, b = cone_inner.apex, cone_outer.apex
     if a.shape != b.shape or np.max(np.abs(a - b)) > REL_TOL * scale(a, b):
@@ -308,8 +310,8 @@ def _verdict(lhs: SolidAngleEstimate, rhs: SolidAngleEstimate):
     return strict, inconclusive, violated, margin
 
 
-def comparison_check(u, points: Sequence, v, samples: int = 200_000,
-                     seed: int = 0x5EED) -> ComparisonReport:
+def comparison_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
+                     seed: int = DEFAULT_SEED) -> ComparisonReport:
     """Moving the apex to an interior point of the hull must enlarge the angle.
 
     Preconditions: the cone at u is simplicial with positive norm, and v is
@@ -345,8 +347,8 @@ class DisplacementReport:
     margin: float
 
 
-def displacement_check(u, points: Sequence, v, samples: int = 200_000,
-                       seed: int = 0x5EED) -> DisplacementReport:
+def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
+                       seed: int = DEFAULT_SEED) -> DisplacementReport:
     """Displacing the apex orthogonally off the configuration shrinks the angle.
 
     Preconditions: (u - v) orthogonal to every u - u_i, u != v, and the
@@ -407,7 +409,8 @@ class PartitionReport:
     combined_std_error: float
 
 
-def partition_check(U: Presentation, samples: int = 200_000, seed: int = 0x5EED) -> PartitionReport:
+def partition_check(U: Presentation, samples: int = DEFAULT_SAMPLES,
+                    seed: int = DEFAULT_SEED) -> PartitionReport:
     """Leave-one-out cones of a good-position presentation tile the ball.
 
     The n cones cone(0, U without u_i), measured in the (n-1)-dimensional

@@ -11,10 +11,15 @@ The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
 t_k. Input that would check nothing (an empty or non-finite grid, a grid
 whose determinants overflow, no t sample) is rejected rather than passed.
+
+The verdict thresholds are the module constants below, not arguments: a caller
+cannot loosen a verdict, and every report carries the thresholds it was judged
+by (the CLI envelope repeats them under `tolerances`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -62,7 +67,7 @@ class GridReport:
 
 
 def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                 lambda_grid: Optional[Sequence], t_grid: Optional[Sequence], tol: float,
+                 lambda_grid: Optional[Sequence], t_grid: Optional[Sequence],
                  force: bool, against_lambda_zero: bool) -> GridReport:
     """Gate, then compare f = det(A - lam I + t J) - det(B - lam I + t J) on the grid.
 
@@ -87,27 +92,27 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     peak = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
     max_diff = float(np.max(resid))
     return GridReport(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
-                      max_abs_diff=max_diff, scale=peak, tol=tol,
-                      passed=max_diff <= tol * scale(peak))
+                      max_abs_diff=max_diff, scale=peak, tol=TUTTE_TOL,
+                      passed=max_diff <= TUTTE_TOL * scale(peak))
 
 
 def verify_tutte(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
                  lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
-                 tol: float = TUTTE_TOL, force: bool = False) -> GridReport:
+                 force: bool = False) -> GridReport:
     """det(A - lam*I + t*J) must equal det(B - lam*I + t*J) across the grid."""
-    return _grid_report(A, B, sigma, lambda_grid, t_grid, tol, force,
+    return _grid_report(A, B, sigma, lambda_grid, t_grid, force,
                         against_lambda_zero=False)
 
 
 def verify_eq1(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
                lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
-               tol: float = TUTTE_TOL, force: bool = False) -> GridReport:
+               force: bool = False) -> GridReport:
     """The determinant difference must be constant in the spectral shift.
 
     For each t, f(lam, t) = det(A - lam I + t J) - det(B - lam I + t J) is
     compared against its value at lam = 0.
     """
-    return _grid_report(A, B, sigma, lambda_grid, t_grid, tol, force,
+    return _grid_report(A, B, sigma, lambda_grid, t_grid, force,
                         against_lambda_zero=True)
 
 
@@ -122,7 +127,7 @@ class KernelMatchReport:
 
 
 def verify_main2(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                 align_tol: float = ALIGN_TOL, force: bool = False) -> KernelMatchReport:
+                 force: bool = False) -> KernelMatchReport:
     """Good-position certified pairs must share their one-dimensional kernel.
 
     Kernel vectors are compared by absolute cosine; the A-side kernel is also
@@ -139,11 +144,11 @@ def verify_main2(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     kernel_alignment = float(abs(ka @ kb) / (np.linalg.norm(ka) * np.linalg.norm(kb)))
     vol = volume_eigenvector(factor_presentation(A))
     volume_alignment = float(abs(ka @ vol) / (np.linalg.norm(ka) * np.linalg.norm(vol)))
-    passed = kernel_alignment >= 1.0 - align_tol and volume_alignment >= 1.0 - align_tol
+    passed = kernel_alignment >= 1.0 - ALIGN_TOL and volume_alignment >= 1.0 - ALIGN_TOL
     return KernelMatchReport(rank_a=rep_a.rank, rank_b=rep_b.rank,
                              kernel_alignment=kernel_alignment,
                              volume_alignment=volume_alignment,
-                             align_tol=align_tol, passed=passed)
+                             align_tol=ALIGN_TOL, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -157,9 +162,10 @@ class TAgreementReport:
 
 
 def verify_main1_t_agreement(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                             lam: float, tol: float = T_AGREE_TOL,
-                             force: bool = False) -> TAgreementReport:
+                             lam: float, force: bool = False) -> TAgreementReport:
     """The singularizing rank-one coefficient must agree on both sides."""
+    if not math.isfinite(lam):
+        raise NotFinite(f"lambda {lam} is not finite")
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
@@ -168,8 +174,8 @@ def verify_main1_t_agreement(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypo
     t_a = t_of_lambda(A, lam)
     t_b = t_of_lambda(B, lam)
     diff = abs(t_a - t_b)
-    return TAgreementReport(lam=lam, t_a=t_a, t_b=t_b, abs_diff=diff, tol=tol,
-                            passed=diff <= tol * scale(t_a))
+    return TAgreementReport(lam=lam, t_a=t_a, t_b=t_b, abs_diff=diff, tol=T_AGREE_TOL,
+                            passed=diff <= T_AGREE_TOL * scale(t_a))
 
 
 @dataclass(frozen=True)
@@ -196,9 +202,7 @@ class MainTheoremReport:
 
 
 def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                        n_t_samples: int = 10, eig_tol: float = EIG_TOL,
-                        gap_tol: float = GAP_TOL, align_tol: float = ALIGN_TOL,
-                        force: bool = False) -> MainTheoremReport:
+                        n_t_samples: int = 10, force: bool = False) -> MainTheoremReport:
     """Lowest eigenpairs of A + t*J and B + t*J must coincide on an interval.
 
     The interval is the image of a geometric lambda grid starting at the
@@ -229,13 +233,13 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
         scale=scale(w[0, k], w[1, k]),
     ) for k, t in enumerate(sampled))
     ok = all(
-        abs(s.lambda_n_a - s.lambda_n_b) <= eig_tol * s.scale
-        and s.eigengap_a > gap_tol * s.scale
-        and s.eigengap_b > gap_tol * s.scale
-        and s.eigvec_alignment >= 1.0 - align_tol
+        abs(s.lambda_n_a - s.lambda_n_b) <= EIG_TOL * s.scale
+        and s.eigengap_a > GAP_TOL * s.scale
+        and s.eigengap_b > GAP_TOL * s.scale
+        and s.eigvec_alignment >= 1.0 - ALIGN_TOL
         for s in samples)
     return MainTheoremReport(lambda0=lam0, t_interval=(t_lo, t_hi), samples=samples,
-                             eig_tol=eig_tol, gap_tol=gap_tol, align_tol=align_tol,
+                             eig_tol=EIG_TOL, gap_tol=GAP_TOL, align_tol=ALIGN_TOL,
                              t_values=tuple(float(t) for t in t_values),
                              passed=ok)
 

@@ -107,7 +107,7 @@ def test_criterion_4_rank_one_coefficient_agreement(corpus):
 
 def test_criterion_5_geometry_lemma_suite():
     with _Criterion(5, "presentation-geometry invariants, 200 instances", 10.0):
-        rep = run_geometry_suite(seed=0x5EED, count=200, n_low=3, n_high=8)
+        rep = run_geometry_suite(seed=0x5EED, count=200)
         assert rep.passed
         for name in ("lemma1_equivalence", "lemma2_volume_kernel", "u0_orthogonality",
                      "perturbation_gram_law", "pd_boundary", "per1_equivalence",

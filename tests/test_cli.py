@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from reconlab import __version__
 from reconlab.cli import build_parser, main
 from reconlab.graph6 import graph6_encode
-from reconlab.hypomorphism import cycle_adjacency, matrix_pair
+from reconlab.hypomorphism import Hypomorphism, cycle_adjacency, matrix_pair
 from reconlab.matrixcore import Permutation, SymmetricMatrix
 from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
 from reconlab.verifiers import DEFAULT_GRID
@@ -24,6 +25,17 @@ def pair_path(tmp_path):
     A, B, sigma = matrix_pair(cycle_adjacency(6), Permutation.swap(6, 1, 3))
     path = tmp_path / "pair.json"
     path.write_text(dumps(pair_to_dict(A, B, sigma)))
+    return str(path)
+
+
+@pytest.fixture
+def signed_c5_path(tmp_path):
+    """C5 against C5 with edge (0, 1) set to -1 under identity sigmas: a forged pair."""
+    A = cycle_adjacency(5)
+    signed = A.entries.copy()
+    signed[0, 1] = signed[1, 0] = -1.0
+    path = tmp_path / "signed-c5.json"
+    path.write_text(dumps(pair_to_dict(A, SymmetricMatrix(signed), Hypomorphism.identity(5))))
     return str(path)
 
 
@@ -264,6 +276,26 @@ class TestUsageContract:
         assert err.value.code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
+    @pytest.mark.parametrize("command", ["verify-tutte", "verify-main"])
+    def test_forced_forged_pair_fails(self, command, signed_c5_path, capsys):
+        code, out, _ = run_cli(capsys, command, "--pair", signed_c5_path, "--force",
+                               "--deterministic")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-tutte", "--tol-tutte", "1e300"],
+        ["verify-main", "--tol-eig", "1e300", "--tol-align", "5"],
+        ["verify-main", "--tol-gap", "0"],
+    ], ids=["tol-tutte", "tol-eig-align", "tol-gap"])
+    def test_threshold_flags_are_usage_errors(self, argv, signed_c5_path, capsys):
+        # a threshold flag could pass the forged pair; the thresholds are constants
+        with pytest.raises(SystemExit) as err:
+            main([*argv[:1], "--pair", signed_c5_path, "--force", *argv[1:]])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == "usage"
+
     def test_zero_samples_rejected(self, octant_path, capsys):
         code, _, err = run_cli(capsys, "angle", "--cone", octant_path, "--samples", "0")
         assert code == 2
@@ -355,3 +387,25 @@ class TestParserReuse:
                 main(["--version"])
             assert err.value.code == 0
             assert capsys.readouterr().out == f"reconlab {__version__}\n"
+
+
+class TestFlagSets:
+    """Every flag each subcommand takes; a new option is an explicit edit here."""
+
+    COMMON = {"--out", "--deterministic"}
+    EXPECTED = {
+        "angle": COMMON | {"--seed", "--samples", "--format", "--cone", "--monte-carlo"},
+        "deck": COMMON | {"--matrix"},
+        "gen-pair": COMMON | {"--graph6", "--index", "--tau"},
+        "verify-tutte": COMMON | {"--format", "--force", "--pair", "--grid-lambda", "--grid-t"},
+        "verify-main": COMMON | {"--format", "--force", "--pair", "--t-samples"},
+        "verify-geometry": COMMON | {"--seed", "--samples", "--format", "--count", "--tol-eig"},
+        "ingest": COMMON | {"--graph6"},
+    }
+
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                 for name, p in sub.choices.items()}
+        assert flags == self.EXPECTED

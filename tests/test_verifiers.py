@@ -215,6 +215,16 @@ class TestTAgreement:
         with pytest.raises(LambdaTooSmall):
             verify_main1_t_agreement(A, B, sigma, 0.5)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_lambda_is_typed(self, lam, c6_pair):
+        A, B, sigma = c6_pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero on the way to the error
+            with pytest.raises(NotFinite):
+                t_of_lambda(A, lam)
+            with pytest.raises(NotFinite):
+                verify_main1_t_agreement(A, B, sigma, lam)
+
     def test_non_hypomorphic_control_is_gated(self):
         # C6 and K33 are cospectral but their decks differ, so no certificate exists
         c6, k33 = cycle_adjacency(6), complete_bipartite_adjacency(3, 3)
