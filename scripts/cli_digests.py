@@ -4,11 +4,13 @@
 Builds the relabeled-cycle pairs C5..C8 in a temporary directory and runs a
 fixed list of `reconlab <command> --deterministic` calls in-process: `deck`,
 `verify-tutte` on every pair (and once with explicit grids), `verify-main` on
-every pair and a closed-form `angle`, then the two sampled commands: a Monte
-Carlo `angle` on the 4-D orthant (70,001 directions, so it crosses a chunk
-boundary and ends on a lone direction) and a small `verify-geometry`. Each
-digest covers the exit code, stdout and stderr, so two runs or two checkouts
-compare with `diff`:
+every pair and a closed-form `angle`, then the sampled commands: Monte Carlo
+`angle` on the 4-D orthant (70,001 directions, so it crosses a chunk boundary
+and ends on a lone direction), on a skewed 5-D cone at exactly two chunks
+(131,072 directions) and on a skewed 6-D cone at 16 chunks plus one direction
+(1,048,577, so the last chunk holds one direction and opens a second block of
+chunks), and a small `verify-geometry`. Each digest covers the exit code,
+stdout and stderr, so two runs or two checkouts compare with `diff`:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 """
@@ -27,6 +29,12 @@ OCTANT = {"apex": [0.0, 0.0, 0.0],
           "generators": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
 ORTHANT4 = {"apex": [0.0] * 4,
             "generators": [[float(i == j) for j in range(4)] for i in range(4)]}
+
+
+def skewed_cone(d: int) -> dict:
+    """Generators e_i + 0.3 (e_{i+1} + ... + e_d): a cone whose coefficient map is not I."""
+    return {"apex": [0.0] * d,
+            "generators": [[float(i == j) + 0.3 * (j > i) for j in range(d)] for i in range(d)]}
 
 
 def _write(path, obj) -> str:
@@ -54,6 +62,11 @@ def commands(root: str) -> list:
     orthant4 = _write(os.path.join(root, "orthant4.json"), ORTHANT4)
     out.append(("angle orthant4 monte-carlo",
                 ["angle", "--cone", orthant4, "--monte-carlo", "--samples", "70001", "--seed", "7"]))
+    for d, samples in ((5, 2 * 65_536), (6, 16 * 65_536 + 1)):
+        cone = _write(os.path.join(root, f"skewed{d}.json"), skewed_cone(d))
+        out.append((f"angle skewed{d} monte-carlo {samples}",
+                    ["angle", "--cone", cone, "--monte-carlo", "--samples", str(samples),
+                     "--seed", "11"]))
     out.append(("verify-geometry count-2",
                 ["verify-geometry", "--count", "2", "--samples", "20000", "--seed", "24301"]))
     return out

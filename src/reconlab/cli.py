@@ -281,6 +281,8 @@ def main(argv=None) -> int:
     try:
         if "samples" in args and args.samples < 1:
             raise ValueError("samples must be >= 1")
+        if "seed" in args and args.seed < 0:
+            raise ValueError("--seed must be >= 0")
         return args.handler(args)
     except _MATH_ERRORS as exc:
         sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")

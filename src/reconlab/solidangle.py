@@ -14,8 +14,10 @@ Directional sampling: since a cone is radial, the fraction of the ball inside
 it equals the fraction of unit directions inside it, so the Monte Carlo path
 tests Gaussian directions in span coordinates. Membership does not depend on
 length, so directions are never normalised. Sampling is chunked with a
-counter-based substream per chunk, so the estimate for a given
-(seed, samples) pair is bit-identical no matter how chunks are scheduled.
+counter-based substream per chunk, default_rng([seed, chunk_index]), which
+draws the chunk's rotation normals and then its base vectors, so the estimate
+for a given (seed, samples) pair is bit-identical no matter how chunks are
+scheduled.
 
 Rotation reuse (Genz & Monahan 1998): each chunk draws 8 groups of 16 Haar
 rotations, and every Gaussian base vector of a group is tested under each of
@@ -38,7 +40,12 @@ every pair and in the lone direction) the Agresti-Coull error is reported.
 
 Layout: a chunk of `count` directions is the ravel of (group, rotation,
 column, sign), + before -, over ceil(count / 256) base vectors per group,
-and uses the first `count` of those directions.
+and uses the first `count` of those directions. Fixed costs are paid once per
+block of at most 16 consecutive chunks (every 10^6-sample estimate is one
+block): the block's generators are made together, its rotations come from
+one stacked Gram-Schmidt and one matmul forms every L^-1 R, and all chunks
+of the estimate run through one coefficient buffer and one flag buffer. The
+block bound keeps memory flat in `samples`.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ COEF_TOL = 1e-12
 CHUNK_SIZE = 1 << 16
 _GROUPS = 8  # rotation groups per chunk, each with its own Gaussian base vectors
 _ROTATIONS = 16  # Haar rotations applied to every base vector of a group
+_BLOCK_CHUNKS = 16  # chunks set up together: a 10^6-sample estimate is one block
 _INTERIOR_TOL = 1e-12
 
 
@@ -199,22 +207,35 @@ def _monte_carlo(cone: Cone, q: np.ndarray, d: int, samples: int, seed: int) -> 
     coef_matrix = q.T @ cone.generators.T  # d x d, invertible for simplicial cones
     lu_inv = np.linalg.inv(coef_matrix)
     per_column = 2 * _GROUPS * _ROTATIONS  # directions made from one column index of z
+    chunks = -(-samples // CHUNK_SIZE)
+    widest = -(-min(samples, CHUNK_SIZE) // per_column)  # base vectors per group in a chunk
+    # a chunk's views are prefixes of these flat buffers, so each one is contiguous
+    normals = np.empty((min(chunks, _BLOCK_CHUNKS), _GROUPS, _ROTATIONS, d, d))
+    z_buf = np.empty(_GROUPS * d * widest)
+    y_buf = np.empty(_GROUPS * _ROTATIONS * d * widest)
+    flag_buf = np.empty(y_buf.size, dtype=bool)
     hits = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(CHUNK_SIZE, samples - done)
-        rng = np.random.default_rng([seed, chunk_index])
-        rot = _haar(rng.standard_normal((_GROUPS, _ROTATIONS, d, d)))
-        z = rng.standard_normal((_GROUPS, 1, d, -(-count // per_column)))
-        y = (lu_inv @ rot) @ z
-        plus = np.all(y >= -COEF_TOL, axis=-2).ravel()
-        minus = np.all(y <= COEF_TOL, axis=-2).ravel()  # the antithetic direction -y
-        # the first `count` directions: + of the first ceil(count/2) pairs, - of the rest
-        hits += int(np.count_nonzero(plus[:count - count // 2]))
-        hits += int(np.count_nonzero(minus[:count // 2]))
-        done += count
-        chunk_index += 1
+    for first in range(0, chunks, _BLOCK_CHUNKS):
+        rngs = [np.random.default_rng([seed, k])
+                for k in range(first, min(first + _BLOCK_CHUNKS, chunks))]
+        block = normals[:len(rngs)]
+        for rng, g in zip(rngs, block):
+            rng.standard_normal(out=g)  # a chunk draws its rotations before its base vectors
+        maps = np.matmul(lu_inv, _haar(block), out=block)  # the normals are spent
+        for k, rng, m in zip(range(first, chunks), rngs, maps):
+            count = min(CHUNK_SIZE, samples - k * CHUNK_SIZE)
+            cols = -(-count // per_column)
+            z = rng.standard_normal(out=z_buf[:_GROUPS * d * cols].reshape(_GROUPS, 1, d, cols))
+            shape = (_GROUPS, _ROTATIONS, d, cols)
+            size = math.prod(shape)
+            y = np.matmul(m, z, out=y_buf[:size].reshape(shape))
+            flags = flag_buf[:size].reshape(shape)
+            # the first `count` directions: + of the first ceil(count/2) pairs, - of the rest
+            plus = np.greater_equal(y, -COEF_TOL, out=flags).all(axis=-2).ravel()
+            hits += int(np.count_nonzero(plus[:count - count // 2]))
+            # the antithetic direction -y
+            minus = np.less_equal(y, COEF_TOL, out=flags).all(axis=-2).ravel()
+            hits += int(np.count_nonzero(minus[:count // 2]))
     fraction = hits / samples
     pairs, lone = divmod(samples, 2)
     var = pairs * 2.0 * fraction * (1.0 - 2.0 * fraction) + lone * fraction * (1.0 - fraction)
@@ -234,6 +255,11 @@ def _zero_method(d: int) -> AngleMethod:
     return AngleMethod.MONTE_CARLO
 
 
+def _require_count(name: str, value, least: int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise PreconditionViolated(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                    force_monte_carlo: bool = False) -> SolidAngleEstimate:
     """Fraction of the ambient unit ball covered by the cone.
@@ -242,10 +268,11 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
     measure zero); ambient 2 uses the planar angle; ambient 3 with three
     generators uses the spherical-triangle closed form; everything else is
     chunk-deterministic Monte Carlo over directions. `force_monte_carlo`
-    samples even where a closed form exists, for cross-validation.
+    samples even where a closed form exists, for cross-validation. `samples`
+    must be an integer >= 1 and `seed` an integer >= 0; bools are refused.
     """
-    if samples < 1:
-        raise PreconditionViolated("samples must be >= 1")
+    _require_count("samples", samples, 1)
+    _require_count("seed", seed, 0)
     q, rank = _span_data(cone)
     d = cone.ambient_dim if cone.ambient_dim is not None else rank
     if rank > d:

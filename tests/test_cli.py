@@ -301,6 +301,17 @@ class TestUsageContract:
         assert code == 2
         assert "samples" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["angle", "--cone", "OCTANT", "--seed", "-1"],
+        ["angle", "--cone", "OCTANT", "--seed", "-1", "--monte-carlo"],
+        ["verify-geometry", "--seed", "-1"],
+    ], ids=["angle", "angle-monte-carlo", "verify-geometry"])
+    def test_negative_seed_rejected(self, argv, octant_path, capsys):
+        # a usage error naming the flag, not the library's exit-1 precondition
+        code, out, err = run_cli(capsys, *[octant_path if a == "OCTANT" else a for a in argv])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "--seed must be >= 0"}
+
     @pytest.mark.parametrize("argv, error", [
         (["verify-main", "--t-samples", "0"], "ValueError"),
         (["verify-main", "--t-samples", "-1"], "ValueError"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from reconlab import (
     monotonicity_check,
     partition_check,
 )
-from reconlab.solidangle import _haar
+from reconlab.solidangle import CHUNK_SIZE, COEF_TOL, _haar, _span_data
 
 
 def quadrant():
@@ -39,6 +40,36 @@ def octant():
 def random_orthogonal(rng, m):
     q, r = np.linalg.qr(rng.standard_normal((m, m)))
     return q * np.sign(np.diag(r))
+
+
+def per_chunk_reference(cone, samples, seed):
+    """(fraction, std_error) from the sampler's one-chunk-at-a-time form.
+
+    Each chunk makes its own generator, rotations and arrays; the library
+    stacks the set-up of up to 16 chunks, and must give the same bits.
+    """
+    q, d = _span_data(cone)
+    lu_inv = np.linalg.inv(q.T @ cone.generators.T)
+    hits = done = chunk_index = 0
+    while done < samples:
+        count = min(CHUNK_SIZE, samples - done)
+        rng = np.random.default_rng([seed, chunk_index])
+        rot = _haar(rng.standard_normal((8, 16, d, d)))
+        z = rng.standard_normal((8, 1, d, -(-count // 256)))
+        y = (lu_inv @ rot) @ z
+        plus = np.all(y >= -COEF_TOL, axis=-2).ravel()
+        minus = np.all(y <= COEF_TOL, axis=-2).ravel()
+        hits += int(np.count_nonzero(plus[:count - count // 2]))
+        hits += int(np.count_nonzero(minus[:count // 2]))
+        done += count
+        chunk_index += 1
+    fraction = hits / samples
+    pairs, lone = divmod(samples, 2)
+    var = pairs * 2.0 * fraction * (1.0 - 2.0 * fraction) + lone * fraction * (1.0 - fraction)
+    if var > 0:
+        return fraction, math.sqrt(var) / samples
+    p_tilde = (hits + 2.0) / (samples + 4.0)
+    return fraction, math.sqrt(p_tilde * (1.0 - p_tilde) / samples)
 
 
 class TestBallVolume:
@@ -149,6 +180,21 @@ class TestAngleFraction:
         with pytest.raises(PreconditionViolated):
             angle_fraction(quadrant(), samples=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": True}, {"samples": np.True_}, {"samples": 1.5}, {"samples": 2.0},
+        {"samples": -3}, {"seed": -1}, {"seed": True}, {"seed": 7.0}, {"seed": np.int64(-2)},
+    ], ids=repr)
+    def test_samples_and_seed_must_be_counts(self, kwargs):
+        for force in (False, True):
+            with pytest.raises(PreconditionViolated, match=next(iter(kwargs))):
+                angle_fraction(octant(), force_monte_carlo=force, **kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        est = angle_fraction(octant(), samples=np.int32(1000), seed=np.uint64(7),
+                             force_monte_carlo=True)
+        assert est.fraction == angle_fraction(octant(), samples=1000, seed=7,
+                                              force_monte_carlo=True).fraction
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31))
     def test_congruence_invariance_exact(self, seed):
@@ -257,6 +303,34 @@ class TestAngleFraction:
         p, pairs = est.fraction, 35_000
         var = pairs * 2 * p * (1 - 2 * p) + p * (1 - p)
         assert est.std_error == pytest.approx(math.sqrt(var) / 70_001, rel=1e-12)
+
+
+class TestChunkBlocks:
+    @pytest.mark.parametrize("seed", [7, 0x5EED])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_bit_identical_to_per_chunk_sampling(self, d, seed):
+        gens = np.random.default_rng([2024, d]).standard_normal((d, d))
+        cone = Cone(apex=np.zeros(d), generators=gens)
+        for samples in (1, 2, 255, 256, 257, 65_535, 65_536, 65_537, 70_001,
+                        16 * CHUNK_SIZE, 16 * CHUNK_SIZE + 1, 1_000_001):
+            est = angle_fraction(cone, samples=samples, seed=seed, force_monte_carlo=True)
+            assert (est.fraction, est.std_error) == per_chunk_reference(cone, samples, seed), \
+                samples
+
+    def test_memory_is_bounded_by_one_block(self):
+        # set-up is stacked per block of 16 chunks, never over the whole estimate
+        cone = Cone(apex=np.zeros(6), generators=np.eye(6) + 0.2)
+
+        def traced_peak(samples):
+            tracemalloc.start()
+            try:
+                angle_fraction(cone, samples=samples, seed=3, force_monte_carlo=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = traced_peak(16 * CHUNK_SIZE)
+        assert traced_peak(64 * CHUNK_SIZE) <= 1.25 * one_block
 
 
 class TestMonotonicity:
