@@ -36,21 +36,16 @@ from .hypomorphism import (
     HypomorphyCertificate,
     cycle_adjacency,
     cycle_pair_corpus,
-    complete_adjacency,
-    complete_bipartite_adjacency,
     find_hypomorphism,
     gen_pair,
     matrix_pair,
-    path_adjacency,
     verify_hypomorphism,
 )
 from .matrixcore import (
     Permutation,
     SymmetricMatrix,
     deck,
-    majors_multiset,
     perm_similarity,
-    shifted_det,
 )
 from .presentation import (
     GoodPositionReason,
@@ -59,11 +54,9 @@ from .presentation import (
     Presentation,
     factor_presentation,
     good_position_report,
-    lambda0_certified,
     lambda0_search,
     per1_report,
     perturb_presentation,
-    perturbation_path,
     project_origin,
     t_of_lambda,
     volume_eigenvector,

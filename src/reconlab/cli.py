@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolated,
     ReconError,
 )
-from .geometry_suite import DEFAULT_COUNT, DEFAULT_RESID_TOL, run_geometry_suite
+from .geometry_suite import DEFAULT_COUNT, run_geometry_suite
 from .graph6 import graph6_decode, read_graph6_lines
 from .hypomorphism import gen_pair
 from .matrixcore import Permutation, deck
@@ -181,10 +181,9 @@ def _run_verify_main(args: argparse.Namespace) -> int:
 
 def _run_verify_geometry(args: argparse.Namespace) -> int:
     mc_samples = min(args.samples, GEOMETRY_MAX_SAMPLES)
-    report = run_geometry_suite(seed=args.seed, count=args.count, resid_tol=args.tol_eig,
-                                mc_samples=mc_samples)
+    report = run_geometry_suite(seed=args.seed, count=args.count, mc_samples=mc_samples)
     return _report(args, report, report.passed, {},
-                   {"resid": args.tol_eig}, "suite", samples=mc_samples)
+                   {"resid": report.resid_tol}, "suite", samples=mc_samples)
 
 
 def _run_ingest(args: argparse.Namespace) -> int:
@@ -267,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify-geometry", _run_verify_geometry, "seeded invariant suite", csv=True)
     p.add_argument("--count", type=int, default=DEFAULT_COUNT)
-    p.add_argument("--tol-eig", type=float, default=DEFAULT_RESID_TOL,
-                   help="residual tolerance for the eigen-based invariants")
 
     p = command("ingest", _run_ingest, "graph6 file to matrix JSON records", sampled=False)
     p.add_argument("--graph6", required=True)

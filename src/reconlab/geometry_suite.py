@@ -25,11 +25,11 @@ from .presentation import (
     t_of_lambda,
     volume_eigenvector,
 )
-from .solidangle import DEFAULT_SEED, Cone, angle_fraction
+from .solidangle import DEFAULT_SEED, Cone, _haar, angle_fraction
 
 DEFAULT_COUNT = 200
 DEFAULT_MC_SAMPLES = 20_000
-DEFAULT_RESID_TOL = 1e-9
+RESID_TOL = 1e-9  # relative residual bound of the eigen-based invariants
 ANGLE_INSTANCES = 25  # the solid-angle checks run on the first instances only
 N_LOW, N_HIGH = 3, 8  # instance orders are drawn from [N_LOW, N_HIGH]
 
@@ -88,7 +88,7 @@ def random_good_position_presentation(rng: np.random.Generator, n: int) -> Prese
     raise DrawFailed("no well-conditioned good-position instance in 20 draws")
 
 
-def _direct_good_position(U: Presentation, tol: float) -> bool:
+def _direct_good_position(U: Presentation) -> bool:
     """Definition-level check: 0 has strictly positive affine weights over U
     and the span has dimension n-1. Independent of the report's spectral route."""
     n = U.n
@@ -102,42 +102,40 @@ def _direct_good_position(U: Presentation, tol: float) -> bool:
     return resid <= 1e-7 * unit and float(np.min(w)) > 0.0 and rank == n - 1
 
 
-def _check_good_position_instance(report: SuiteReport, rng: np.random.Generator, n: int,
-                                  tol: float):
+def _check_good_position_instance(report: SuiteReport, rng: np.random.Generator, n: int):
     U = random_good_position_presentation(rng, n)
     A = U.gram()
     gp = good_position_report(A)
-    direct = _direct_good_position(U, tol)
+    direct = _direct_good_position(U)
     report.tally("lemma1_equivalence").record(direct == gp.is_good)
 
     if gp.is_good:
         alpha = volume_eigenvector(U)
         kernel_resid = float(np.max(np.abs(A.entries @ alpha)))
         report.tally("lemma2_volume_kernel").record(
-            kernel_resid <= tol * scale(A.entries) and float(np.min(alpha)) > 0.0)
+            kernel_resid <= RESID_TOL * scale(A.entries) and float(np.min(alpha)) > 0.0)
 
     # rank-n control: the equivalence must also hold in the negative direction
     pd = random_pd_matrix(rng, n)
     gp_pd = good_position_report(pd)
-    direct_pd = _direct_good_position(factor_presentation(pd), tol)
+    direct_pd = _direct_good_position(factor_presentation(pd))
     report.tally("lemma1_equivalence").record(direct_pd == gp_pd.is_good)
 
 
-def _check_projection_instance(report: SuiteReport, rng: np.random.Generator, n: int,
-                               tol: float):
+def _check_projection_instance(report: SuiteReport, rng: np.random.Generator, n: int):
     A = random_pd_matrix(rng, n)
     U = factor_presentation(A)
     path = project_origin(U)
     worst = max(
         abs(float(path.u0 @ (U.columns[:, i] - path.u0))) for i in range(n))
-    report.tally("u0_orthogonality").record(worst <= tol * scale(U.columns) ** 2)
+    report.tally("u0_orthogonality").record(worst <= RESID_TOL * scale(U.columns) ** 2)
 
     j = np.ones((n, n))
     for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
         shifted = perturb_presentation(U, s)
         target = A.entries + (s * s - 2.0 * s) * path.u0_norm_sq * j
         gap = float(np.max(np.abs(shifted.gram().entries - target)))
-        report.tally("perturbation_gram_law").record(gap <= tol * scale(target))
+        report.tally("perturbation_gram_law").record(gap <= RESID_TOL * scale(target))
 
     eps = 1e-4 * path.u0_norm_sq
     inside = np.linalg.eigvalsh(A.entries + (-path.u0_norm_sq + eps) * j)[0]
@@ -164,11 +162,6 @@ def _check_t_monotonicity(report: SuiteReport, rng: np.random.Generator, n: int)
         report.tally("t_of_lambda_monotone").record(decreasing, soft=soft)
 
 
-def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    return q * np.sign(np.diag(r))
-
-
 def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
                           mc_samples: int, seed: int):
     gens = rng.standard_normal((3, 3))
@@ -176,7 +169,7 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
         gens = rng.standard_normal((3, 3))
     cone = Cone(apex=np.zeros(3), generators=gens)
     est = angle_fraction(cone, mc_samples, seed)
-    rot = _random_orthogonal(rng, 3)
+    rot = _haar(rng.standard_normal((3, 3)))
     est_rot = angle_fraction(Cone(apex=np.zeros(3), generators=gens @ rot.T), mc_samples, seed)
     report.tally("congruence_invariance").record(abs(est.fraction - est_rot.fraction) <= 1e-12)
     report.tally("remark3_half_ball").record(est.fraction < 0.5)
@@ -203,7 +196,7 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
     est4 = angle_fraction(cone4, mc_samples, seed)
     est4_again = angle_fraction(cone4, mc_samples, seed)
     report.tally("mc_determinism").record(est4.fraction == est4_again.fraction)
-    rot4 = _random_orthogonal(rng, 4)
+    rot4 = _haar(rng.standard_normal((4, 4)))
     est4_rot = angle_fraction(Cone(apex=np.zeros(4), generators=lifted @ rot4.T),
                               mc_samples, seed)
     report.tally("congruence_invariance").record(
@@ -217,17 +210,16 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
 
 
 def run_geometry_suite(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT,
-                       resid_tol: float = DEFAULT_RESID_TOL,
                        mc_samples: int = DEFAULT_MC_SAMPLES) -> SuiteReport:
     """Run every invariant on `count` seeded instances with sizes in [N_LOW, N_HIGH]."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    report = SuiteReport(seed=seed, count=count, resid_tol=resid_tol)
+    report = SuiteReport(seed=seed, count=count, resid_tol=RESID_TOL)
     for idx in range(count):
         rng = np.random.default_rng([seed, idx])
         n = int(rng.integers(N_LOW, N_HIGH + 1))
-        _check_good_position_instance(report, rng, n, resid_tol)
-        _check_projection_instance(report, rng, n, resid_tol)
+        _check_good_position_instance(report, rng, n)
+        _check_projection_instance(report, rng, n)
         _check_t_monotonicity(report, rng, n)
         if idx < ANGLE_INSTANCES:
             _check_angle_instance(report, rng, mc_samples, seed + idx)

@@ -44,22 +44,18 @@ class Hypomorphism:
     def n(self) -> int:
         return len(self.sigmas)
 
-    @classmethod
-    def identity(cls, n: int) -> "Hypomorphism":
-        return cls(tuple(Permutation.identity(n - 1) for _ in range(n)))
-
 
 @dataclass(frozen=True)
 class HypomorphyCertificate:
     valid: bool
     worst_residual: float
     failing_index: Optional[int]
-    tol: float  # the threshold applied, tol * scale(A, B)
+    tol: float  # the threshold applied, EXACT_TOL * scale(A, B)
 
 
-def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                        tol: float = EXACT_TOL) -> HypomorphyCertificate:
-    """Check B_i == sigma_i A_i sigma_i^T within tol * scale(A, B) for every deleted index i.
+def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
+                        sigma: Hypomorphism) -> HypomorphyCertificate:
+    """Check B_i == sigma_i A_i sigma_i^T within EXACT_TOL * scale(A, B) for every deleted index i.
 
     All n cards are compared at once by exact reindexing of A and B, with no
     per-card matrices. Card i keeps the indices keep[i] (every index but i),
@@ -80,7 +76,7 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     diff = (B.entries[moved[:, :, None], moved[:, None, :]]
             - A.entries[keep[:, :, None], keep[:, None, :]])
     resid = np.abs(diff).reshape(n, -1).max(axis=1)
-    threshold = tol * scale(A.entries, B.entries)
+    threshold = EXACT_TOL * scale(A.entries, B.entries)
     failing = np.flatnonzero(resid > threshold)
     return HypomorphyCertificate(valid=failing.size == 0, worst_residual=float(resid.max()),
                                  failing_index=int(failing[0]) if failing.size else None,
@@ -175,31 +171,12 @@ def matrix_pair(A: SymmetricMatrix, tau: Permutation):
 
 
 # ---------------------------------------------------------------------------
-# small-graph constructors used to build test corpora
+# the relabeled-cycle corpus
 
 def cycle_adjacency(n: int) -> SymmetricMatrix:
     a = np.zeros((n, n))
     for i in range(n):
         a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
-    return SymmetricMatrix(a)
-
-
-def path_adjacency(n: int) -> SymmetricMatrix:
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = 1.0
-    return SymmetricMatrix(a)
-
-
-def complete_adjacency(n: int) -> SymmetricMatrix:
-    return SymmetricMatrix(np.ones((n, n)) - np.eye(n))
-
-
-def complete_bipartite_adjacency(p: int, q: int) -> SymmetricMatrix:
-    n = p + q
-    a = np.zeros((n, n))
-    a[:p, p:] = 1.0
-    a[p:, :p] = 1.0
     return SymmetricMatrix(a)
 
 

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix primitives.
 
 Decks (row/column deletions), shifted determinants det(A - lambda*I + t*J),
-permutation similarity, principal-minor multisets and the shared relative
-tolerance policy. Everything here is a pure function of immutable inputs;
-arrays stored on the dataclasses are write-protected.
+permutation similarity and the shared relative tolerance policy. Everything
+here is a pure function of immutable inputs; arrays stored on the
+dataclasses are write-protected.
 """
 
 from __future__ import annotations
@@ -56,19 +56,6 @@ class SymmetricMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def identity(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def all_ones(cls, n: int) -> "SymmetricMatrix":
-        """The rank-one matrix J built from the all-ones vector."""
-        return cls(np.ones((n, n)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.zeros((n, n)))
-
 
 def as_matrix(a) -> SymmetricMatrix:
     """Coerce an array-like (or pass through a SymmetricMatrix) with validation."""
@@ -95,12 +82,6 @@ class Permutation:
 
     def __call__(self, k: int) -> int:
         return self.image[k]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for k, v in enumerate(self.image):
-            inv[v] = k
-        return Permutation(tuple(inv))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -145,11 +126,6 @@ def shifted_det_grid(A: SymmetricMatrix, lams, ts) -> np.ndarray:
     return np.linalg.det(A.entries - lams * np.eye(A.n) + ts * np.ones((A.n, A.n)))
 
 
-def shifted_det(A: SymmetricMatrix, lam: float, t: float) -> float:
-    """det(A - lam*I + t*J). Singular input gives 0.0."""
-    return float(shifted_det_grid(A, [lam], [t])[0, 0])
-
-
 def perm_similarity(A: SymmetricMatrix, tau: Permutation) -> SymmetricMatrix:
     """Relabel: B[tau(i), tau(j)] = A[i, j]. Exact (pure reindexing)."""
     A = as_matrix(A)
@@ -160,10 +136,3 @@ def perm_similarity(A: SymmetricMatrix, tau: Permutation) -> SymmetricMatrix:
     b[np.ix_(img, img)] = A.entries
     return SymmetricMatrix(b)
 
-
-def majors_multiset(A: SymmetricMatrix) -> list:
-    """Determinants of the deck, sorted ascending for canonical comparison."""
-    A = as_matrix(A)
-    if A.n < 2:
-        raise DegenerateOrder("majors require order >= 2")
-    return sorted(float(np.linalg.det(card.entries)) for card in deck(A))

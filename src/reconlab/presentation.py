@@ -54,9 +54,6 @@ class Presentation:
     def n(self) -> int:
         return self.columns.shape[1]
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.columns[:, i]
-
     def gram(self) -> SymmetricMatrix:
         g = self.columns.T @ self.columns
         return SymmetricMatrix(0.5 * (g + g.T))
@@ -78,12 +75,13 @@ class GoodPositionReport:
 
 @dataclass(frozen=True)
 class PerturbationPath:
-    """State of the translation u_i -> u_i - s*u0; t = (s^2 - 2s)*|u0|^2."""
+    """The projection u0 of the origin onto aff(U) and |u0|^2.
+
+    Translating u_i -> u_i - s*u0 adds t = (s^2 - 2s)*|u0|^2 to every Gram entry.
+    """
 
     u0: np.ndarray
     u0_norm_sq: float
-    s: float
-    t: float
 
 
 def _eigh_psd(A: SymmetricMatrix) -> tuple:
@@ -178,19 +176,13 @@ def project_origin(U: Presentation) -> PerturbationPath:
     if gap > REL_TOL * scale(u0):
         raise ConsistencyError(f"u0 closed forms disagree by {gap:.3e}")
     u0.setflags(write=False)
-    return PerturbationPath(u0=u0, u0_norm_sq=norm_sq, s=0.0, t=0.0)
+    return PerturbationPath(u0=u0, u0_norm_sq=norm_sq)
 
 
 def perturb_presentation(U: Presentation, s: float) -> Presentation:
     """The translated family {u_i - s*u0}; its Gram is A + (s^2-2s)|u0|^2 J."""
     path = project_origin(U)
     return Presentation(U.columns - s * path.u0[:, None])
-
-
-def perturbation_path(U: Presentation, s: float) -> PerturbationPath:
-    base = project_origin(U)
-    return PerturbationPath(u0=base.u0, u0_norm_sq=base.u0_norm_sq, s=s,
-                            t=(s * s - 2.0 * s) * base.u0_norm_sq)
 
 
 class _ShiftedSpectrum:
@@ -229,15 +221,15 @@ class _ShiftedSpectrum:
         lams = np.asarray(lams, dtype=float)
         return -1.0 / np.sum(self.c_sq / (self.mu + lams[..., None]), axis=-1)
 
-    def certified(self, lam: float, margin: float) -> bool:
-        """PD and (A + p I)^-1 1 >= margin / scale(A) at every p in {lam, 2 lam, 10 lam}."""
+    def certified(self, lam: float) -> bool:
+        """PD and (A + p I)^-1 1 >= POS_MARGIN / scale(A) at every p in {lam, 2 lam, 10 lam}."""
         probes = (lam, 2.0 * lam, 10.0 * lam)
         for p in probes:
             w, tol = self.pd_bound(p)
             if w < tol:
                 return False
         # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
-        return bool(self.inverse_ones(probes).min() >= margin / self.scale)
+        return bool(self.inverse_ones(probes).min() >= POS_MARGIN / self.scale)
 
 
 def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
@@ -251,12 +243,7 @@ def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
     return float(spec.t(lam))
 
 
-def lambda0_certified(A: SymmetricMatrix, lam: float, margin: float = POS_MARGIN) -> bool:
-    """(A + c*I)^-1 1 strictly positive with margin / scale(A), at c in {lam, 2*lam, 10*lam}."""
-    return _ShiftedSpectrum(as_matrix(A)).certified(lam, margin)
-
-
-def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN) -> float:
+def lambda0_search(A: SymmetricMatrix) -> float:
     """A shift lambda0 past which the inverse applied to the ones vector stays positive.
 
     Start at operator-norm + 1, double until the certificate holds, then
@@ -267,7 +254,7 @@ def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN) -> float:
     spec = _ShiftedSpectrum(as_matrix(A))
     hi = float(np.max(np.abs(spec.mu))) + 1.0
     doublings = 0
-    while not spec.certified(hi, margin):
+    while not spec.certified(hi):
         hi *= 2.0
         doublings += 1
         if doublings > 200:
@@ -275,7 +262,7 @@ def lambda0_search(A: SymmetricMatrix, margin: float = POS_MARGIN) -> float:
     lo = hi / 2.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if spec.certified(mid, margin):
+        if spec.certified(mid):
             hi = mid
         else:
             lo = mid

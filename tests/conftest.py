@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from reconlab import SymmetricMatrix
+from reconlab import Hypomorphism, Permutation, SymmetricMatrix, deck
 
 # derandomized runs in CI, so a property failure reproduces on the next push
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -26,6 +26,35 @@ def symmetric_matrices(draw, min_n=2, max_n=6, scale=4.0):
         for j in range(i, n):
             a[i, j] = a[j, i] = vals[idx]
             idx += 1
+    return SymmetricMatrix(a)
+
+
+def identity_hypomorphism(n: int) -> Hypomorphism:
+    """The family of n identity permutations, a certificate for every pair (A, A)."""
+    return Hypomorphism(tuple(Permutation.identity(n - 1) for _ in range(n)))
+
+
+def deck_dets(A: SymmetricMatrix) -> list:
+    """Determinants of A's deck, sorted: equal for deck-equivalent matrices."""
+    return sorted(float(np.linalg.det(card.entries)) for card in deck(A))
+
+
+def path_adjacency(n: int) -> SymmetricMatrix:
+    a = np.zeros((n, n))
+    for i in range(n - 1):
+        a[i, i + 1] = a[i + 1, i] = 1.0
+    return SymmetricMatrix(a)
+
+
+def complete_adjacency(n: int) -> SymmetricMatrix:
+    return SymmetricMatrix(np.ones((n, n)) - np.eye(n))
+
+
+def complete_bipartite_adjacency(p: int, q: int) -> SymmetricMatrix:
+    n = p + q
+    a = np.zeros((n, n))
+    a[:p, p:] = 1.0
+    a[p:, :p] = 1.0
     return SymmetricMatrix(a)
 
 

@@ -1,15 +1,18 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
-from reconlab import __version__
+from reconlab import __version__, geometry_suite
 from reconlab.cli import build_parser, main
 from reconlab.graph6 import graph6_encode
-from reconlab.hypomorphism import Hypomorphism, cycle_adjacency, matrix_pair
+from reconlab.hypomorphism import cycle_adjacency, matrix_pair
 from reconlab.matrixcore import Permutation, SymmetricMatrix
 from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
 from reconlab.verifiers import DEFAULT_GRID
+
+from conftest import identity_hypomorphism, path_adjacency
 
 
 @pytest.fixture
@@ -35,7 +38,7 @@ def signed_c5_path(tmp_path):
     signed = A.entries.copy()
     signed[0, 1] = signed[1, 0] = -1.0
     path = tmp_path / "signed-c5.json"
-    path.write_text(dumps(pair_to_dict(A, SymmetricMatrix(signed), Hypomorphism.identity(5))))
+    path.write_text(dumps(pair_to_dict(A, SymmetricMatrix(signed), identity_hypomorphism(5))))
     return str(path)
 
 
@@ -99,7 +102,7 @@ class TestAngle:
 class TestDeck:
     def test_deck_of_identity(self, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(dumps(matrix_to_dict(SymmetricMatrix.identity(3))))
+        path.write_text(dumps(matrix_to_dict(SymmetricMatrix(np.eye(3)))))
         code, out, _ = run_cli(capsys, "deck", "--matrix", str(path))
         assert code == 0
         envelope = json.loads(out)
@@ -129,8 +132,6 @@ class TestGenPair:
         assert data["sigma"] is not None
 
     def test_uncertified_pair_exits_one(self, tmp_path, capsys):
-        from reconlab.hypomorphism import path_adjacency
-
         g6 = tmp_path / "p.g6"
         g6.write_text(graph6_encode(path_adjacency(3).entries) + "\n")
         code, out, _ = run_cli(capsys, "gen-pair", "--graph6", str(g6), "--tau", "swap:0,1")
@@ -211,11 +212,13 @@ class TestVerifyGeometry:
         assert report["passed"] is True
         assert report["report"]["tallies"]["lemma1_equivalence"]["failed"] == 0
 
-    def test_zero_tolerance_fails(self, capsys):
+    def test_zero_tolerance_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(geometry_suite, "RESID_TOL", 0.0)
         code, out, _ = run_cli(capsys, "verify-geometry", "--count", "2", "--seed", "9",
-                               "--samples", "5000", "--tol-eig", "0")
+                               "--samples", "5000")
         assert code == 1
-        assert json.loads(out)["passed"] is False
+        envelope = json.loads(out)
+        assert envelope["passed"] is False and envelope["tolerances"] == {"resid": 0.0}
 
     def test_reports_the_samples_it_ran(self, capsys):
         code, out, _ = run_cli(capsys, "verify-geometry", "--count", "1", "--seed", "9",
@@ -268,8 +271,9 @@ class TestUsageContract:
         ["ingest", "--graph6", "g.g6", "--seed", "3"],
         ["deck", "--matrix", "m.json", "--seed", "3"],
         ["verify-main", "--pair", "p.json", "--samples", "5"],
+        ["verify-geometry", "--count", "1", "--tol-eig", "1e300"],
     ], ids=["bogus", "deck-format", "angle-force", "ingest-seed", "deck-seed",
-            "verify-main-samples"])
+            "verify-main-samples", "geometry-tol-eig"])
     def test_unknown_flag_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -410,7 +414,7 @@ class TestFlagSets:
         "gen-pair": COMMON | {"--graph6", "--index", "--tau"},
         "verify-tutte": COMMON | {"--format", "--force", "--pair", "--grid-lambda", "--grid-t"},
         "verify-main": COMMON | {"--format", "--force", "--pair", "--t-samples"},
-        "verify-geometry": COMMON | {"--seed", "--samples", "--format", "--count", "--tol-eig"},
+        "verify-geometry": COMMON | {"--seed", "--samples", "--format", "--count"},
         "ingest": COMMON | {"--graph6"},
     }
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reconlab import DrawFailed, run_geometry_suite
+from reconlab import DrawFailed, geometry_suite, run_geometry_suite
 from reconlab.geometry_suite import random_good_position_presentation
 
 
@@ -40,9 +40,10 @@ def test_needs_an_instance(count):
         run_geometry_suite(seed=5, count=count)
 
 
-def test_zero_tolerance_fails():
-    rep = run_geometry_suite(seed=5, count=5, resid_tol=0.0)
-    assert not rep.passed
+def test_zero_tolerance_fails(monkeypatch):
+    monkeypatch.setattr(geometry_suite, "RESID_TOL", 0.0)
+    rep = run_geometry_suite(seed=5, count=5)
+    assert not rep.passed and rep.resid_tol == 0.0
 
 
 def test_ill_conditioned_draws_raise_typed_error():

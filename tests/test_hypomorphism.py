@@ -13,22 +13,22 @@ from reconlab import (
     find_hypomorphism,
     gen_pair,
     graph6_decode,
-    majors_multiset,
     perm_similarity,
     verify_hypomorphism,
     verify_tutte,
 )
 from reconlab.graph6 import Graph6Record, graph6_encode
-from reconlab.hypomorphism import (
-    EXACT_TOL,
-    complete_adjacency,
-    cycle_adjacency,
-    cycle_pair_corpus,
-    path_adjacency,
-)
+from reconlab import hypomorphism
+from reconlab.hypomorphism import EXACT_TOL, cycle_adjacency, cycle_pair_corpus
 from reconlab.matrixcore import scale
 
-from conftest import symmetric_matrices
+from conftest import (
+    complete_adjacency,
+    deck_dets,
+    identity_hypomorphism,
+    path_adjacency,
+    symmetric_matrices,
+)
 
 
 def brute_force_exists(A, B, tol=EXACT_TOL) -> bool:
@@ -79,14 +79,14 @@ def random_symmetric(rng, n, integer):
 
 class TestVerify:
     def test_identity_family_on_identity(self):
-        cert = verify_hypomorphism(SymmetricMatrix.identity(3), SymmetricMatrix.identity(3),
-                                   Hypomorphism.identity(3))
+        cert = verify_hypomorphism(SymmetricMatrix(np.eye(3)), SymmetricMatrix(np.eye(3)),
+                                   identity_hypomorphism(3))
         assert cert.valid and cert.worst_residual == 0.0 and cert.failing_index is None
 
     def test_failing_index_reported(self):
         j_minus_i = SymmetricMatrix(np.ones((3, 3)) - np.eye(3))
-        cert = verify_hypomorphism(SymmetricMatrix.identity(3), j_minus_i,
-                                   Hypomorphism.identity(3))
+        cert = verify_hypomorphism(SymmetricMatrix(np.eye(3)), j_minus_i,
+                                   identity_hypomorphism(3))
         assert not cert.valid
         assert cert.failing_index == 0
         assert cert.worst_residual == pytest.approx(1.0)
@@ -94,9 +94,9 @@ class TestVerify:
     @settings(max_examples=25, deadline=None)
     @given(symmetric_matrices(min_n=3))
     def test_identity_family_is_always_valid(self, A):
-        assert verify_hypomorphism(A, A, Hypomorphism.identity(A.n)).valid
+        assert verify_hypomorphism(A, A, identity_hypomorphism(A.n)).valid
 
-    def test_matches_per_card_loop(self):
+    def test_matches_per_card_loop(self, monkeypatch):
         rng = np.random.default_rng(20261018)
         valid_seen = failing_seen = 0
         for trial in range(240):
@@ -109,7 +109,7 @@ class TestVerify:
                 assert sigma is not None
             else:
                 A = random_symmetric(rng, n, integer)
-                B, sigma = A, Hypomorphism.identity(n)
+                B, sigma = A, identity_hypomorphism(n)
             if trial % 4 == 1:  # residuals near the tolerance on both sides
                 noise = rng.normal(scale=1e-12, size=(n, n))
                 B = SymmetricMatrix(B.entries + noise + noise.T)
@@ -122,7 +122,9 @@ class TestVerify:
             valid, worst, failing = per_card_gate(A, B, sigma)
             # a residual equal to the threshold passes
             for tol in (EXACT_TOL, worst / scale(A.entries, B.entries)):
-                cert = verify_hypomorphism(A, B, sigma, tol=tol)
+                with monkeypatch.context() as m:
+                    m.setattr(hypomorphism, "EXACT_TOL", tol)
+                    cert = verify_hypomorphism(A, B, sigma)
                 ref_valid, _, ref_failing = per_card_gate(A, B, sigma, tol)
                 assert cert.valid == ref_valid and cert.failing_index == ref_failing
                 assert cert.worst_residual == worst  # bit-equal, not approximate
@@ -135,14 +137,14 @@ class TestVerify:
         # asymmetry 5e-8 is within 1e-10 * 1000, the tolerance at A's own scale;
         # the card that deletes row 0 has scale 1, where it would not be
         A = SymmetricMatrix([[0.0, 1000.0, 0.0], [1000.0, 0.0, 0.5], [0.0, 0.5 + 5e-8, 0.0]])
-        cert = verify_hypomorphism(A, A, Hypomorphism.identity(3))
+        cert = verify_hypomorphism(A, A, identity_hypomorphism(3))
         assert cert.valid and cert.worst_residual == 0.0 and cert.failing_index is None
-        assert verify_tutte(A, A, Hypomorphism.identity(3)).passed
+        assert verify_tutte(A, A, identity_hypomorphism(3)).passed
 
 
 class TestFind:
     def test_identity_pair_returns_identities(self):
-        sigma = find_hypomorphism(SymmetricMatrix.identity(4), SymmetricMatrix.identity(4))
+        sigma = find_hypomorphism(SymmetricMatrix(np.eye(4)), SymmetricMatrix(np.eye(4)))
         assert sigma is not None
         for s in sigma.sigmas:
             assert s.image == tuple(range(3))
@@ -173,7 +175,7 @@ class TestFind:
                 B = perm_similarity(A, tau)
                 sigma = find_hypomorphism(A, B)
                 if sigma is not None:
-                    assert verify_hypomorphism(A, B, sigma, tol=1e-12).valid
+                    assert verify_hypomorphism(A, B, sigma).valid
 
     def test_agrees_with_brute_force_on_paths(self):
         # P4 relabeled by a swap moves the deck around; check both verdict kinds
@@ -184,7 +186,7 @@ class TestFind:
             found = find_hypomorphism(A, B)
             assert (found is not None) == brute_force_exists(A, B)
             if found is not None:
-                assert verify_hypomorphism(A, B, found, tol=1e-12).valid
+                assert verify_hypomorphism(A, B, found).valid
 
     @pytest.mark.parametrize("rel, found", [(1e-13, True), (1e-11, False)])
     def test_search_and_gate_share_the_relative_threshold(self, rel, found):
@@ -228,9 +230,8 @@ class TestGenPair:
 class TestCorpus:
     def test_majors_match_across_corpus(self):
         for pair in cycle_pair_corpus(ns=(5, 6), kinds=("rotation", "reflection")):
-            np.testing.assert_allclose(majors_multiset(pair["A"]),
-                                       majors_multiset(pair["B"]), atol=1e-10)
+            np.testing.assert_allclose(deck_dets(pair["A"]), deck_dets(pair["B"]), atol=1e-10)
 
     def test_certificates_reverify(self):
         for pair in cycle_pair_corpus(ns=(5, 6, 7), kinds=("rotation",)):
-            assert verify_hypomorphism(pair["A"], pair["B"], pair["sigma"], tol=1e-12).valid
+            assert verify_hypomorphism(pair["A"], pair["B"], pair["sigma"]).valid

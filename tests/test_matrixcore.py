@@ -11,13 +11,12 @@ from reconlab import (
     Permutation,
     SymmetricMatrix,
     deck,
-    majors_multiset,
     perm_similarity,
-    shifted_det,
 )
-from reconlab.hypomorphism import cycle_adjacency, matrix_pair, path_adjacency
+from reconlab.hypomorphism import cycle_adjacency, matrix_pair
+from reconlab.matrixcore import shifted_det_grid
 
-from conftest import symmetric_matrices
+from conftest import deck_dets, path_adjacency, symmetric_matrices
 
 
 def det_cofactor(a: np.ndarray) -> float:
@@ -54,18 +53,18 @@ class TestSymmetricMatrix:
             SymmetricMatrix(np.zeros((2, 3)))
 
     def test_entries_write_protected(self):
-        m = SymmetricMatrix.identity(3)
+        m = SymmetricMatrix(np.eye(3))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
 
 
 class TestDeck:
     def test_identity(self):
-        for card in deck(SymmetricMatrix.identity(3)):
+        for card in deck(SymmetricMatrix(np.eye(3))):
             np.testing.assert_array_equal(card.entries, np.eye(2))
 
     def test_all_ones(self):
-        for card in deck(SymmetricMatrix.all_ones(3)):
+        for card in deck(SymmetricMatrix(np.ones((3, 3)))):
             np.testing.assert_array_equal(card.entries, np.ones((2, 2)))
 
     def test_path(self):
@@ -81,11 +80,13 @@ class TestDeck:
 
 class TestShiftedDet:
     def test_identity(self):
-        assert shifted_det(SymmetricMatrix.identity(3), 0.0, 0.0) == pytest.approx(1.0)
+        grid = shifted_det_grid(SymmetricMatrix(np.eye(3)), [0.0], [0.0])
+        assert grid[0, 0] == pytest.approx(1.0)
 
     def test_rank_one_spectrum(self):
         # t*J on the zero matrix has eigenvalues {3t, 0, 0}
-        assert shifted_det(SymmetricMatrix.zeros(3), 1.0, 1.0) == pytest.approx(2.0)
+        grid = shifted_det_grid(SymmetricMatrix(np.zeros((3, 3))), [1.0], [1.0])
+        assert grid[0, 0] == pytest.approx(2.0)
 
     def test_against_cofactor_oracle(self, rng):
         for _ in range(10):
@@ -93,7 +94,7 @@ class TestShiftedDet:
             a = SymmetricMatrix(0.5 * (w + w.T))
             lam, t = rng.uniform(-2, 2, size=2)
             expected = det_cofactor(a.entries - lam * np.eye(4) + t * np.ones((4, 4)))
-            got = shifted_det(a, lam, t)
+            got = shifted_det_grid(a, [lam], [t])[0, 0]
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -102,7 +103,7 @@ class TestShiftedDet:
         values = np.linalg.eigvalsh(A.entries)
         expected = float(np.prod(values - lam))
         scale = max(1.0, abs(expected))
-        assert abs(shifted_det(A, lam, 0.0) - expected) <= 1e-8 * scale
+        assert abs(shifted_det_grid(A, [lam], [0.0])[0, 0] - expected) <= 1e-8 * scale
 
 
 class TestPermSimilarity:
@@ -118,13 +119,14 @@ class TestPermSimilarity:
 
     def test_degree_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            perm_similarity(SymmetricMatrix.identity(3), Permutation.identity(4))
+            perm_similarity(SymmetricMatrix(np.eye(3)), Permutation.identity(4))
 
     def test_involution_exact(self, rng):
         w = rng.standard_normal((5, 5))
         a = SymmetricMatrix(0.5 * (w + w.T))
         tau = Permutation(tuple(rng.permutation(5)))
-        back = perm_similarity(perm_similarity(a, tau), tau.inverse())
+        inverse = Permutation(tuple(int(k) for k in np.argsort(tau.image)))
+        back = perm_similarity(perm_similarity(a, tau), inverse)
         assert np.array_equal(back.entries, a.entries)
 
     @settings(max_examples=25, deadline=None)
@@ -151,16 +153,10 @@ class TestPermSimilarity:
 
 
 class TestMajors:
-    def test_identity(self):
-        assert majors_multiset(SymmetricMatrix.identity(3)) == pytest.approx([1.0, 1.0, 1.0])
-
-    def test_all_ones(self):
-        assert majors_multiset(SymmetricMatrix.all_ones(3)) == pytest.approx([0.0, 0.0, 0.0])
-
     def test_hypomorphic_pair_agrees(self):
         A, B, sigma = matrix_pair(cycle_adjacency(5), Permutation.rotation(5))
         assert sigma is not None
-        np.testing.assert_allclose(majors_multiset(A), majors_multiset(B), atol=1e-10)
+        np.testing.assert_allclose(deck_dets(A), deck_dets(B), atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(symmetric_matrices(), st.randoms(use_true_random=False))
@@ -168,5 +164,5 @@ class TestMajors:
         img = list(range(A.n))
         rnd.shuffle(img)
         tau = Permutation(tuple(img))
-        np.testing.assert_allclose(majors_multiset(perm_similarity(A, tau)),
-                                   majors_multiset(A), atol=1e-10)
+        np.testing.assert_allclose(deck_dets(perm_similarity(A, tau)), deck_dets(A),
+                                   atol=1e-10)

@@ -16,11 +16,9 @@ from reconlab import (
     SymmetricMatrix,
     factor_presentation,
     good_position_report,
-    lambda0_certified,
     lambda0_search,
     per1_report,
     perturb_presentation,
-    perturbation_path,
     project_origin,
     t_of_lambda,
     volume_eigenvector,
@@ -57,14 +55,14 @@ def test_presentation_rejects_non_finite(bad):
 
 class TestFactor:
     def test_identity(self):
-        U = factor_presentation(SymmetricMatrix.identity(3))
+        U = factor_presentation(SymmetricMatrix(np.eye(3)))
         np.testing.assert_allclose(U.gram().entries, np.eye(3), atol=1e-12)
 
     def test_all_ones_collapses_to_one_direction(self):
-        U = factor_presentation(SymmetricMatrix.all_ones(3))
+        U = factor_presentation(SymmetricMatrix(np.ones((3, 3))))
         for i in range(3):
             for j in range(3):
-                assert U.vector(i) @ U.vector(j) == pytest.approx(1.0, abs=1e-10)
+                assert U.columns[:, i] @ U.columns[:, j] == pytest.approx(1.0, abs=1e-10)
 
     def test_gram_of_random_factor(self, rng):
         for n in (3, 5, 8):
@@ -85,7 +83,7 @@ class TestGoodPosition:
         np.testing.assert_allclose(rep.kernel_vector, np.ones(3) / 3, atol=1e-12)
 
     def test_full_rank_is_not_good(self):
-        rep = good_position_report(SymmetricMatrix.identity(3))
+        rep = good_position_report(SymmetricMatrix(np.eye(3)))
         assert not rep.is_good
         assert rep.rank == 3
         assert rep.reason is GoodPositionReason.RANK_NOT_N_MINUS_1
@@ -152,7 +150,7 @@ class TestProjectOrigin:
             path = project_origin(U)
             scale = max(1.0, float(np.max(np.abs(U.columns))) ** 2)
             for i in range(n):
-                assert abs(path.u0 @ (U.vector(i) - path.u0)) <= 1e-9 * scale
+                assert abs(path.u0 @ (U.columns[:, i] - path.u0)) <= 1e-9 * scale
 
     def test_rejects_singular_gram(self):
         U = factor_presentation(EQUILATERAL)
@@ -191,19 +189,13 @@ class TestPerturbation:
             scale = max(1.0, np.max(np.abs(target)))
             assert np.max(np.abs(got - target)) <= 1e-9 * scale
 
-    def test_path_parameter_bookkeeping(self):
-        U = Presentation(np.eye(3))
-        path = perturbation_path(U, 1.0)
-        assert path.t == pytest.approx(-path.u0_norm_sq)
-        assert perturbation_path(U, 2.0).t == pytest.approx(0.0)
-
 
 class TestTOfLambda:
     def test_scalar_matrix(self):
-        assert t_of_lambda(SymmetricMatrix.zeros(3), 3.0) == pytest.approx(-1.0)
+        assert t_of_lambda(SymmetricMatrix(np.zeros((3, 3))), 3.0) == pytest.approx(-1.0)
 
     def test_identity(self):
-        assert t_of_lambda(SymmetricMatrix.identity(3), 0.0) == pytest.approx(-1.0 / 3.0)
+        assert t_of_lambda(SymmetricMatrix(np.eye(3)), 0.0) == pytest.approx(-1.0 / 3.0)
 
     def test_always_negative(self, rng):
         for _ in range(10):
@@ -224,40 +216,41 @@ class TestTOfLambda:
 
     def test_rejects_indefinite_shift(self):
         with pytest.raises(NotPositiveDefinite):
-            t_of_lambda(SymmetricMatrix.identity(3), -1.0)
+            t_of_lambda(SymmetricMatrix(np.eye(3)), -1.0)
 
 
 class TestLambda0:
     def test_identity_post_check(self):
-        lam0 = lambda0_search(SymmetricMatrix.identity(3))
-        assert lambda0_certified(SymmetricMatrix.identity(3), lam0)
+        lam0 = lambda0_search(SymmetricMatrix(np.eye(3)))
+        assert _ShiftedSpectrum(SymmetricMatrix(np.eye(3))).certified(lam0)
 
     def test_anti_diagonal_closed_form(self):
         # (A + lam I)^-1 1 = (1/(lam-1)) * 1, positive only past lam = 1
         a = SymmetricMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         lam0 = lambda0_search(a)
         assert lam0 >= 1.0
-        assert lambda0_certified(a, lam0)
+        assert _ShiftedSpectrum(a).certified(lam0)
 
     def test_random_post_check_scales(self, rng):
         for _ in range(5):
             w = rng.standard_normal((5, 5))
             a = SymmetricMatrix(0.5 * (w + w.T))
             lam0 = lambda0_search(a)
-            assert lambda0_certified(a, lam0)
-            assert lambda0_certified(a, 10.0 * lam0)
+            spec = _ShiftedSpectrum(a)
+            assert spec.certified(lam0) and spec.certified(10.0 * lam0)
 
     def test_large_scale_certifies(self):
         # (A + lam I)^-1 1 ~ 1/lam, so the margin must shrink with the scale of A
         a = SymmetricMatrix(1e13 * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
                                              [1.0, 1.0, 0.0]]))
         lam0 = lambda0_search(a)
-        assert lambda0_certified(a, lam0)
+        assert _ShiftedSpectrum(a).certified(lam0)
 
     def test_exhausted_doubling_is_typed(self):
-        # x ~ 1/lam < 1 at every probed lam, so a margin of 1 is never met
-        with pytest.raises(NotCertified):
-            lambda0_search(SymmetricMatrix.identity(3), margin=1.0)
+        # at scale 1e308 the probes past lam overflow to inf, where (A + p I)^-1 1 is 0
+        with np.errstate(over="ignore"), pytest.raises(NotCertified, match="reached inf"):
+            lambda0_search(SymmetricMatrix(1e308 * np.eye(3)))
+        lambda0_search(SymmetricMatrix(1e307 * np.eye(3)))
 
 
 def random_symmetric(rng, n):
@@ -309,7 +302,7 @@ class TestSpectralAgainstSolve:
                 ok, closest = solve_certificate(a, lam)
                 if closest is not None and closest <= 1e-10:
                     continue  # within roundoff of the threshold: either verdict is right
-                assert lambda0_certified(a, lam) == ok
+                assert _ShiftedSpectrum(a).certified(lam) == ok
                 compared += 1
         assert compared >= 300
 
@@ -321,9 +314,9 @@ class TestSpectralAgainstSolve:
         for bad in (lam, 2.0 * lam, 10.0 * lam):
             spec.inverse_ones = lambda lams, bad=bad: np.where(
                 np.asarray(lams) == bad, -1.0, 1.0) * np.ones((4, 1))
-            assert not spec.certified(lam, POS_MARGIN)
+            assert not spec.certified(lam)
         spec.inverse_ones = lambda lams: np.ones((4, len(lams)))
-        assert spec.certified(lam, POS_MARGIN)
+        assert spec.certified(lam)
 
 
 def exact_inverse_ones(adjacency, lam):
@@ -384,7 +377,7 @@ class TestWholeRayExact:
 
 class TestInteriorEquivalence:
     def test_identity(self):
-        rep = per1_report(SymmetricMatrix.identity(3))
+        rep = per1_report(SymmetricMatrix(np.eye(3)))
         assert rep.cond2 and rep.cond3
 
     def test_heavy_diagonal(self):

@@ -6,7 +6,6 @@ import pytest
 from reconlab import (
     BadPosition,
     DimensionMismatch,
-    Hypomorphism,
     LambdaTooSmall,
     NotFinite,
     NotHypomorphic,
@@ -14,9 +13,7 @@ from reconlab import (
     find_hypomorphism,
     good_position_report,
     good_position_shift,
-    lambda0_certified,
     lambda0_search,
-    shifted_det,
     t_of_lambda,
     verify_eq1,
     verify_hypomorphism,
@@ -25,14 +22,12 @@ from reconlab import (
     verify_main_theorem,
     verify_tutte,
 )
-from reconlab.hypomorphism import (
-    complete_bipartite_adjacency,
-    cycle_adjacency,
-    cycle_pair_corpus,
-    matrix_pair,
-)
-from reconlab.matrixcore import Permutation, scale
+from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus, matrix_pair
+from reconlab.matrixcore import Permutation, scale, shifted_det_grid
+from reconlab.presentation import _ShiftedSpectrum
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
+
+from conftest import complete_bipartite_adjacency, identity_hypomorphism
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -59,7 +54,7 @@ def c6_pair():
 class TestTutte:
     def test_same_matrix_zero_diff(self, c5_pair):
         A, _, _ = c5_pair
-        rep = verify_tutte(A, A, Hypomorphism.identity(5))
+        rep = verify_tutte(A, A, identity_hypomorphism(5))
         assert rep.passed and rep.max_abs_diff == 0.0
 
     def test_relabeled_cycle(self, c6_pair):
@@ -107,7 +102,7 @@ class TestTutte:
             verify_eq1(*c5_pair, **grids)
 
     def test_batched_grid_matches_per_point_loop(self, c6_pair):
-        # the batched determinant grid against one shifted_det call per point
+        # the batched determinant grid against np.linalg.det of each A - lam I + t J
         A, B, sigma = c6_pair
         bumped = B.entries.copy()
         bumped[2, 4] = bumped[4, 2] = 0.3
@@ -115,10 +110,15 @@ class TestTutte:
         lams, ts = np.linspace(-3.0, 5.0, 11), [-2.0, 0.0, 1.5, 3.0]
         tutte = verify_tutte(A, B2, sigma, lambda_grid=lams, t_grid=ts, force=True)
         eq1 = verify_eq1(A, B2, sigma, lambda_grid=lams, t_grid=ts, force=True)
+        n, j_mat = A.n, np.ones((A.n, A.n))
+
+        def det(M, lam, t):
+            return np.linalg.det(M.entries - lam * np.eye(n) + t * j_mat)
+
         for j, t in enumerate(ts):
-            f0 = shifted_det(A, 0.0, t) - shifted_det(B2, 0.0, t)
+            f0 = det(A, 0.0, t) - det(B2, 0.0, t)
             for i, lam in enumerate(lams):
-                f = shifted_det(A, lam, t) - shifted_det(B2, lam, t)
+                f = det(A, lam, t) - det(B2, lam, t)
                 assert tutte.residuals[i, j] == abs(f)
                 assert eq1.residuals[i, j] == abs(f - f0)
         assert not tutte.passed and not eq1.passed
@@ -144,7 +144,7 @@ class TestGridScaleDefects:
         A = cycle_adjacency(5)
         flipped = A.entries.copy()
         flipped[0, 1] = flipped[1, 0] = -1.0
-        rep = verify_tutte(A, SymmetricMatrix(flipped), Hypomorphism.identity(5),
+        rep = verify_tutte(A, SymmetricMatrix(flipped), identity_hypomorphism(5),
                            lambda_grid=DEFAULT_GRID + (1000.0,), t_grid=[0.0], force=True)
         assert not rep.passed
 
@@ -152,7 +152,7 @@ class TestGridScaleDefects:
 class TestEq1:
     def test_same_matrix(self, c5_pair):
         A, _, _ = c5_pair
-        rep = verify_eq1(A, A, Hypomorphism.identity(5))
+        rep = verify_eq1(A, A, identity_hypomorphism(5))
         assert rep.passed and rep.max_abs_diff == 0.0
 
     def test_relabeled_c5_seven_grid(self, c5_pair):
@@ -162,15 +162,15 @@ class TestEq1:
         assert rep.max_abs_diff <= 1e-8 * max(1.0, rep.scale)
 
     def test_forged_certificate_rejected(self):
-        A = SymmetricMatrix.identity(3)
+        A = SymmetricMatrix(np.eye(3))
         B = SymmetricMatrix(np.ones((3, 3)) - np.eye(3))
         with pytest.raises(NotHypomorphic):
-            verify_eq1(A, B, Hypomorphism.identity(3))
+            verify_eq1(A, B, identity_hypomorphism(3))
 
 
 class TestMain2:
     def test_equilateral_self_pair(self):
-        rep = verify_main2(EQUILATERAL, EQUILATERAL, Hypomorphism.identity(3))
+        rep = verify_main2(EQUILATERAL, EQUILATERAL, identity_hypomorphism(3))
         assert rep.passed
         assert rep.rank_a == rep.rank_b == 2
         assert rep.kernel_alignment >= 1.0 - 1e-12
@@ -193,14 +193,14 @@ class TestMain2:
         A, _, _ = c5_pair
         full = SymmetricMatrix(A.entries + 3.0 * np.eye(5))
         with pytest.raises(BadPosition):
-            verify_main2(full, full, Hypomorphism.identity(5))
+            verify_main2(full, full, identity_hypomorphism(5))
 
 
 class TestTAgreement:
     def test_same_matrix_exact(self, c5_pair):
         A, _, _ = c5_pair
         lam = lambda0_search(A) + 0.5
-        rep = verify_main1_t_agreement(A, A, Hypomorphism.identity(5), lam)
+        rep = verify_main1_t_agreement(A, A, identity_hypomorphism(5), lam)
         assert rep.passed and rep.abs_diff == 0.0
 
     def test_relabeled_c6(self, c6_pair):
@@ -230,13 +230,13 @@ class TestTAgreement:
         c6, k33 = cycle_adjacency(6), complete_bipartite_adjacency(3, 3)
         assert find_hypomorphism(c6, k33) is None
         with pytest.raises(NotHypomorphic):
-            verify_main1_t_agreement(c6, k33, Hypomorphism.identity(6), 10.0)
+            verify_main1_t_agreement(c6, k33, identity_hypomorphism(6), 10.0)
 
 
 class TestMainTheorem:
     def test_self_pair(self, c5_pair):
         A, _, _ = c5_pair
-        rep = verify_main_theorem(A, A, Hypomorphism.identity(5))
+        rep = verify_main_theorem(A, A, identity_hypomorphism(5))
         assert rep.passed
 
     def test_relabeled_c5(self, c5_pair):
@@ -255,7 +255,7 @@ class TestMainTheorem:
         # |c|^2 = n for c = Q^T 1, so |dt/dlam| >= 1/n and t_hi - t_lo >= (3 lam0 + 1) / n,
         # with equality on regular graphs
         nx = pytest.importorskip("networkx")
-        pairs = [(A, A, Hypomorphism.identity(A.n)) for A in (
+        pairs = [(A, A, identity_hypomorphism(A.n)) for A in (
             SymmetricMatrix(nx.to_numpy_array(g))
             for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6)]
         pairs += [(SymmetricMatrix(10.0 ** e * p["A"].entries),
@@ -269,7 +269,7 @@ class TestMainTheorem:
 
     def test_gate(self, c5_pair):
         A, B, _ = c5_pair
-        forged = Hypomorphism.identity(5)
+        forged = identity_hypomorphism(5)
         assert not verify_hypomorphism(A, B, forged).valid
         with pytest.raises(NotHypomorphic):
             verify_main_theorem(A, B, forged)
@@ -298,7 +298,7 @@ def test_scale_sweep_c6_shuffle(c6_pair, exponent):
     scale = 10.0 ** exponent
     A, B = SymmetricMatrix(scale * A.entries), SymmetricMatrix(scale * B.entries)
     lam0 = lambda0_search(A)
-    assert lambda0_certified(A, lam0)
+    assert _ShiftedSpectrum(A).certified(lam0)
     assert verify_main_theorem(A, B, sigma).passed
 
 
@@ -312,7 +312,7 @@ SWEEP_VERIFIERS = {
     "main2": lambda A, B, sigma, lam: verify_main2(
         good_position_shift(A, lam), good_position_shift(B, lam), sigma).passed,
     "lambda0": lambda A, B, sigma, lam: all(
-        lambda0_certified(M, lambda0_search(M)) for M in (A, B)),
+        _ShiftedSpectrum(M).certified(lambda0_search(M)) for M in (A, B)),
 }
 # The 9-point det grid loses the singular C8 at 1e13 (relative residual 1.49e-8
 # against TUTTE_TOL = 1e-8); no tolerance cures it, exact polynomials would.
@@ -380,7 +380,7 @@ class TestStackedSamples:
                   for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
         assert len(graphs) == 205
         for A in graphs:
-            rep = verify_main_theorem(A, A, Hypomorphism.identity(A.n), n_t_samples=3)
+            rep = verify_main_theorem(A, A, identity_hypomorphism(A.n), n_t_samples=3)
             assert rep.samples == _per_t_reference(A, A, rep.samples)
 
 
@@ -402,7 +402,7 @@ class TestCorpusWideProperties:
 
     def test_determinant_bridge(self, corpus):
         for pair in corpus:
-            for t in np.linspace(-4.0, 4.0, 9):
-                da = shifted_det(pair["A"], 0.0, t)
-                db = shifted_det(pair["B"], 0.0, t)
-                assert abs(da - db) <= 1e-8 * max(1.0, abs(da))
+            ts = np.linspace(-4.0, 4.0, 9)
+            da = shifted_det_grid(pair["A"], [0.0], ts)[0]
+            db = shifted_det_grid(pair["B"], [0.0], ts)[0]
+            assert np.all(np.abs(da - db) <= 1e-8 * np.maximum(1.0, np.abs(da)))
