@@ -23,7 +23,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-min", type=int, default=5)
     parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--t-samples", type=int, default=10)
     args = parser.parse_args()
 
     corpus = cycle_pair_corpus(ns=tuple(range(args.n_min, args.n_max + 1)))
@@ -37,7 +36,7 @@ def main():
         eq1 = verify_eq1(A, B, sigma)
         lam0 = max(lambda0_search(A), lambda0_search(B))
         tagree = verify_main1_t_agreement(A, B, sigma, lam0 + 1.0)
-        main_thm = verify_main_theorem(A, B, sigma, n_t_samples=args.t_samples)
+        main_thm = verify_main_theorem(A, B, sigma)
         shift_a = good_position_shift(A, lam0 + 1.0)
         shift_b = good_position_shift(B, lam0 + 1.0)
         kernel = verify_main2(shift_a, shift_b, sigma)

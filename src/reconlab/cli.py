@@ -4,7 +4,8 @@ Reports are the only output channel: JSON (default) or CSV to stdout or an
 --out path. Exit codes: 0 all checks passed, 1 a mathematical check failed or
 was inconclusive (including rejected certificates and geometric
 preconditions), 2 malformed input or usage. Usage errors emit a
-machine-readable JSON object on stderr.
+machine-readable JSON object on stderr. An envelope's `inputs` holds the
+sha256 of each input file's bytes, as `sha256sum` prints it.
 
 `main()` builds the parser once per process and reuses it on every call.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -39,7 +41,6 @@ from .graph6 import graph6_decode, read_graph6_lines
 from .hypomorphism import gen_pair
 from .matrixcore import Permutation, deck
 from .serialize import (
-    content_hash,
     cone_from_dict,
     dumps,
     matrix_from_dict,
@@ -87,9 +88,11 @@ def _parse_tau(spec: str, n: int) -> Permutation:
     return Permutation(tuple(int(v) for v in spec.split(",")))
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_json(path: str) -> tuple:
+    """The parsed file and the sha256 of its bytes, as `sha256sum` prints it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
 def _emit(args: argparse.Namespace, text: str):
@@ -123,17 +126,17 @@ def _report(args: argparse.Namespace, report, passed: bool, inputs: dict,
 
 
 def _run_angle(args: argparse.Namespace) -> int:
-    data = _read_json(args.cone)
+    data, digest = _read_json(args.cone)
     cone = cone_from_dict(data)
     est = angle_fraction(cone, args.samples, args.seed, force_monte_carlo=args.monte_carlo)
     report = {**report_to_dict(est), "seed": args.seed}
-    return _report(args, report, True, {"cone": content_hash(data)}, {}, "angle")
+    return _report(args, report, True, {"cone": digest}, {}, "angle")
 
 
 def _run_deck(args: argparse.Namespace) -> int:
-    data = _read_json(args.matrix)
+    data, digest = _read_json(args.matrix)
     cards = [matrix_to_dict(card) for card in deck(matrix_from_dict(data))]
-    return _report(args, {"deck": cards}, True, {"matrix": content_hash(data)}, {})
+    return _report(args, {"deck": cards}, True, {"matrix": digest}, {})
 
 
 def _read_records(path: str) -> list:
@@ -155,28 +158,28 @@ def _run_gen_pair(args: argparse.Namespace) -> int:
 
 
 def _read_certified_pair(path: str):
-    data = _read_json(path)
+    data, digest = _read_json(path)
     A, B, sigma = pair_from_dict(data)
     if sigma is None:
         raise NotHypomorphic("pair file carries no certificate (sigma is null)")
-    return data, A, B, sigma
+    return digest, A, B, sigma
 
 
 def _run_verify_tutte(args: argparse.Namespace) -> int:
     lambda_grid = _parse_grid(args.grid_lambda) if args.grid_lambda else None
     t_grid = _parse_grid(args.grid_t) if args.grid_t else None
-    data, A, B, sigma = _read_certified_pair(args.pair)
+    digest, A, B, sigma = _read_certified_pair(args.pair)
     report = verify_tutte(A, B, sigma, lambda_grid=lambda_grid, t_grid=t_grid, force=args.force)
     return _report(args, report, report.passed,
-                   {"pair": content_hash(data)}, {"tutte": report.tol}, "grid")
+                   {"pair": digest}, {"tutte": report.tol}, "grid")
 
 
 def _run_verify_main(args: argparse.Namespace) -> int:
-    data, A, B, sigma = _read_certified_pair(args.pair)
-    report = verify_main_theorem(A, B, sigma, n_t_samples=args.t_samples, force=args.force)
+    digest, A, B, sigma = _read_certified_pair(args.pair)
+    report = verify_main_theorem(A, B, sigma, force=args.force)
     tolerances = {"eig": report.eig_tol, "gap": report.gap_tol, "align": report.align_tol}
     return _report(args, report, report.passed,
-                   {"pair": content_hash(data)}, tolerances, "main")
+                   {"pair": digest}, tolerances, "main")
 
 
 def _run_verify_geometry(args: argparse.Namespace) -> int:
@@ -262,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "lowest-eigenpair agreement on the t interval", sampled=False, csv=True,
                 force=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--t-samples", type=int, default=10)
 
     p = command("verify-geometry", _run_verify_geometry, "seeded invariant suite", csv=True)
     p.add_argument("--count", type=int, default=DEFAULT_COUNT)

@@ -2,14 +2,16 @@
 
 Each instance draws its own counter-based RNG substream, so a (seed, count)
 pair pins the whole run. Invariants tally pass/fail/flagged; `flagged` is
-reserved for soft checks that are reported but do not fail the run.
+reserved for soft checks that are reported but do not fail the run. The
+report also lists every solid-angle fraction the suite estimates, in order,
+so a change in the estimates shows in the report even when no tally moves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -55,6 +57,7 @@ class SuiteReport:
     count: int
     resid_tol: float
     tallies: Dict[str, InvariantTally] = field(default_factory=dict)
+    fractions: List[float] = field(default_factory=list)
 
     def tally(self, name: str) -> InvariantTally:
         return self.tallies.setdefault(name, InvariantTally())
@@ -164,17 +167,22 @@ def _check_t_monotonicity(report: SuiteReport, rng: np.random.Generator, n: int)
 
 def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
                           mc_samples: int, seed: int):
+    def estimate(cone: Cone, force_monte_carlo: bool = False):
+        est = angle_fraction(cone, mc_samples, seed, force_monte_carlo=force_monte_carlo)
+        report.fractions.append(est.fraction)
+        return est
+
     gens = rng.standard_normal((3, 3))
     while abs(np.linalg.det(gens)) < 1e-3:
         gens = rng.standard_normal((3, 3))
     cone = Cone(apex=np.zeros(3), generators=gens)
-    est = angle_fraction(cone, mc_samples, seed)
+    est = estimate(cone)
     rot = _haar(rng.standard_normal((3, 3)))
-    est_rot = angle_fraction(Cone(apex=np.zeros(3), generators=gens @ rot.T), mc_samples, seed)
+    est_rot = estimate(Cone(apex=np.zeros(3), generators=gens @ rot.T))
     report.tally("congruence_invariance").record(abs(est.fraction - est_rot.fraction) <= 1e-12)
     report.tally("remark3_half_ball").record(est.fraction < 0.5)
 
-    mc3 = angle_fraction(cone, mc_samples, seed, force_monte_carlo=True)
+    mc3 = estimate(cone, force_monte_carlo=True)
     report.tally("exact_vs_monte_carlo").record(
         abs(mc3.fraction - est.fraction) <= 4.0 * mc3.std_error + 1e-12)
 
@@ -182,8 +190,8 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
     while abs(np.linalg.det(gens2)) < 1e-3:
         gens2 = rng.standard_normal((2, 2))
     cone2 = Cone(apex=np.zeros(2), generators=gens2)
-    exact2 = angle_fraction(cone2, mc_samples, seed)
-    mc2 = angle_fraction(cone2, mc_samples, seed, force_monte_carlo=True)
+    exact2 = estimate(cone2)
+    mc2 = estimate(cone2, force_monte_carlo=True)
     report.tally("exact_vs_monte_carlo").record(
         abs(mc2.fraction - exact2.fraction) <= 4.0 * mc2.std_error + 1e-12)
     report.tally("remark3_half_ball").record(exact2.fraction < 0.5)
@@ -193,12 +201,11 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
     lifted[:3, :3] = gens
     lifted[3, 3] = 1.0 + rng.uniform(0.0, 1.0)
     cone4 = Cone(apex=np.zeros(4), generators=lifted)
-    est4 = angle_fraction(cone4, mc_samples, seed)
-    est4_again = angle_fraction(cone4, mc_samples, seed)
+    est4 = estimate(cone4)
+    est4_again = estimate(cone4)
     report.tally("mc_determinism").record(est4.fraction == est4_again.fraction)
     rot4 = _haar(rng.standard_normal((4, 4)))
-    est4_rot = angle_fraction(Cone(apex=np.zeros(4), generators=lifted @ rot4.T),
-                              mc_samples, seed)
+    est4_rot = estimate(Cone(apex=np.zeros(4), generators=lifted @ rot4.T))
     report.tally("congruence_invariance").record(
         abs(est4.fraction - est4_rot.fraction)
         <= 4.0 * math.sqrt(est4.std_error ** 2 + est4_rot.std_error ** 2))
@@ -206,7 +213,7 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
 
     # zero law: declared ambient above the span zeroes the estimate
     degenerate = Cone(apex=np.zeros(3), generators=gens[:2], ambient_dim=3)
-    report.tally("zero_law").record(angle_fraction(degenerate, mc_samples, seed).fraction == 0.0)
+    report.tally("zero_law").record(estimate(degenerate).fraction == 0.0)
 
 
 def run_geometry_suite(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT,

@@ -246,15 +246,20 @@ def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
 def lambda0_search(A: SymmetricMatrix) -> float:
     """A shift lambda0 past which the inverse applied to the ones vector stays positive.
 
-    Start at operator-norm + 1, double until the certificate holds, then
-    bisect downward in 40 steps. Tightening is best effort; the returned value is always
-    re-certified (existence is guaranteed for large shifts, minimality is not).
+    Start at operator-norm + 1, double until the certificate holds (giving up
+    once the 10x probe overflows), then bisect downward in 40 steps.
+    Tightening is best effort; the returned value is always re-certified
+    (existence is guaranteed for large shifts, minimality is not).
     Every probe reads the one eigendecomposition of A.
     """
     spec = _ShiftedSpectrum(as_matrix(A))
     hi = float(np.max(np.abs(spec.mu))) + 1.0
     doublings = 0
-    while not spec.certified(hi):
+    while True:
+        if not math.isfinite(10.0 * hi):  # an infinite probe never certifies
+            raise NotCertified(f"no certified lambda0 below overflow (reached {hi:.3e})")
+        if spec.certified(hi):
+            break
         hi *= 2.0
         doublings += 1
         if doublings > 200:

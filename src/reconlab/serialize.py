@@ -1,14 +1,14 @@
 """JSON wire formats and report flattening.
 
-Writers emit floats with 17 significant digits so every value round-trips
-exactly; readers accept anything json.loads produces. Report envelopes embed
-a hash of their inputs for provenance.
+`dumps` is the standard library's encoder with one conversion step for
+dataclasses, enums and numpy values. Floats are written as Python's shortest
+`repr`, which reads back to the same double; a non-finite float is an error,
+not a string. Readers accept anything json.loads produces.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from typing import Optional
@@ -21,20 +21,10 @@ from .matrixcore import Permutation, SymmetricMatrix
 from .solidangle import Cone
 
 
-def _format_float(x: float) -> str:
-    if x != x:
-        return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return format(float(x), ".17g")
-
-
 def _plain(obj):
-    """One conversion step towards JSON: a dataclass to a dict of its fields, an
-    enum to its value, a numpy array or scalar to Python values. Anything else
-    is returned unchanged."""
+    """One conversion step towards JSON, the encoder's `default`: a dataclass to a
+    dict of its fields, an enum to its value, a numpy array or scalar to Python
+    values. Anything else raises `TypeError`."""
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, np.ndarray):
@@ -43,33 +33,12 @@ def _plain(obj):
         return obj.item()
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return obj
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(int(obj))
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
-    plain = _plain(obj)
-    if plain is obj:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-    return dumps(plain)
-
-
-def content_hash(obj) -> str:
-    return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
+    """Deterministic JSON text; non-finite floats raise `ValueError`."""
+    return json.dumps(obj, default=_plain, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +97,9 @@ def cone_from_dict(d: dict) -> Cone:
     return Cone(apex=apex, generators=gens, ambient_dim=dim)
 
 
-def report_to_dict(report) -> dict:
-    """The report as plain Python values, converted by the same step as `dumps`."""
-    report = _plain(report)
-    if isinstance(report, (list, tuple)):
-        return [report_to_dict(v) for v in report]
-    if isinstance(report, dict):
-        return {str(k): report_to_dict(v) for k, v in report.items()}
-    return report
+def report_to_dict(report):
+    """The report as plain Python values: exactly what `dumps` writes, read back."""
+    return json.loads(dumps(report))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ larger pairs need a `lambda_grid` (CLI: `--grid-lambda`) of n + 1 points or more
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
 t_k. Input that would check nothing (an empty or non-finite grid, a grid
-whose determinants overflow, no t sample) is rejected rather than passed.
+whose determinants overflow) is rejected rather than passed.
 
-The verdict thresholds are the module constants below, not arguments: a caller
-cannot loosen a verdict, and every report carries the thresholds it was judged
-by (the CLI envelope repeats them under `tolerances`).
+The verdict thresholds and the main theorem's sample count are the module
+constants below, not arguments: a caller cannot loosen a verdict, and every
+report carries the thresholds it was judged by (the CLI envelope repeats them
+under `tolerances`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ GAP_TOL = 1e-8
 ALIGN_TOL = 1e-9
 T_AGREE_TOL = 1e-10
 GEOM_GRID_POINTS = 16
+T_SAMPLES = 10  # interior t values the main theorem samples
 DEFAULT_GRID = tuple(np.linspace(-4.0, 4.0, 9))
 
 
@@ -202,24 +204,22 @@ class MainTheoremReport:
 
 
 def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                        n_t_samples: int = 10, force: bool = False) -> MainTheoremReport:
+                        force: bool = False) -> MainTheoremReport:
     """Lowest eigenpairs of A + t*J and B + t*J must coincide on an interval.
 
     The interval is the image of a geometric lambda grid starting at the
-    certified threshold under lam -> -1/(1^T (A + lam I)^-1 1); interior
-    points of the image are then sampled and the three clauses checked:
-    equal lowest eigenvalues, one-dimensionality via the eigengap, and
-    colinear lowest eigenvectors by absolute cosine.
+    certified threshold under lam -> -1/(1^T (A + lam I)^-1 1); T_SAMPLES
+    interior points of the image are then sampled and the three clauses
+    checked: equal lowest eigenvalues, one-dimensionality via the eigengap,
+    and colinear lowest eigenvectors by absolute cosine.
     """
-    if n_t_samples < 1:
-        raise ValueError(f"n_t_samples must be >= 1, got {n_t_samples}")
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
     t_values = _ShiftedSpectrum(A).t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
     # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + 1) / n
     t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
-    sampled = np.linspace(t_lo, t_hi, n_t_samples + 2)[1:-1]
+    sampled = np.linspace(t_lo, t_hi, T_SAMPLES + 2)[1:-1]
     # w[s, k] ascending, v[s, k][:, 0] its lowest eigenvector, for side s (A, B) at t_k
     shift = sampled[:, None, None] * np.ones((A.n, A.n))
     w, v = np.linalg.eigh(np.stack([A.entries + shift, B.entries + shift]))

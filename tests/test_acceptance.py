@@ -88,7 +88,7 @@ def test_criterion_3_lowest_eigenpair_interval():
     with _Criterion(3, "lowest eigenpair agreement on the t interval", 1.0):
         A, B, sigma = matrix_pair(cycle_adjacency(5), Permutation.swap(5, 1, 3))
         assert sigma is not None and not np.array_equal(A.entries, B.entries)
-        rep = verify_main_theorem(A, B, sigma, n_t_samples=10)
+        rep = verify_main_theorem(A, B, sigma)
         assert rep.passed and len(rep.samples) >= 10
         for s in rep.samples:
             assert abs(s.lambda_n_a - s.lambda_n_b) <= 1e-9 * s.scale

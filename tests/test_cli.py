@@ -1,10 +1,11 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from reconlab import __version__, geometry_suite
+from reconlab import __version__, geometry_suite, verifiers
 from reconlab.cli import build_parser, main
 from reconlab.graph6 import graph6_encode
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
@@ -170,9 +171,9 @@ class TestVerifyCommands:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
-    def test_main_theorem_pass(self, pair_path, capsys):
-        code, out, _ = run_cli(capsys, "verify-main", "--pair", pair_path,
-                               "--t-samples", "6", "--deterministic")
+    def test_main_theorem_pass(self, pair_path, capsys, monkeypatch):
+        monkeypatch.setattr(verifiers, "T_SAMPLES", 6)  # read at call time
+        code, out, _ = run_cli(capsys, "verify-main", "--pair", pair_path, "--deterministic")
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True and len(report["report"]["samples"]) == 6
@@ -211,6 +212,7 @@ class TestVerifyGeometry:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["report"]["tallies"]["lemma1_equivalence"]["failed"] == 0
+        assert len(report["report"]["fractions"]) == 9 * 3  # nine estimates per instance
 
     def test_zero_tolerance_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(geometry_suite, "RESID_TOL", 0.0)
@@ -233,6 +235,35 @@ class TestVerifyGeometry:
         lines = out.splitlines()
         assert lines[0] == "invariant,passed,failed,flagged"
         assert any(line.startswith("lemma1_equivalence,") for line in lines[1:])
+
+
+class TestInputHashes:
+    """An envelope's `inputs` entry is the sha256 of the input file's bytes."""
+
+    @pytest.mark.parametrize("command, flag, key", [
+        ("deck", "--matrix", "matrix"),
+        ("angle", "--cone", "cone"),
+        ("verify-tutte", "--pair", "pair"),
+        ("verify-main", "--pair", "pair"),
+    ], ids=["deck", "angle", "verify-tutte", "verify-main"])
+    def test_sha256_of_the_file(self, command, flag, key, octant_path, pair_path, tmp_path,
+                                capsys):
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text(dumps(matrix_to_dict(cycle_adjacency(5))))
+        path = {"--matrix": str(matrix_path), "--cone": octant_path, "--pair": pair_path}[flag]
+
+        def reported():
+            code, out, _ = run_cli(capsys, command, flag, path, "--deterministic")
+            assert code == 0
+            with open(path, "rb") as fh:
+                return json.loads(out)["inputs"][key], hashlib.sha256(fh.read()).hexdigest()
+
+        first, expected = reported()
+        assert first == expected
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n\t ")  # whitespace only: the parsed input is unchanged
+        second, expected = reported()
+        assert second == expected and second != first
 
 
 class TestIngest:
@@ -272,8 +303,9 @@ class TestUsageContract:
         ["deck", "--matrix", "m.json", "--seed", "3"],
         ["verify-main", "--pair", "p.json", "--samples", "5"],
         ["verify-geometry", "--count", "1", "--tol-eig", "1e300"],
+        ["verify-main", "--pair", "p.json", "--t-samples", "1"],
     ], ids=["bogus", "deck-format", "angle-force", "ingest-seed", "deck-seed",
-            "verify-main-samples", "geometry-tol-eig"])
+            "verify-main-samples", "geometry-tol-eig", "verify-main-t-samples"])
     def test_unknown_flag_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -317,14 +349,11 @@ class TestUsageContract:
         assert json.loads(err) == {"error": "ValueError", "message": "--seed must be >= 0"}
 
     @pytest.mark.parametrize("argv, error", [
-        (["verify-main", "--t-samples", "0"], "ValueError"),
-        (["verify-main", "--t-samples", "-1"], "ValueError"),
         (["verify-tutte", "--grid-lambda=nan,1"], "NotFinite"),
         (["verify-tutte", "--grid-t=1e400"], "NotFinite"),
         (["verify-tutte", "--grid-lambda=1:2:0"], "DimensionMismatch"),
         (["verify-tutte", "--grid-lambda=1e70,1"], "NotFinite"),
-    ], ids=["t-samples-0", "t-samples-negative", "nan-grid", "overflowing-grid", "empty-grid",
-            "overflowing-det"])
+    ], ids=["nan-grid", "overflowing-grid", "empty-grid", "overflowing-det"])
     def test_vacuous_or_non_finite_verify_input(self, argv, error, pair_path, capsys):
         code, out, err = run_cli(capsys, *argv[:1], "--pair", pair_path, *argv[1:])
         assert code == 2 and out == ""
@@ -413,7 +442,7 @@ class TestFlagSets:
         "deck": COMMON | {"--matrix"},
         "gen-pair": COMMON | {"--graph6", "--index", "--tau"},
         "verify-tutte": COMMON | {"--format", "--force", "--pair", "--grid-lambda", "--grid-t"},
-        "verify-main": COMMON | {"--format", "--force", "--pair", "--t-samples"},
+        "verify-main": COMMON | {"--format", "--force", "--pair"},
         "verify-geometry": COMMON | {"--seed", "--samples", "--format", "--count"},
         "ingest": COMMON | {"--graph6"},
     }

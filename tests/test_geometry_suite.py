@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from reconlab import DrawFailed, geometry_suite, run_geometry_suite
-from reconlab.geometry_suite import random_good_position_presentation
+from reconlab.geometry_suite import ANGLE_INSTANCES, random_good_position_presentation
+from reconlab.serialize import dumps
 
 
 class _SingularDraws:
@@ -31,6 +32,17 @@ def test_deterministic_tallies():
     b = run_geometry_suite(seed=77, count=12)
     assert {k: (t.passed, t.failed, t.flagged) for k, t in a.tallies.items()} == \
            {k: (t.passed, t.failed, t.flagged) for k, t in b.tallies.items()}
+
+
+def test_report_shows_the_estimates():
+    # equal tallies, different Monte Carlo output: the serialised reports must differ
+    a = run_geometry_suite(seed=5, count=2, mc_samples=2000)
+    b = run_geometry_suite(seed=5, count=2, mc_samples=4000)
+    assert a.tallies == b.tallies
+    assert dumps(a) != dumps(b)
+    # nine estimates per solid-angle instance, the same ones on a repeat
+    assert len(a.fractions) == 9 * min(2, ANGLE_INSTANCES)
+    assert run_geometry_suite(seed=5, count=2, mc_samples=2000).fractions == a.fractions
 
 
 @pytest.mark.parametrize("count", [0, -3])

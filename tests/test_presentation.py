@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -247,10 +248,14 @@ class TestLambda0:
         assert _ShiftedSpectrum(a).certified(lam0)
 
     def test_exhausted_doubling_is_typed(self):
-        # at scale 1e308 the probes past lam overflow to inf, where (A + p I)^-1 1 is 0
-        with np.errstate(over="ignore"), pytest.raises(NotCertified, match="reached inf"):
-            lambda0_search(SymmetricMatrix(1e308 * np.eye(3)))
-        lambda0_search(SymmetricMatrix(1e307 * np.eye(3)))
+        # at scale 1e308 the 10 lam probe overflows to inf, where (A + p I)^-1 1 is 0, so
+        # the search gives up before any numpy arithmetic overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotCertified, match="overflow"):
+                lambda0_search(SymmetricMatrix(1e308 * np.eye(3)))
+            a = SymmetricMatrix(1e307 * np.eye(3))
+            assert _ShiftedSpectrum(a).certified(lambda0_search(a))
 
 
 def random_symmetric(rng, n):

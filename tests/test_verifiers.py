@@ -25,6 +25,7 @@ from reconlab import (
 from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus, matrix_pair
 from reconlab.matrixcore import Permutation, scale, shifted_det_grid
 from reconlab.presentation import _ShiftedSpectrum
+from reconlab import verifiers
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
 
 from conftest import complete_bipartite_adjacency, identity_hypomorphism
@@ -240,7 +241,7 @@ class TestMainTheorem:
         assert rep.passed
 
     def test_relabeled_c5(self, c5_pair):
-        rep = verify_main_theorem(*c5_pair, n_t_samples=10)
+        rep = verify_main_theorem(*c5_pair)
         assert rep.passed
         assert len(rep.samples) == 10
         assert rep.t_interval[0] < rep.t_interval[1]
@@ -251,7 +252,7 @@ class TestMainTheorem:
             assert s.eigengap_b > 1e-8 * s.scale
             assert s.eigvec_alignment >= 1.0 - 1e-9
 
-    def test_t_interval_never_collapses(self):
+    def test_t_interval_never_collapses(self, monkeypatch):
         # |c|^2 = n for c = Q^T 1, so |dt/dlam| >= 1/n and t_hi - t_lo >= (3 lam0 + 1) / n,
         # with equality on regular graphs
         nx = pytest.importorskip("networkx")
@@ -262,8 +263,9 @@ class TestMainTheorem:
                    SymmetricMatrix(10.0 ** e * p["B"].entries), p["sigma"])
                   for p in SWEEP_PAIRS.values() for e in range(-8, 14)]
         assert len(pairs) == 205 + 12 * 22
+        monkeypatch.setattr(verifiers, "T_SAMPLES", 1)
         for A, B, sigma in pairs:
-            rep = verify_main_theorem(A, B, sigma, n_t_samples=1)
+            rep = verify_main_theorem(A, B, sigma)
             t_lo, t_hi = rep.t_interval
             assert (t_hi - t_lo) * A.n >= (3.0 * rep.lambda0 + 1.0) * (1.0 - 1e-9)
 
@@ -273,12 +275,6 @@ class TestMainTheorem:
         assert not verify_hypomorphism(A, B, forged).valid
         with pytest.raises(NotHypomorphic):
             verify_main_theorem(A, B, forged)
-
-    @pytest.mark.parametrize("n_t_samples", [0, -1])
-    def test_needs_a_t_sample(self, c5_pair, n_t_samples):
-        # an empty sample set would pass vacuously
-        with pytest.raises(ValueError, match="n_t_samples"):
-            verify_main_theorem(*c5_pair, n_t_samples=n_t_samples)
 
     def test_lowest_eigenvalue_is_minus_lambda(self, c5_pair):
         # cross-module coherence: A + lam I + t(lam) J is singular PSD in good position
@@ -364,23 +360,26 @@ class TestStackedSamples:
         assert len(rep.samples) == 10
         assert rep.samples == _per_t_reference(pair["A"], pair["B"], rep.samples)
 
-    def test_forced_negative_control(self, c6_pair):
+    def test_forced_negative_control(self, c6_pair, monkeypatch):
         # B differs from A, so swapping the sides or the eigenpairs shows
         A, B, sigma = c6_pair
         bumped = B.entries.copy()
         bumped[0, 0] += 0.5
         B2 = SymmetricMatrix(bumped)
-        rep = verify_main_theorem(A, B2, sigma, n_t_samples=7, force=True)
+        monkeypatch.setattr(verifiers, "T_SAMPLES", 7)
+        rep = verify_main_theorem(A, B2, sigma, force=True)
+        assert len(rep.samples) == 7
         assert not rep.passed
         assert rep.samples == _per_t_reference(A, B2, rep.samples)
 
-    def test_atlas(self):
+    def test_atlas(self, monkeypatch):
         nx = pytest.importorskip("networkx")
         graphs = [SymmetricMatrix(nx.to_numpy_array(g))
                   for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
         assert len(graphs) == 205
+        monkeypatch.setattr(verifiers, "T_SAMPLES", 3)
         for A in graphs:
-            rep = verify_main_theorem(A, A, identity_hypomorphism(A.n), n_t_samples=3)
+            rep = verify_main_theorem(A, A, identity_hypomorphism(A.n))
             assert rep.samples == _per_t_reference(A, A, rep.samples)
 
 
