@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Reports are the only output channel: JSON (default) or CSV to stdout or an
---out path. Exit codes: 0 all checks passed, 1 a mathematical check failed or
-was inconclusive (including rejected certificates and geometric
-preconditions), 2 malformed input or usage. Usage errors emit a
-machine-readable JSON object on stderr. An envelope's `inputs` holds the
-sha256 of each input file's bytes, as `sha256sum` prints it.
+--out path. Exit codes: 0 all checks passed, 1 a failed verdict or any
+`CheckFailed` (a mathematical check failed or was inconclusive), 2 malformed
+input, usage or any other error. Usage errors emit a machine-readable JSON
+object on stderr. An envelope's `inputs` holds the sha256 of each input
+file's bytes, as `sha256sum` prints it.
 
 `main()` builds the parser once per process and reuses it on every call.
 """
@@ -24,18 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BadPosition,
-    ConsistencyError,
-    LambdaTooSmall,
-    NotCertified,
-    NotHypomorphic,
-    NotNested,
-    NotPositiveDefinite,
-    NotPositiveSemidefinite,
-    PreconditionViolated,
-    ReconError,
-)
+from .errors import CheckFailed, NotHypomorphic, ReconError
 from .geometry_suite import DEFAULT_COUNT, run_geometry_suite
 from .graph6 import graph6_decode, read_graph6_lines
 from .hypomorphism import gen_pair
@@ -54,9 +43,6 @@ from .solidangle import DEFAULT_SAMPLES, DEFAULT_SEED, angle_fraction
 from .verifiers import verify_main_theorem, verify_tutte
 
 GEOMETRY_MAX_SAMPLES = 50_000  # Monte Carlo samples per geometry-suite estimate
-_MATH_ERRORS = (NotHypomorphic, BadPosition, PreconditionViolated, NotNested,
-                LambdaTooSmall, NotCertified, NotPositiveDefinite, NotPositiveSemidefinite,
-                ConsistencyError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,12 +269,9 @@ def main(argv=None) -> int:
         if "seed" in args and args.seed < 0:
             raise ValueError("--seed must be >= 0")
         return args.handler(args)
-    except _MATH_ERRORS as exc:
-        sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
     except (ReconError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
+        return 1 if isinstance(exc, CheckFailed) else 2
 
 
 if __name__ == "__main__":

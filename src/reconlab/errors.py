@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types; the CLI exits 1 on a `CheckFailed` and 2 on any other `ReconError`."""
 
 
 class ReconError(Exception):
     """Base class for all reconlab errors."""
+
+
+class CheckFailed(ReconError):
+    """A mathematical check failed or was inconclusive (CLI exit 1)."""
 
 
 class DegenerateOrder(ReconError):
@@ -33,15 +37,15 @@ class ParseError(ReconError):
         self.offset = offset
 
 
-class NotPositiveSemidefinite(ReconError):
+class NotPositiveSemidefinite(CheckFailed):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
 
-class NotPositiveDefinite(ReconError):
+class NotPositiveDefinite(CheckFailed):
     """Matrix is singular or indefinite where positive definiteness is required."""
 
 
-class BadPosition(ReconError):
+class BadPosition(CheckFailed):
     """Presentation is not in good position."""
 
 
@@ -49,23 +53,23 @@ class NonSimplicialCone(ReconError):
     """Cone generators are linearly dependent."""
 
 
-class NotNested(ReconError):
+class NotNested(CheckFailed):
     """Claimed cone containment fails certification."""
 
 
-class PreconditionViolated(ReconError):
+class PreconditionViolated(CheckFailed):
     """Geometric precondition of a comparison check fails."""
 
 
-class NotHypomorphic(ReconError):
+class NotHypomorphic(CheckFailed):
     """Matrix pair fails the deck-matching certificate gate."""
 
 
-class LambdaTooSmall(ReconError):
+class LambdaTooSmall(CheckFailed):
     """Shift parameter below the certified threshold."""
 
 
-class NotCertified(ReconError):
+class NotCertified(CheckFailed):
     """No shift could be certified within the search budget."""
 
 
@@ -73,5 +77,5 @@ class DrawFailed(ReconError):
     """A random construction found no acceptable draw within its attempt budget."""
 
 
-class ConsistencyError(ReconError):
+class ConsistencyError(CheckFailed):
     """Two independent closed forms of the same quantity disagree."""

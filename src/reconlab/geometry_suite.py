@@ -9,7 +9,6 @@ so a change in the estimates shows in the report even when no tally moves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -27,7 +26,8 @@ from .presentation import (
     t_of_lambda,
     volume_eigenvector,
 )
-from .solidangle import DEFAULT_SEED, Cone, _haar, angle_fraction
+from .solidangle import (DEFAULT_SEED, SIGMAS, Cone, _haar, angle_fraction, combined_std_error,
+                         monotonicity_check)
 
 DEFAULT_COUNT = 200
 DEFAULT_MC_SAMPLES = 20_000
@@ -184,7 +184,7 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
 
     mc3 = estimate(cone, force_monte_carlo=True)
     report.tally("exact_vs_monte_carlo").record(
-        abs(mc3.fraction - est.fraction) <= 4.0 * mc3.std_error + 1e-12)
+        abs(mc3.fraction - est.fraction) <= SIGMAS * mc3.std_error + 1e-12)
 
     gens2 = rng.standard_normal((2, 2))
     while abs(np.linalg.det(gens2)) < 1e-3:
@@ -193,7 +193,7 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
     exact2 = estimate(cone2)
     mc2 = estimate(cone2, force_monte_carlo=True)
     report.tally("exact_vs_monte_carlo").record(
-        abs(mc2.fraction - exact2.fraction) <= 4.0 * mc2.std_error + 1e-12)
+        abs(mc2.fraction - exact2.fraction) <= SIGMAS * mc2.std_error + 1e-12)
     report.tally("remark3_half_ball").record(exact2.fraction < 0.5)
 
     # genuine d=4 Monte Carlo: determinism, congruence within noise, half-ball bound
@@ -207,14 +207,16 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
     rot4 = _haar(rng.standard_normal((4, 4)))
     est4_rot = estimate(Cone(apex=np.zeros(4), generators=lifted @ rot4.T))
     report.tally("congruence_invariance").record(
-        abs(est4.fraction - est4_rot.fraction)
-        <= 4.0 * math.sqrt(est4.std_error ** 2 + est4_rot.std_error ** 2))
-    report.tally("remark3_half_ball").record(est4.fraction <= 0.5 - 4.0 * est4.std_error)
+        abs(est4.fraction - est4_rot.fraction) <= SIGMAS * combined_std_error(est4, est4_rot))
+    report.tally("remark3_half_ball").record(est4.fraction <= 0.5 - SIGMAS * est4.std_error)
 
     # zero law: declared ambient above the span zeroes the estimate
     degenerate = Cone(apex=np.zeros(3), generators=gens[:2], ambient_dim=3)
     report.tally("zero_law").record(estimate(degenerate).fraction == 0.0)
 
+    # nesting lemma: positive combinations of the generators lie inside the 3-D cone
+    inner = Cone(apex=np.zeros(3), generators=(0.5 * np.eye(3) + 0.25) @ gens)
+    report.tally("monotonicity").record(monotonicity_check(inner, cone, mc_samples, seed))
 
 def run_geometry_suite(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT,
                        mc_samples: int = DEFAULT_MC_SAMPLES) -> SuiteReport:

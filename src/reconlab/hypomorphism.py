@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, SearchTooLarge
 from .graph6 import Graph6Record
-from .matrixcore import Permutation, SymmetricMatrix, as_matrix, deck, perm_similarity, scale
+from .matrixcore import (Permutation, SymmetricMatrix, as_matrix, deck, leave_one_out,
+                         perm_similarity, scale)
 
 EXACT_TOL = 1e-12  # relative: residuals are compared with EXACT_TOL * scale(A, B)
 SEARCH_CAP = 9
@@ -69,10 +70,8 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
     if A.n < 3:
         raise DimensionMismatch("deck matching requires order >= 3")
     n = A.n
-    rows = np.arange(n)[:, None]
-    k = np.arange(n - 1)
-    keep = k + (k >= rows)
-    moved = keep[rows, [s.image for s in sigma.sigmas]]
+    keep = leave_one_out(n)
+    moved = keep[np.arange(n)[:, None], [s.image for s in sigma.sigmas]]
     diff = (B.entries[moved[:, :, None], moved[:, None, :]]
             - A.entries[keep[:, :, None], keep[:, None, :]])
     resid = np.abs(diff).reshape(n, -1).max(axis=1)

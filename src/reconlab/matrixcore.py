@@ -102,6 +102,12 @@ class Permutation:
         return cls(tuple((n - i) % n for i in range(n)))
 
 
+def leave_one_out(n: int) -> np.ndarray:
+    """The (n, n-1) index table whose row i lists every index but i: card i's indices."""
+    k = np.arange(n - 1)
+    return k + (k >= np.arange(n)[:, None])
+
+
 def deck(A: SymmetricMatrix) -> list:
     """All n vertex-deleted principal submatrices, element i deleting row/col i."""
     A = as_matrix(A)

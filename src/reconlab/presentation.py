@@ -29,7 +29,7 @@ from .errors import (
     NotPositiveDefinite,
     NotPositiveSemidefinite,
 )
-from .matrixcore import REL_TOL, SymmetricMatrix, as_matrix, scale
+from .matrixcore import REL_TOL, SymmetricMatrix, as_matrix, leave_one_out, scale
 
 POS_MARGIN = 1e-12
 _KERNEL_POS_TOL = 1e-12
@@ -150,11 +150,8 @@ def volume_eigenvector(U: Presentation) -> np.ndarray:
         raise BadPosition(f"presentation not in good position: {report.reason.value}")
     q = np.linalg.svd(U.columns)[0][:, :n - 1]  # orthonormal basis of the (n-1)-dim span
     coords = q.T @ U.columns
-    fact = float(math.factorial(n - 1))
-    alpha = np.empty(n)
-    for i in range(n):
-        sub = np.delete(coords, i, axis=1)
-        alpha[i] = abs(np.linalg.det(sub)) / fact
+    alpha = np.abs(np.linalg.det(coords[:, leave_one_out(n)].transpose(1, 0, 2)))
+    alpha /= float(math.factorial(n - 1))
     return alpha / np.sum(alpha)
 
 
@@ -223,13 +220,15 @@ class _ShiftedSpectrum:
 
     def certified(self, lam: float) -> bool:
         """PD and (A + p I)^-1 1 >= POS_MARGIN / scale(A) at every p in {lam, 2 lam, 10 lam}."""
-        probes = (lam, 2.0 * lam, 10.0 * lam)
-        for p in probes:
-            w, tol = self.pd_bound(p)
-            if w < tol:
-                return False
+        # PD at lam > 0 gives PD at every p >= lam: tol(p) <= tol(lam) + REL_TOL * (p - lam)
+        w, tol = self.pd_bound(lam)
+        if w < tol:
+            return False
+        # an overflowing mu + p gives x = 0, which fails the margin like any small x
+        with np.errstate(over="ignore"):
+            x = self.inverse_ones((lam, 2.0 * lam, 10.0 * lam))
         # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
-        return bool(self.inverse_ones(probes).min() >= POS_MARGIN / self.scale)
+        return bool(x.min() >= POS_MARGIN / self.scale)
 
 
 def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:

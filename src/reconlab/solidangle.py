@@ -3,6 +3,8 @@
 A cone is the set of nonnegative combinations of its generators (the vectors
 u_i - u for an apex u); its norm is the volume of the intersection with the
 unit ball of a declared ambient dimension, reported as a fraction of the ball.
+Every comparison of estimates, here and in the geometry suite, allows SIGMAS
+combined standard errors.
 
 Ambient convention: the fraction is measured in `ambient_dim`, defaulting to
 the dimension of the generator span. A declared ambient strictly above the
@@ -65,12 +67,13 @@ from .errors import (
     NotNested,
     PreconditionViolated,
 )
-from .matrixcore import REL_TOL, scale
+from .matrixcore import REL_TOL, leave_one_out, scale
 from .presentation import Presentation, good_position_report
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_SAMPLES = 200_000
 COEF_TOL = 1e-12
+SIGMAS = 4.0  # Monte Carlo comparisons allow this many combined standard errors
 CHUNK_SIZE = 1 << 16
 _GROUPS = 8  # rotation groups per chunk, each with its own Gaussian base vectors
 _ROTATIONS = 16  # Haar rotations applied to every base vector of a group
@@ -293,7 +296,7 @@ def combined_std_error(*estimates: SolidAngleEstimate) -> float:
 
 def monotonicity_check(cone_inner: Cone, cone_outer: Cone, samples: int = DEFAULT_SAMPLES,
                        seed: int = DEFAULT_SEED) -> bool:
-    """Nested cones must have ordered norms, up to 4 combined standard errors."""
+    """Nested cones must have ordered norms, up to SIGMAS combined standard errors."""
     a, b = cone_inner.apex, cone_outer.apex
     if a.shape != b.shape or np.max(np.abs(a - b)) > REL_TOL * scale(a, b):
         raise NotNested("cones must share the apex")
@@ -302,7 +305,7 @@ def monotonicity_check(cone_inner: Cone, cone_outer: Cone, samples: int = DEFAUL
             raise NotNested("inner generator outside the outer cone")
     inner = angle_fraction(cone_inner, samples, seed)
     outer = angle_fraction(cone_outer, samples, seed + 1)
-    return inner.fraction <= outer.fraction + 4.0 * combined_std_error(inner, outer)
+    return inner.fraction <= outer.fraction + SIGMAS * combined_std_error(inner, outer)
 
 
 def _simplex_coefficients(apex: np.ndarray, points: np.ndarray, target: np.ndarray):
@@ -328,8 +331,8 @@ class ComparisonReport:
 
 
 def _verdict(lhs: SolidAngleEstimate, rhs: SolidAngleEstimate):
-    """Strictness of rhs > lhs with a 4-sigma margin; closer calls are inconclusive."""
-    margin = 4.0 * combined_std_error(lhs, rhs)
+    """Strictness of rhs > lhs with a SIGMAS-sigma margin; closer calls are inconclusive."""
+    margin = SIGMAS * combined_std_error(lhs, rhs)
     diff = rhs.fraction - lhs.fraction
     strict = diff > margin
     violated = diff < -margin
@@ -446,15 +449,12 @@ def partition_check(U: Presentation, samples: int = DEFAULT_SAMPLES,
     report = good_position_report(U.gram())
     if not report.is_good:
         raise BadPosition(f"presentation not in good position: {report.reason.value}")
-    n = U.n
-    estimates = []
-    for i in range(n):
-        gens = np.delete(U.columns, i, axis=1).T
-        cone = Cone(apex=np.zeros(U.columns.shape[0]), generators=gens, ambient_dim=None)
-        estimates.append(angle_fraction(cone, samples, seed + i))
+    apex = np.zeros(U.columns.shape[0])
+    cones = [Cone(apex=apex, generators=U.columns[:, keep].T) for keep in leave_one_out(U.n)]
+    estimates = [angle_fraction(cone, samples, seed + i) for i, cone in enumerate(cones)]
     total = float(sum(e.fraction for e in estimates))
     err = combined_std_error(*estimates)
-    ok = abs(total - 1.0) <= 4.0 * err + 1e-9
+    ok = abs(total - 1.0) <= SIGMAS * err + 1e-9
     return PartitionReport(sum_fraction=total, ok=ok,
                            fractions=tuple(e.fraction for e in estimates),
                            combined_std_error=err)

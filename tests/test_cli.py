@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from reconlab import __version__, geometry_suite, verifiers
+from reconlab import __version__, cli, errors, geometry_suite, verifiers
 from reconlab.cli import build_parser, main
 from reconlab.graph6 import graph6_encode
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
@@ -394,6 +394,34 @@ class TestUsageContract:
         bad.write_text("{not json")
         code, _, _ = run_cli(capsys, "verify-tutte", "--pair", str(bad))
         assert code == 2
+
+
+RECON_ERRORS = [cls for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.ReconError)]
+
+
+class TestExitStatus:
+    """The exit status follows from the error type: CheckFailed exits 1, the rest 2."""
+
+    def test_check_failures(self):
+        failing = {cls.__name__ for cls in RECON_ERRORS
+                   if issubclass(cls, errors.CheckFailed) and cls is not errors.CheckFailed}
+        assert failing == {"NotHypomorphic", "BadPosition", "PreconditionViolated", "NotNested",
+                           "LambdaTooSmall", "NotCertified", "NotPositiveDefinite",
+                           "NotPositiveSemidefinite", "ConsistencyError"}
+
+    @pytest.mark.parametrize("exc_type", RECON_ERRORS + [OSError, ValueError, KeyError],
+                             ids=lambda cls: cls.__name__)
+    def test_status_from_type(self, exc_type, monkeypatch, capsys):
+        exc = exc_type("boom", 0) if exc_type is errors.ParseError else exc_type("boom")
+
+        def raise_it(**kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_geometry_suite", raise_it)
+        code, out, err = run_cli(capsys, "verify-geometry", "--count", "1")
+        assert code == (1 if issubclass(exc_type, errors.CheckFailed) else 2)
+        assert out == "" and json.loads(err)["error"] == exc_type.__name__
 
 
 class TestParserReuse:

@@ -45,6 +45,12 @@ def test_report_shows_the_estimates():
     assert run_geometry_suite(seed=5, count=2, mc_samples=2000).fractions == a.fractions
 
 
+def test_nesting_lemma_is_checked():
+    # one nested pair of closed-form 3-D cones per solid-angle instance
+    rep = run_geometry_suite(seed=5, count=2, mc_samples=2000)
+    assert rep.tallies["monotonicity"].passed == min(2, ANGLE_INSTANCES)
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_needs_an_instance(count):
     # no instance means empty tallies, which would pass vacuously

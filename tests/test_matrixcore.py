@@ -14,7 +14,7 @@ from reconlab import (
     perm_similarity,
 )
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
-from reconlab.matrixcore import shifted_det_grid
+from reconlab.matrixcore import leave_one_out, shifted_det_grid
 
 from conftest import deck_dets, path_adjacency, symmetric_matrices
 
@@ -76,6 +76,12 @@ class TestDeck:
     def test_too_small(self):
         with pytest.raises(DegenerateOrder):
             deck(SymmetricMatrix(np.array([[3.0]])))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_leave_one_out_rows(n):
+    expected = np.array([np.delete(np.arange(n), i) for i in range(n)])
+    np.testing.assert_array_equal(leave_one_out(n), expected)
 
 
 class TestShiftedDet:

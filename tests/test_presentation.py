@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from reconlab import (
     t_of_lambda,
     volume_eigenvector,
 )
+from reconlab.geometry_suite import random_good_position_presentation
 from reconlab.matrixcore import REL_TOL
 from reconlab.presentation import POS_MARGIN, _ShiftedSpectrum
 
@@ -129,6 +131,19 @@ class TestVolumeEigenvector:
     def test_requires_good_position(self):
         with pytest.raises(BadPosition):
             volume_eigenvector(Presentation(np.eye(3)))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_per_index_determinants(self, n):
+        # the batched determinant against one np.delete + det per index, bit for bit
+        rng = np.random.default_rng([2024, n])
+        fact = float(math.factorial(n - 1))
+        for _ in range(50):
+            U = random_good_position_presentation(rng, n)
+            coords = np.linalg.svd(U.columns)[0][:, :n - 1].T @ U.columns
+            alpha = np.empty(n)
+            for i in range(n):
+                alpha[i] = abs(np.linalg.det(np.delete(coords, i, axis=1))) / fact
+            np.testing.assert_array_equal(volume_eigenvector(U), alpha / np.sum(alpha))
 
 
 class TestProjectOrigin:
@@ -256,6 +271,15 @@ class TestLambda0:
                 lambda0_search(SymmetricMatrix(1e308 * np.eye(3)))
             a = SymmetricMatrix(1e307 * np.eye(3))
             assert _ShiftedSpectrum(a).certified(lambda0_search(a))
+
+    def test_overflowing_shifted_spectrum_is_typed(self):
+        # 10 lam is finite but mu + 10 lam is not: the probe reads x = 0 and fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotCertified, match="overflow"):
+                lambda0_search(SymmetricMatrix(1.7e307 * np.eye(3)))
+            assert lambda0_search(SymmetricMatrix(1.5e307 * np.eye(3))) == 7.50000000000682e306
+            assert lambda0_search(SymmetricMatrix(1e307 * np.eye(3))) == 5.000000000004547e306
 
 
 def random_symmetric(rng, n):

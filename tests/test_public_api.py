@@ -9,8 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reconlab"
 
-# the paper's nesting lemma; the geometry suite does not check it yet
-ALLOWED_UNUSED = {"monotonicity_check"}
+ALLOWED_UNUSED: set = set()
 
 
 def exported_names() -> set:
