@@ -6,9 +6,13 @@ has dimension n-1; numerically this is rank(A) = n-1 together with a strictly
 positive kernel vector. Translating a presentation along the projection u0 of
 the origin onto its affine hull realizes the family A + t*J geometrically.
 
-The lambda path (t(lambda), the lambda0 certificate and its search) reads one
-eigendecomposition of A per call: (A + lambda I)^-1 1 = Q (c / (mu + lambda))
-with c = Q^T 1, so no shifted matrix is factored.
+The lambda path (t(lambda), the lambda0 certificate and its search) and the
+PSD factorisations read one eigendecomposition of A per matrix:
+(A + lambda I)^-1 1 = Q (c / (mu + lambda)) with c = Q^T 1, so no shifted
+matrix is factored. It is computed at the first call that needs it and kept
+on the SymmetricMatrix, with lambda0_search's certified result. The kept
+values cannot go stale: the matrix is frozen and its entries are
+write-protected, so they are exactly what a fresh decomposition would give.
 """
 
 from __future__ import annotations
@@ -86,11 +90,11 @@ class PerturbationPath:
 
 def _eigh_psd(A: SymmetricMatrix) -> tuple:
     """Ascending eigenvalues and eigenvectors, raising if one is below -REL_TOL * scale(A)."""
-    w, q = np.linalg.eigh(A.entries)
-    tol = REL_TOL * scale(A.entries)
-    if w[0] < -tol:
-        raise NotPositiveSemidefinite(f"min eigenvalue {w[0]:.3e} below -{tol:.3e}")
-    return w, q
+    spec = _spectrum(A)
+    tol = REL_TOL * spec.scale
+    if spec.mu[0] < -tol:
+        raise NotPositiveSemidefinite(f"min eigenvalue {spec.mu[0]:.3e} below -{tol:.3e}")
+    return spec.mu, spec.q
 
 
 def require_positive_definite(A: SymmetricMatrix) -> None:
@@ -189,7 +193,8 @@ class _ShiftedSpectrum:
     positive-definiteness test and the positivity certificate cost O(n^2) per
     shift. The smallest and largest diagonal entries and the largest
     off-diagonal magnitude of A give scale(A + lam I) exactly without forming
-    the shifted matrix.
+    the shifted matrix. The arrays are read-only, since every caller of
+    `_spectrum(A)` shares them.
     """
 
     def __init__(self, A: SymmetricMatrix):
@@ -197,12 +202,15 @@ class _ShiftedSpectrum:
         self.mu, self.q = np.linalg.eigh(a)
         self.c = self.q.T @ np.ones(A.n)
         self.c_sq = self.c ** 2
+        for kept in (self.mu, self.q, self.c, self.c_sq):
+            kept.setflags(write=False)
         diag = np.diag(a)
         self.diag_lo, self.diag_hi = float(np.min(diag)), float(np.max(diag))
         off = np.abs(a)
         np.fill_diagonal(off, 0.0)
         self.off_peak = scale(off)
         self.scale = scale(a)
+        self.lambda0 = None  # lambda0_search's certified result, once it has succeeded
 
     def pd_bound(self, lam: float) -> tuple:
         """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
@@ -231,11 +239,20 @@ class _ShiftedSpectrum:
         return bool(x.min() >= POS_MARGIN / self.scale)
 
 
+def _spectrum(A: SymmetricMatrix) -> _ShiftedSpectrum:
+    """A's _ShiftedSpectrum, computed at the first call and kept on A for the later ones."""
+    spec = getattr(A, "_spectrum", None)
+    if spec is None:
+        spec = _ShiftedSpectrum(A)
+        object.__setattr__(A, "_spectrum", spec)
+    return spec
+
+
 def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
     """-1 / (1^T (A + lam*I)^-1 1); requires a finite lam with A + lam*I positive definite."""
     if not math.isfinite(lam):
         raise NotFinite(f"lambda {lam} is not finite")
-    spec = _ShiftedSpectrum(as_matrix(A))
+    spec = _spectrum(as_matrix(A))
     w, tol = spec.pd_bound(lam)
     if w < tol:
         raise NotPositiveDefinite(f"min eigenvalue {w:.3e} below PD tolerance {tol:.3e}")
@@ -249,9 +266,13 @@ def lambda0_search(A: SymmetricMatrix) -> float:
     once the 10x probe overflows), then bisect downward in 40 steps.
     Tightening is best effort; the returned value is always re-certified
     (existence is guaranteed for large shifts, minimality is not).
-    Every probe reads the one eigendecomposition of A.
+    Every probe reads the one eigendecomposition kept per matrix, and the
+    certified result is kept beside it, so a later call on the same matrix
+    returns it without searching; a search that raises keeps nothing.
     """
-    spec = _ShiftedSpectrum(as_matrix(A))
+    spec = _spectrum(as_matrix(A))
+    if spec.lambda0 is not None:
+        return spec.lambda0
     hi = float(np.max(np.abs(spec.mu))) + 1.0
     doublings = 0
     while True:
@@ -270,6 +291,7 @@ def lambda0_search(A: SymmetricMatrix) -> float:
             hi = mid
         else:
             lo = mid
+    spec.lambda0 = hi
     return hi
 
 

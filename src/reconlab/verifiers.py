@@ -30,7 +30,7 @@ from .errors import BadPosition, DimensionMismatch, LambdaTooSmall, NotFinite, N
 from .hypomorphism import Hypomorphism, verify_hypomorphism
 from .matrixcore import SymmetricMatrix, as_matrix, scale, shifted_det_grid
 from .presentation import (
-    _ShiftedSpectrum,
+    _spectrum,
     factor_presentation,
     good_position_report,
     lambda0_search,
@@ -216,7 +216,7 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     A, B = as_matrix(A), as_matrix(B)
     _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
-    t_values = _ShiftedSpectrum(A).t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
+    t_values = _spectrum(A).t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
     # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + 1) / n
     t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
     sampled = np.linspace(t_lo, t_hi, T_SAMPLES + 2)[1:-1]

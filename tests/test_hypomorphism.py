@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from reconlab import (
     Hypomorphism,
+    NotSymmetric,
     Permutation,
     SearchTooLarge,
     SymmetricMatrix,
@@ -140,6 +141,18 @@ class TestVerify:
         cert = verify_hypomorphism(A, A, identity_hypomorphism(3))
         assert cert.valid and cert.worst_residual == 0.0 and cert.failing_index is None
         assert verify_tutte(A, A, identity_hypomorphism(3)).passed
+
+    # deck() rebuilds each card as a SymmetricMatrix, whose asymmetry tolerance is
+    # relative to the card's own scale; deck slices validated once would mend it
+    @pytest.mark.xfail(strict=True, raises=NotSymmetric,
+                       reason="each deck card is validated at its own smaller scale")
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda A: len(deck(A)) == 3, id="deck"),
+        pytest.param(lambda A: find_hypomorphism(A, A) is not None, id="find_hypomorphism"),
+    ])
+    def test_card_scale_does_not_tighten_deck_symmetry(self, call):
+        A = SymmetricMatrix([[0.0, 1000.0, 0.0], [1000.0, 0.0, 0.5], [0.0, 0.5 + 5e-8, 0.0]])
+        assert call(A)
 
 
 class TestFind:

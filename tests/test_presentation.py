@@ -18,6 +18,7 @@ from reconlab import (
     SymmetricMatrix,
     factor_presentation,
     good_position_report,
+    good_position_shift,
     lambda0_search,
     per1_report,
     perturb_presentation,
@@ -26,8 +27,9 @@ from reconlab import (
     volume_eigenvector,
 )
 from reconlab.geometry_suite import random_good_position_presentation
+from reconlab.hypomorphism import cycle_pair_corpus
 from reconlab.matrixcore import REL_TOL
-from reconlab.presentation import POS_MARGIN, _ShiftedSpectrum
+from reconlab.presentation import POS_MARGIN, _ShiftedSpectrum, _spectrum
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -280,6 +282,57 @@ class TestLambda0:
                 lambda0_search(SymmetricMatrix(1.7e307 * np.eye(3)))
             assert lambda0_search(SymmetricMatrix(1.5e307 * np.eye(3))) == 7.50000000000682e306
             assert lambda0_search(SymmetricMatrix(1e307 * np.eye(3))) == 5.000000000004547e306
+
+
+def _lambda_calls(M, S, lam, copy):
+    """lambda0 and t(lam) of M, and the good-position report and factor of S, each
+    call on copy(M) or copy(S); floats as bytes, so that comparisons are bit for bit."""
+    rep = good_position_report(copy(S))
+    kernel = None if rep.kernel_vector is None else rep.kernel_vector.tobytes()
+    return [np.float64(lambda0_search(copy(M))).tobytes(),
+            np.float64(t_of_lambda(copy(M), lam)).tobytes(),
+            rep.rank, rep.reason, kernel, factor_presentation(copy(S)).columns.tobytes()]
+
+
+class TestKeptSpectrum:
+    """Calls that read a kept spectrum give, bit for bit, what a fresh matrix gives."""
+
+    def assert_kept_matches_fresh(self, M):
+        lam = lambda0_search(M) + 1.0  # keeps M's spectrum and lambda0
+        S = good_position_shift(M, lam)
+        factor_presentation(S)  # keeps S's spectrum
+        kept = _lambda_calls(M, S, lam, lambda X: X)
+        assert kept == _lambda_calls(M, S, lam, lambda X: SymmetricMatrix(X.entries.copy()))
+        assert _spectrum(M).lambda0 == lambda0_search(M)
+
+    def test_atlas_graphs_on_3_to_6_vertices(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [SymmetricMatrix(nx.to_numpy_array(g))
+                  for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
+        assert len(graphs) == 205
+        for M in graphs:
+            self.assert_kept_matches_fresh(M)
+
+    @pytest.mark.parametrize("exponent", range(-8, 14))
+    def test_cycle_corpus_scale_sweep(self, exponent):
+        for pair in cycle_pair_corpus():
+            for M in (pair["A"], pair["B"]):
+                self.assert_kept_matches_fresh(SymmetricMatrix(10.0 ** exponent * M.entries))
+
+    def test_kept_arrays_are_read_only(self):
+        M = SymmetricMatrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+        lambda0_search(M)
+        spec = _spectrum(M)
+        for kept in (spec.mu, spec.q, spec.c, spec.c_sq):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
+
+    def test_failed_search_is_not_kept(self):
+        M = SymmetricMatrix(1e308 * np.eye(3))
+        for _ in range(2):
+            with pytest.raises(NotCertified, match="overflow"):
+                lambda0_search(M)
+            assert _spectrum(M).lambda0 is None
 
 
 def random_symmetric(rng, n):

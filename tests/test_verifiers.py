@@ -24,7 +24,7 @@ from reconlab import (
 )
 from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus, matrix_pair
 from reconlab.matrixcore import Permutation, scale, shifted_det_grid
-from reconlab.presentation import _ShiftedSpectrum
+from reconlab.presentation import _ShiftedSpectrum, _spectrum
 from reconlab import verifiers
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
 
@@ -405,3 +405,39 @@ class TestCorpusWideProperties:
             da = shifted_det_grid(pair["A"], [0.0], ts)[0]
             db = shifted_det_grid(pair["B"], [0.0], ts)[0]
             assert np.all(np.abs(da - db) <= 1e-8 * np.maximum(1.0, np.abs(da)))
+
+
+def test_one_spectrum_per_matrix(monkeypatch):
+    # scripts/run_theorem_sweep.py's calls on one pair: every lambda-dependent call on
+    # a matrix object reads the spectrum and lambda0 kept on it
+    built, probed = [], []
+    build, probe = _ShiftedSpectrum.__init__, _ShiftedSpectrum.certified
+
+    def counting_build(self, M):
+        built.append(M)
+        build(self, M)
+
+    def counting_probe(self, lam):
+        probed.append(self)
+        return probe(self, lam)
+
+    monkeypatch.setattr(_ShiftedSpectrum, "__init__", counting_build)
+    monkeypatch.setattr(_ShiftedSpectrum, "certified", counting_probe)
+    A, B, sigma = matrix_pair(cycle_adjacency(6), Permutation.swap(6, 1, 3))
+    verify_tutte(A, B, sigma)
+    verify_eq1(A, B, sigma)
+    lam0 = max(lambda0_search(A), lambda0_search(B))
+    verify_main1_t_agreement(A, B, sigma, lam0 + 1.0)
+    verify_main_theorem(A, B, sigma)
+    shift_a, shift_b = good_position_shift(A, lam0 + 1.0), good_position_shift(B, lam0 + 1.0)
+    verify_main2(shift_a, shift_b, sigma)
+    ids = [id(M) for M in built]
+    assert len(ids) == len(set(ids))
+    assert {id(A), id(B), id(shift_a), id(shift_b)} <= set(ids)
+    # the probes of one search per side, and none after
+    assert {id(spec) for spec in probed} == {id(_spectrum(A)), id(_spectrum(B))}
+    probes = len(probed)
+    probed.clear()
+    for M in (A, B):
+        lambda0_search(SymmetricMatrix(M.entries.copy()))
+    assert len(probed) == probes
