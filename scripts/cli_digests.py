@@ -5,12 +5,12 @@ Builds the relabeled-cycle pairs C5..C8 in a temporary directory and runs a
 fixed list of `reconlab <command> --deterministic` calls in-process: `deck`,
 `verify-tutte` on every pair (and once with explicit grids), `verify-main` on
 every pair and a closed-form `angle`, then the sampled commands: Monte Carlo
-`angle` on the 4-D orthant (70,001 directions, so it crosses a chunk boundary
-and ends on a lone direction), on a skewed 5-D cone at exactly two chunks
-(131,072 directions) and on a skewed 6-D cone at 16 chunks plus one direction
-(1,048,577, so the last chunk holds one direction and opens a second block of
-chunks), and a small `verify-geometry`. Each digest covers the exit code,
-stdout and stderr, so two runs or two checkouts compare with `diff`:
+`angle` on the 4-D orthant (70,001 samples; a product orthant comes out exact
+with a nonzero error), on a skewed 5-D cone (131,072 samples: 32 shifts of a
+31-point lattice) and on a skewed 6-D cone (1,048,577 samples: 46 shifts of
+the largest, 181-point lattice, evaluated in three chunks), and a small
+`verify-geometry`. Each digest covers the exit code, stdout and stderr, so
+two runs or two checkouts compare with `diff`:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 """

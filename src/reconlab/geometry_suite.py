@@ -26,7 +26,7 @@ from .presentation import (
     t_of_lambda,
     volume_eigenvector,
 )
-from .solidangle import (DEFAULT_SEED, SIGMAS, Cone, _haar, angle_fraction, combined_std_error,
+from .solidangle import (DEFAULT_SEED, SIGMAS, Cone, angle_fraction, combined_std_error,
                          monotonicity_check)
 
 DEFAULT_COUNT = 200
@@ -165,6 +165,12 @@ def _check_t_monotonicity(report: SuiteReport, rng: np.random.Generator, n: int)
         report.tally("t_of_lambda_monotone").record(decreasing, soft=soft)
 
 
+def random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-distributed orthogonal d x d matrix: the Q of a Gaussian block's QR, R's diagonal positive."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
 def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
                           mc_samples: int, seed: int):
     def estimate(cone: Cone, force_monte_carlo: bool = False):
@@ -177,7 +183,7 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
         gens = rng.standard_normal((3, 3))
     cone = Cone(apex=np.zeros(3), generators=gens)
     est = estimate(cone)
-    rot = _haar(rng.standard_normal((3, 3)))
+    rot = random_rotation(rng, 3)
     est_rot = estimate(Cone(apex=np.zeros(3), generators=gens @ rot.T))
     report.tally("congruence_invariance").record(abs(est.fraction - est_rot.fraction) <= 1e-12)
     report.tally("remark3_half_ball").record(est.fraction < 0.5)
@@ -204,7 +210,7 @@ def _check_angle_instance(report: SuiteReport, rng: np.random.Generator,
     est4 = estimate(cone4)
     est4_again = estimate(cone4)
     report.tally("mc_determinism").record(est4.fraction == est4_again.fraction)
-    rot4 = _haar(rng.standard_normal((4, 4)))
+    rot4 = random_rotation(rng, 4)
     est4_rot = estimate(Cone(apex=np.zeros(4), generators=lifted @ rot4.T))
     report.tally("congruence_invariance").record(
         abs(est4.fraction - est4_rot.fraction) <= SIGMAS * combined_std_error(est4, est4_rot))

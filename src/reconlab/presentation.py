@@ -205,11 +205,12 @@ class _ShiftedSpectrum:
         for kept in (self.mu, self.q, self.c, self.c_sq):
             kept.setflags(write=False)
         diag = np.diag(a)
-        self.diag_lo, self.diag_hi = float(np.min(diag)), float(np.max(diag))
+        self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
         off = np.abs(a)
         np.fill_diagonal(off, 0.0)
-        self.off_peak = scale(off)
-        self.scale = scale(a)
+        self.off_peak = max(1.0, float(off.max()))  # scale(off)
+        # scale(a): its largest |entry| lies off the diagonal or at a diagonal extreme
+        self.scale = max(self.off_peak, abs(self.diag_lo), abs(self.diag_hi))
         self.lambda0 = None  # lambda0_search's certified result, once it has succeeded
 
     def pd_bound(self, lam: float) -> tuple:

@@ -12,42 +12,19 @@ span dimension makes the cone measure zero and the fraction exactly 0. This
 convention makes the norm invariant under orthogonal maps and lets cones
 living in different coordinate spaces be compared through congruence.
 
-Directional sampling: since a cone is radial, the fraction of the ball inside
-it equals the fraction of unit directions inside it, so the Monte Carlo path
-tests Gaussian directions in span coordinates. Membership does not depend on
-length, so directions are never normalised. Sampling is chunked with a
-counter-based substream per chunk, default_rng([seed, chunk_index]), which
-draws the chunk's rotation normals and then its base vectors, so the estimate
-for a given (seed, samples) pair is bit-identical no matter how chunks are
-scheduled.
-
-Rotation reuse (Genz & Monahan 1998): each chunk draws 8 groups of 16 Haar
-rotations, and every Gaussian base vector of a group is tested under each of
-its group's rotations. Given z, the copies R_k z are independent uniform
-directions, and copies of different base vectors are independent. Fresh
-rotations per group of base vectors keep the error's own spread at the
-binomial one; one rotation set per chunk makes the variance random and
-fattens the tails.
-
-Antithetic pairs (Hammersley & Morton 1956): every rotated copy y, taken in
-coefficient coordinates, is tested as the two directions y and -y, that is
-all(y >= -COEF_TOL) and all(y <= COEF_TOL). A simplicial cone is pointed, so
-both are hits only if every coordinate of y is within COEF_TOL of zero, which
-has measure zero: a pair holds Bernoulli(2p) hits, and distinct pairs are
-pairwise independent because their copies are. For N = 2M + r directions,
-r in {0, 1}, the hit count H has Var(H) = M 2p(1-2p) + r p(1-p), and the
-standard error is sqrt(Var(H)) / N at p = H / N, which is sqrt(p(1-2p)/N)
-at even N. Where that plug-in variance is not positive (no hits, or a hit in
-every pair and in the lone direction) the Agresti-Coull error is reported.
-
-Layout: a chunk of `count` directions is the ravel of (group, rotation,
-column, sign), + before -, over ceil(count / 256) base vectors per group,
-and uses the first `count` of those directions. Fixed costs are paid once per
-block of at most 16 consecutive chunks (every 10^6-sample estimate is one
-block): the block's generators are made together, its rotations come from
-one stacked Gram-Schmidt and one matmul forms every L^-1 R, and all chunks
-of the estimate run through one coefficient buffer and one flag buffer. The
-block bound keeps memory flat in `samples`.
+Sampled path: since a cone is radial, the fraction of the ball inside it
+equals the probability that a standard Gaussian direction lands in it. In
+coefficient coordinates that direction is w ~ N(0, Gram^-1), Gram = G G^T
+for generator rows G, so the fraction is the orthant probability P(w >= 0)
+and depends on the Gram matrix alone: congruent cones get the same estimate.
+`orthant.orthant_probability` computes it by Genz's separation of variables
+on randomly shifted rank-1 lattices. `samples` stays the caller's Monte Carlo
+budget: it buys ceil(samples / SAMPLES_PER_POINT) lattice evaluations, a
+constant fixed by timing against the hit-or-miss sampler it replaced (see
+the README). The estimate for a given (seed, samples) pair is bit-identical
+from run to run, its standard error is the spread of the shifted replicates
+(never 0), and its points are evaluated in bounded chunks, so memory stays
+flat in `samples`.
 """
 
 from __future__ import annotations
@@ -68,16 +45,14 @@ from .errors import (
     PreconditionViolated,
 )
 from .matrixcore import REL_TOL, leave_one_out, scale
+from .orthant import orthant_probability
 from .presentation import Presentation, good_position_report
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_SAMPLES = 200_000
 COEF_TOL = 1e-12
 SIGMAS = 4.0  # Monte Carlo comparisons allow this many combined standard errors
-CHUNK_SIZE = 1 << 16
-_GROUPS = 8  # rotation groups per chunk, each with its own Gaussian base vectors
-_ROTATIONS = 16  # Haar rotations applied to every base vector of a group
-_BLOCK_CHUNKS = 16  # chunks set up together: a 10^6-sample estimate is one block
+SAMPLES_PER_POINT = 125  # a Monte Carlo budget of `samples` buys samples / this lattice points
 _INTERIOR_TOL = 1e-12
 
 
@@ -191,65 +166,6 @@ def _exact_3d(cone: Cone, d: int) -> SolidAngleEstimate:
     return _estimate(omega / (4.0 * math.pi), d, 0.0, 0, AngleMethod.EXACT_3D)
 
 
-def _haar(g: np.ndarray) -> np.ndarray:
-    """Haar-distributed rotations from standard Gaussian blocks g[..., d, d].
-
-    Gram-Schmidt over the columns of each block, vectorised over the leading
-    axes; this is the Q factor of the QR decomposition with a positive diagonal.
-    """
-    q = np.empty_like(g)
-    for j in range(g.shape[-1]):
-        v = g[..., j].copy()
-        for i in range(j):
-            v -= np.sum(q[..., i] * v, axis=-1, keepdims=True) * q[..., i]
-        q[..., j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return q
-
-
-def _monte_carlo(cone: Cone, q: np.ndarray, d: int, samples: int, seed: int) -> SolidAngleEstimate:
-    coef_matrix = q.T @ cone.generators.T  # d x d, invertible for simplicial cones
-    lu_inv = np.linalg.inv(coef_matrix)
-    per_column = 2 * _GROUPS * _ROTATIONS  # directions made from one column index of z
-    chunks = -(-samples // CHUNK_SIZE)
-    widest = -(-min(samples, CHUNK_SIZE) // per_column)  # base vectors per group in a chunk
-    # a chunk's views are prefixes of these flat buffers, so each one is contiguous
-    normals = np.empty((min(chunks, _BLOCK_CHUNKS), _GROUPS, _ROTATIONS, d, d))
-    z_buf = np.empty(_GROUPS * d * widest)
-    y_buf = np.empty(_GROUPS * _ROTATIONS * d * widest)
-    flag_buf = np.empty(y_buf.size, dtype=bool)
-    hits = 0
-    for first in range(0, chunks, _BLOCK_CHUNKS):
-        rngs = [np.random.default_rng([seed, k])
-                for k in range(first, min(first + _BLOCK_CHUNKS, chunks))]
-        block = normals[:len(rngs)]
-        for rng, g in zip(rngs, block):
-            rng.standard_normal(out=g)  # a chunk draws its rotations before its base vectors
-        maps = np.matmul(lu_inv, _haar(block), out=block)  # the normals are spent
-        for k, rng, m in zip(range(first, chunks), rngs, maps):
-            count = min(CHUNK_SIZE, samples - k * CHUNK_SIZE)
-            cols = -(-count // per_column)
-            z = rng.standard_normal(out=z_buf[:_GROUPS * d * cols].reshape(_GROUPS, 1, d, cols))
-            shape = (_GROUPS, _ROTATIONS, d, cols)
-            size = math.prod(shape)
-            y = np.matmul(m, z, out=y_buf[:size].reshape(shape))
-            flags = flag_buf[:size].reshape(shape)
-            # the first `count` directions: + of the first ceil(count/2) pairs, - of the rest
-            plus = np.greater_equal(y, -COEF_TOL, out=flags).all(axis=-2).ravel()
-            hits += int(np.count_nonzero(plus[:count - count // 2]))
-            # the antithetic direction -y
-            minus = np.less_equal(y, COEF_TOL, out=flags).all(axis=-2).ravel()
-            hits += int(np.count_nonzero(minus[:count // 2]))
-    fraction = hits / samples
-    pairs, lone = divmod(samples, 2)
-    var = pairs * 2.0 * fraction * (1.0 - 2.0 * fraction) + lone * fraction * (1.0 - fraction)
-    if var > 0:
-        std_error = math.sqrt(var) / samples
-    else:  # Agresti-Coull: no hits, or a hit in every pair, does not make the fraction exact
-        p_tilde = (hits + 2.0) / (samples + 4.0)
-        std_error = math.sqrt(p_tilde * (1.0 - p_tilde) / samples)
-    return _estimate(fraction, d, std_error, samples, AngleMethod.MONTE_CARLO)
-
-
 def _zero_method(d: int) -> AngleMethod:
     if d == 2:
         return AngleMethod.EXACT_2D
@@ -270,13 +186,14 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
     Dispatch: span below ambient gives exact 0 (lower-dimensional cones have
     measure zero); ambient 2 uses the planar angle; ambient 3 with three
     generators uses the spherical-triangle closed form; everything else is
-    chunk-deterministic Monte Carlo over directions. `force_monte_carlo`
-    samples even where a closed form exists, for cross-validation. `samples`
-    must be an integer >= 1 and `seed` an integer >= 0; bools are refused.
+    the sampled orthant probability (AngleMethod.MONTE_CARLO, see the module
+    docstring). `force_monte_carlo` samples even where a closed form exists,
+    for cross-validation. `samples` must be an integer >= 1 and `seed` an
+    integer >= 0; bools are refused.
     """
     _require_count("samples", samples, 1)
     _require_count("seed", seed, 0)
-    q, rank = _span_data(cone)
+    _, rank = _span_data(cone)
     d = cone.ambient_dim if cone.ambient_dim is not None else rank
     if rank > d:
         raise DimensionMismatch(f"generators span {rank} dimensions, ambient is {d}")
@@ -287,7 +204,9 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
             return _exact_2d(cone, d)
         if d == 3 and cone.k == 3:
             return _exact_3d(cone, d)
-    return _monte_carlo(cone, q, d, samples, seed)
+    gram = cone.generators @ cone.generators.T
+    fraction, std_error = orthant_probability(gram, -(-samples // SAMPLES_PER_POINT), seed)
+    return _estimate(fraction, d, std_error, samples, AngleMethod.MONTE_CARLO)
 
 
 def combined_std_error(*estimates: SolidAngleEstimate) -> float:

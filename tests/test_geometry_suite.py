@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from reconlab import DrawFailed, geometry_suite, run_geometry_suite
-from reconlab.geometry_suite import ANGLE_INSTANCES, random_good_position_presentation
+from reconlab.geometry_suite import (ANGLE_INSTANCES, random_good_position_presentation,
+                                     random_rotation)
 from reconlab.serialize import dumps
 
 
@@ -36,13 +37,14 @@ def test_deterministic_tallies():
 
 def test_report_shows_the_estimates():
     # equal tallies, different Monte Carlo output: the serialised reports must differ
-    a = run_geometry_suite(seed=5, count=2, mc_samples=2000)
-    b = run_geometry_suite(seed=5, count=2, mc_samples=4000)
+    # (the two budgets buy lattices of 5 and 7 points per shift)
+    a = run_geometry_suite(seed=5, count=2, mc_samples=20_000)
+    b = run_geometry_suite(seed=5, count=2, mc_samples=40_000)
     assert a.tallies == b.tallies
     assert dumps(a) != dumps(b)
     # nine estimates per solid-angle instance, the same ones on a repeat
     assert len(a.fractions) == 9 * min(2, ANGLE_INSTANCES)
-    assert run_geometry_suite(seed=5, count=2, mc_samples=2000).fractions == a.fractions
+    assert run_geometry_suite(seed=5, count=2, mc_samples=20_000).fractions == a.fractions
 
 
 def test_nesting_lemma_is_checked():
@@ -62,6 +64,15 @@ def test_zero_tolerance_fails(monkeypatch):
     monkeypatch.setattr(geometry_suite, "RESID_TOL", 0.0)
     rep = run_geometry_suite(seed=5, count=5)
     assert not rep.passed and rep.resid_tol == 0.0
+
+
+def test_random_rotations_are_orthogonal():
+    # the congruence checks rotate cones by these; the determinant may be either sign
+    for d in range(1, 7):
+        rng = np.random.default_rng([8, d])
+        for _ in range(16):
+            rot = random_rotation(rng, d)
+            assert np.max(np.abs(rot.T @ rot - np.eye(d))) <= 1e-12
 
 
 def test_ill_conditioned_draws_raise_typed_error():

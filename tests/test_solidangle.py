@@ -26,7 +26,9 @@ from reconlab import (
     monotonicity_check,
     partition_check,
 )
-from reconlab.solidangle import CHUNK_SIZE, COEF_TOL, _haar, _span_data
+from reconlab.orthant import (CHUNK_POINTS, PHI_ERROR, REPLICATES, lattice_size,
+                              orthant_probability)
+from reconlab.solidangle import SAMPLES_PER_POINT
 
 
 def quadrant():
@@ -42,34 +44,9 @@ def random_orthogonal(rng, m):
     return q * np.sign(np.diag(r))
 
 
-def per_chunk_reference(cone, samples, seed):
-    """(fraction, std_error) from the sampler's one-chunk-at-a-time form.
-
-    Each chunk makes its own generator, rotations and arrays; the library
-    stacks the set-up of up to 16 chunks, and must give the same bits.
-    """
-    q, d = _span_data(cone)
-    lu_inv = np.linalg.inv(q.T @ cone.generators.T)
-    hits = done = chunk_index = 0
-    while done < samples:
-        count = min(CHUNK_SIZE, samples - done)
-        rng = np.random.default_rng([seed, chunk_index])
-        rot = _haar(rng.standard_normal((8, 16, d, d)))
-        z = rng.standard_normal((8, 1, d, -(-count // 256)))
-        y = (lu_inv @ rot) @ z
-        plus = np.all(y >= -COEF_TOL, axis=-2).ravel()
-        minus = np.all(y <= COEF_TOL, axis=-2).ravel()
-        hits += int(np.count_nonzero(plus[:count - count // 2]))
-        hits += int(np.count_nonzero(minus[:count // 2]))
-        done += count
-        chunk_index += 1
-    fraction = hits / samples
-    pairs, lone = divmod(samples, 2)
-    var = pairs * 2.0 * fraction * (1.0 - 2.0 * fraction) + lone * fraction * (1.0 - fraction)
-    if var > 0:
-        return fraction, math.sqrt(var) / samples
-    p_tilde = (hits + 2.0) / (samples + 4.0)
-    return fraction, math.sqrt(p_tilde * (1.0 - p_tilde) / samples)
+def skewed_cone(d):
+    """Generators e_i + 0.3 (e_{i+1} + ... + e_d): a cone whose Gram is not diagonal."""
+    return Cone(apex=np.zeros(d), generators=np.eye(d) + 0.3 * np.triu(np.ones((d, d)), 1))
 
 
 class TestBallVolume:
@@ -151,25 +128,45 @@ class TestAngleFraction:
                             samples=200_000, seed=11, force_monte_carlo=True)
         assert mc.method is AngleMethod.MONTE_CARLO
         assert abs(mc.fraction - exact.fraction) <= 4.0 * mc.std_error
-        # antithetic pairs: each pair's hit count is Bernoulli(2p), so the
-        # variance of the fraction at even N is p(1 - 2p)/N
-        assert mc.std_error == pytest.approx(
-            math.sqrt(mc.fraction * (1 - 2 * mc.fraction) / mc.samples))
+        # the lattice beats hit-or-miss sampling with the same budget
+        p = exact.fraction
+        assert 0.0 < mc.std_error < math.sqrt(p * (1 - p) / mc.samples)
 
     @pytest.mark.parametrize("samples", [2, 256, 1000, (1 << 16) + 2])
-    def test_half_line_pairs_are_antithetic(self, samples):
-        # every pair tests y and -y, and exactly one of them lies on the half-line
+    def test_half_line_is_exactly_half(self, samples):
+        # a single coefficient is positive with probability 1/2, whatever the budget
         half_line = Cone(apex=[0], generators=[[1.0]])
         est = angle_fraction(half_line, samples=samples, seed=3)
         assert est.method is AngleMethod.MONTE_CARLO
-        assert est.fraction == 0.5
+        assert est.fraction == 0.5 and est.std_error == PHI_ERROR > 0.0
 
     def test_deterministic_across_chunk_boundary(self):
-        c = Cone(apex=np.zeros(4), generators=np.eye(4))
-        first = angle_fraction(c, samples=(1 << 16) + 1234, seed=9)
-        second = angle_fraction(c, samples=(1 << 16) + 1234, seed=9)
-        assert first.fraction == second.fraction
-        assert first.fraction != angle_fraction(c, samples=(1 << 16) + 1234, seed=10).fraction
+        samples = 600_000  # more lattice points than one chunk holds
+        assert REPLICATES * lattice_size(samples // SAMPLES_PER_POINT) > CHUNK_POINTS
+        c = skewed_cone(4)
+        first = angle_fraction(c, samples=samples, seed=9)
+        second = angle_fraction(c, samples=samples, seed=9)
+        assert (first.fraction, first.std_error) == (second.fraction, second.std_error)
+        assert first.fraction != angle_fraction(c, samples=samples, seed=10).fraction
+
+    def test_estimate_reads_only_the_gram_matrix(self, rng):
+        for d in range(2, 7):
+            gens = rng.standard_normal((d, d))
+            base = angle_fraction(Cone(apex=np.zeros(d), generators=gens), samples=50_000,
+                                  seed=d, force_monte_carlo=True)
+            # a rotated copy embedded in a larger space, measured in the span dimension
+            rot = random_orthogonal(rng, d + 2)[:, :d]
+            moved = angle_fraction(Cone(apex=np.zeros(d + 2), generators=gens @ rot.T),
+                                   samples=50_000, seed=d, force_monte_carlo=True)
+            assert abs(moved.fraction - base.fraction) <= 1e-12
+            assert abs(moved.std_error - base.std_error) <= 1e-12
+
+    def test_samples_buy_lattice_evaluations(self):
+        c = skewed_cone(5)
+        est = angle_fraction(c, samples=200_000, seed=21)
+        gram = c.generators @ c.generators.T
+        assert (est.fraction, est.std_error) == orthant_probability(
+            gram, 200_000 // SAMPLES_PER_POINT, 21)
 
     def test_orthant_4d_near_sixteenth(self):
         est = angle_fraction(Cone(apex=np.zeros(4), generators=np.eye(4)),
@@ -227,43 +224,37 @@ class TestAngleFraction:
             mc = angle_fraction(cone, samples=50_000, seed=500 + i, force_monte_carlo=True)
             assert abs(mc.fraction - exact.fraction) <= 4.0 * mc.std_error + 1e-12, i
 
-    def test_empty_count_reports_agresti_coull_error(self):
+    def test_thin_cone_error_is_never_zero(self):
         thin = Cone(apex=np.zeros(4), generators=np.array(
             [[1, 0, 0, 0], [1, 1e-3, 0, 0], [1, 0, 1e-3, 0], [1, 0, 0, 1e-3]]))
         est = angle_fraction(thin, samples=20_000)
-        p_tilde = 2.0 / 20_004.0
-        assert est.fraction == 0.0
-        assert est.std_error == pytest.approx(math.sqrt(p_tilde * (1 - p_tilde) / 20_000))
+        assert 0.0 <= est.fraction < 1e-6
+        assert est.std_error > 0.0
 
-    def test_single_sample_error_is_symmetric(self):
-        # one direction is always an empty or a full count: p~ is 2/5 or 3/5
+    def test_single_sample_buys_one_point_per_shift(self):
+        wide = Cone(apex=np.zeros(2), generators=np.array([[1.0, 0.0], [-1.0, 1.0]]))
+        exact = angle_fraction(wide).fraction
         for seed in range(8):
-            est = angle_fraction(quadrant(), samples=1, seed=seed, force_monte_carlo=True)
-            assert est.fraction in (0.0, 1.0)
-            assert est.std_error == pytest.approx(math.sqrt(0.24))
+            est = angle_fraction(wide, samples=1, seed=seed, force_monte_carlo=True)
+            assert est.samples == 1 and est.std_error > 0.0
+            assert abs(est.fraction - exact) <= 4.0 * est.std_error
 
     def test_uses_exactly_the_requested_samples(self):
-        # counts that need the same number of base vectors share every direction,
-        # so the hit counts over one such range are a running sum
+        # the report carries the budget asked for; budgets that buy the same number
+        # of lattice points per shift give the same estimate
         wide = Cone(apex=np.zeros(2), generators=np.array([[1.0, 0.0], [-1.0, 1.0]]))
-        for counts in (range(1, 257), range(513, 769)):
-            hits = []
-            for n in counts:
+        per_shift = SAMPLES_PER_POINT * REPLICATES  # one more lattice point per shift
+        seen = set()
+        # 1 point per shift, then 7 (the largest prime up to 7 and up to 10)
+        for lo, hi in ((1, 2 * per_shift - SAMPLES_PER_POINT),
+                       (7 * per_shift + 1, 11 * per_shift - SAMPLES_PER_POINT)):
+            estimates = set()
+            for n in [*range(lo, hi, 211), hi]:
                 est = angle_fraction(wide, samples=n, seed=4, force_monte_carlo=True)
                 assert est.samples == n
-                hits.append(round(est.fraction * n))
-            assert set(np.diff(hits)) <= {0, 1} and hits[-1] > hits[0]
-            assert hits[0] <= counts[0]
-
-    def test_haar_rotations_are_orthogonal(self):
-        for d in range(1, 7):
-            g = np.random.default_rng([8, d]).standard_normal((16, 16, d, d))
-            rot = _haar(g)
-            gram = np.swapaxes(rot, -1, -2) @ rot
-            assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
-            for block, q_block in zip(g[0], rot[0]):
-                q, r = np.linalg.qr(block)
-                np.testing.assert_allclose(q_block, q * np.sign(np.diag(r)), atol=1e-10)
+                estimates.add(est.fraction)
+            assert len(estimates) == 1 and not estimates & seen
+            seen |= estimates
 
     def test_calibration_against_closed_forms(self):
         # 400 seeded estimates: their z-scores must look standard normal
@@ -297,28 +288,22 @@ class TestAngleFraction:
         assert abs(np.mean(zs)) < 0.15
         assert 0.8 <= np.var(zs) <= 1.25
 
-    def test_odd_count_error_has_lone_direction_term(self):
-        est = angle_fraction(Cone(apex=np.zeros(4), generators=np.eye(4)),
-                             samples=70_001, seed=7)
-        p, pairs = est.fraction, 35_000
-        var = pairs * 2 * p * (1 - 2 * p) + p * (1 - p)
-        assert est.std_error == pytest.approx(math.sqrt(var) / 70_001, rel=1e-12)
-
 
 class TestChunkBlocks:
     @pytest.mark.parametrize("seed", [7, 0x5EED])
     @pytest.mark.parametrize("d", range(1, 7))
-    def test_bit_identical_to_per_chunk_sampling(self, d, seed):
+    def test_deterministic_in_seed_and_samples(self, d, seed):
         gens = np.random.default_rng([2024, d]).standard_normal((d, d))
         cone = Cone(apex=np.zeros(d), generators=gens)
-        for samples in (1, 2, 255, 256, 257, 65_535, 65_536, 65_537, 70_001,
-                        16 * CHUNK_SIZE, 16 * CHUNK_SIZE + 1, 1_000_001):
+        for samples in (1, 2, 255, 4_000, 65_537, 1_000_001):
             est = angle_fraction(cone, samples=samples, seed=seed, force_monte_carlo=True)
-            assert (est.fraction, est.std_error) == per_chunk_reference(cone, samples, seed), \
-                samples
+            again = angle_fraction(cone, samples=samples, seed=seed, force_monte_carlo=True)
+            assert (est.fraction, est.std_error) == (again.fraction, again.std_error), samples
+            other = angle_fraction(cone, samples=samples, seed=seed + 1, force_monte_carlo=True)
+            assert (other.fraction != est.fraction) == (d > 1), samples
 
     def test_memory_is_bounded_by_one_block(self):
-        # set-up is stacked per block of 16 chunks, never over the whole estimate
+        # points are evaluated one chunk at a time, never over the whole estimate
         cone = Cone(apex=np.zeros(6), generators=np.eye(6) + 0.2)
 
         def traced_peak(samples):
@@ -329,8 +314,8 @@ class TestChunkBlocks:
             finally:
                 tracemalloc.stop()
 
-        one_block = traced_peak(16 * CHUNK_SIZE)
-        assert traced_peak(64 * CHUNK_SIZE) <= 1.25 * one_block
+        one_block = traced_peak(10 ** 6)
+        assert traced_peak(10 ** 7) <= 1.25 * one_block
 
 
 class TestMonotonicity:
@@ -410,11 +395,17 @@ class TestComparison:
             assert rep.strict
 
     def test_monte_carlo_inconclusive_near_apex(self, rng):
+        # a move below the estimate's resolution: the fraction changes by about 2e-12
         gens = np.eye(4)
         u = np.zeros(4)
-        v = np.full(4, 1e-7)
+        v = np.full(4, 5e-12)
         rep = comparison_check(u, gens, v, samples=20_000, seed=2)
         assert rep.inconclusive and not rep.violated
+
+    def test_lattice_resolves_a_small_apex_move(self):
+        # a 1e-7 move changes the fraction by about 1e-7, which the lattice resolves
+        rep = comparison_check(np.zeros(4), np.eye(4), np.full(4, 1e-7), samples=20_000, seed=2)
+        assert rep.strict and rep.margin < 1e-7
 
 
 class TestDisplacement:
