@@ -25,11 +25,16 @@ number, floored at PHI_ERROR (the error of the numpy Phi and Phi^-1 below),
 so it is never 0.
 
 Phi is Cody's (1969) rational erfc and Phi^-1 is Wichura's (1988) AS241,
-both in numpy, so no scipy is needed at run time. Every rational function
-of a range is evaluated at all points by one matrix product with the powers
-of its variable, and the ranges are then selected with `np.where`: the
-number of numpy calls grows with neither the number of points nor the
-degree, which keeps small estimates cheap.
+both in numpy, so no scipy is needed at run time. Each range's rational runs
+over the powers of its own variable and only where it is needed: Cody's
+small and mid ranges at every point over the powers of y = |x| / sqrt(2),
+the range beyond y = 4 over r = 1/y^2 only at the points there; Wichura's
+central rational at every point, and log, sqrt and the near and far tails
+only at the points with q < 0.075, the far tail only if some t > 5. The
+ranges' variables are strung together, one matrix product evaluates every
+polynomial at once and each range divides only at its own points, so a call
+makes a fixed number of numpy calls, a few more when a tail has
+points, whatever the number of points and the degree.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ _TINY = np.finfo(float).tiny
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ERFC_CLIP = 27.0  # erfc(27) is below the smallest normal double
+_HALF_RSQRT_PI = 0.5 / math.sqrt(math.pi)
 
 
 def _in_square(poly) -> tuple:
@@ -55,120 +61,139 @@ def _in_square(poly) -> tuple:
     return tuple(c for a in poly[:-1] for c in (a, 0.0)) + (poly[-1],)
 
 
-def _blocks(width: int, *groups) -> np.ndarray:
-    """Coefficient matrix over the powers 0..width-1 of several variables, power-major.
-
-    Column p * len(groups) + g holds the coefficient of v_g^p; each group lists
-    polynomials (highest power first) in its variable v_g, one row each.
-    """
-    rows = []
-    for g, group in enumerate(groups):
-        for poly in group:
-            row = np.zeros((width, len(groups)))
-            row[:len(poly), g] = poly[::-1]
-            rows.append(row.ravel())
-    return np.array(rows)
+def _coefficients(*polys) -> np.ndarray:
+    """One row per polynomial (highest power first), over the powers 0, 1, ... of its variable."""
+    rows = np.zeros((len(polys), max(map(len, polys))))
+    for row, poly in zip(rows, polys):
+        row[:len(poly)] = poly[::-1]
+    return rows
 
 
-# Cody's erfc (CALERF) as numerator and denominator rows over the powers of y and
-# then of r = 1/y^2: erf(y)/y for y <= 0.46875 as a rational in y^2, e^(y^2) erfc(y)
-# for y <= 4 as a rational in y, and (1/sqrt(pi) - e^(y^2) erfc(y) y) / r as one in r.
-# The numerators are halved below, since Phi(-sqrt(2) y) = erfc(y) / 2.
-_CODY = _blocks(9, (
+# Cody's erfc (CALERF) as numerator rows, then denominator rows: erf(y)/y for
+# y <= 0.46875 as a rational in y^2 and e^(y^2) erfc(y) for y <= 4 as one in y,
+# and (1/sqrt(pi) - e^(y^2) erfc(y) y) / r for y > 4 as one in r = 1/y^2. The
+# numerators are halved below, since Phi(-sqrt(2) y) = erfc(y) / 2.
+_CODY = _coefficients(
     _in_square((1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
                 3.77485237685302021e02, 3.20937758913846947e03)),
-    _in_square((1.0, 2.36012909523441209e01, 2.44024637934444173e02,
-                1.28261652607737228e03, 2.84423683343917062e03)),
     (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
      6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
      1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    _in_square((1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+                1.28261652607737228e03, 2.84423683343917062e03)),
     (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
      3.43936767414372164e03, 1.23033935480374942e03),
-), (
-    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
     (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
      6.05183413124413191e-2, 2.33520497626869185e-3),
-))
-# Wichura's AS241 (PPND16) over the powers of r = 0.180625 - c^2 with c = q - 1/2,
-# then of t - 1.6 and of t - 5 with t = sqrt(-log q): x = c A(r)/B(r) for |c| <= 0.425,
+)
+# Wichura's AS241 (PPND16), numerator rows, then denominator rows: x = c A(r)/B(r)
+# with c = q - 1/2 and r = 0.180625 - c^2 for |c| <= 0.425, and with t = sqrt(-log q),
 # x = -C(t - 1.6)/D(t - 1.6) for t <= 5 and x = -E(t - 5)/F(t - 5) beyond (q <= 1/2;
-# the tails' numerators are negated below). Every denominator stays above 0.002 for
-# every q in [tiny, 1/2], so each rational may be evaluated at every point.
-_WICHURA = _blocks(8, (
+# the tails' numerators are negated below). B stays above 0.002 for every q in
+# [0, 1/2], so the central rational may run at every point.
+_WICHURA = _coefficients(
     (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
      1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0),
-), (
     (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
      4.63033784615654529590e+0, 1.42343711074968357734e+0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-     2.05319162663775882187e+0, 1.0),
-), (
     (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0),
     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
      5.99832206555887937690e-1, 1.0),
-))
-_CODY[0::2] *= 0.5
-_WICHURA[2::2] *= -1.0
+)
+_CODY[:3] *= 0.5
+_WICHURA[1:3] *= -1.0
 
 
-def _ratios(coefs: np.ndarray, *variables: np.ndarray) -> np.ndarray:
-    """Numerator over denominator for each row pair of coefs (see _blocks) at every point.
+def _polynomials(coefs: np.ndarray, *variables: np.ndarray) -> np.ndarray:
+    """Every row of coefs at every point of the variables, strung together in order.
 
-    The powers of all variables are built together by repeated doubling and
-    one matrix product evaluates every polynomial, so the count of numpy calls
-    depends on neither the number of points nor the degree.
+    Each range's variable runs over that range's points only, and the caller
+    reads the range's numerator (row k) and denominator (row k + 3) at those
+    points. The powers come by repeated doubling and one matrix product
+    evaluates every polynomial. A lone point is evaluated twice, because BLAS
+    takes its matrix-vector route for a single column and sums in another
+    order there: a value must not depend on the points beside it.
+
+    The powers and the values share one allocation: as two, the allocator
+    could hand the heap's top back to the kernel between calls, and a
+    10^6-sample estimate then took up to about 280 page faults to get it back.
     """
-    count = len(variables)
-    width = coefs.shape[1] // count
-    powers = np.empty((width, count) + variables[0].shape)
+    count = sum(map(len, variables))
+    width = coefs.shape[1]
+    work = np.empty((width + len(coefs), count + (count == 1)))
+    powers = work[:width]
     powers[0] = 1.0
-    for g, v in enumerate(variables):
-        powers[1, g] = v
+    start = 0
+    for v in variables:
+        powers[1, start:start + len(v)] = v
+        start += len(v)
+    if count == 1:
+        powers[1, 1] = powers[1, 0]
     done = 2  # powers 0..done-1 are filled
     while done < width:
         step = min(done - 1, width - done)
         np.multiply(powers[1:1 + step], powers[done - 1], powers[done:done + step])
         done += step
-    nd = coefs @ powers.reshape(width * count, -1)
-    return nd[0::2] / nd[1::2]
+    return np.matmul(coefs, powers, out=work[width:])
 
 
 def _half_erfc(y: np.ndarray) -> np.ndarray:
     """erfc(y) / 2 for y >= 0, that is Phi(-sqrt(2) y) (Cody 1969)."""
     y = np.minimum(y, _ERFC_CLIP)
-    yb = np.maximum(y, 4.0)  # the last range's variable, finite where it goes unused
-    r = 1.0 / (yb * yb)
-    small, mid, big = _ratios(_CODY, y, r)
-    big = (0.5 / math.sqrt(math.pi) - r * big) / yb
+    n = len(y)
+    big = y > 4.0
+    if np.count_nonzero(big):
+        yb = y[big]
+        r = 1.0 / (yb * yb)
+        nd = _polynomials(_CODY, y, r)
+        small, tail = nd[:2, :n] / nd[3:5, :n]
+        tail[big] = (_HALF_RSQRT_PI - r * (nd[2, n:] / nd[5, n:])) / yb
+    else:
+        nd = _polynomials(_CODY, y)
+        small, tail = nd[:2, :n] / nd[3:5, :n]
     # e^(-y^2) in one factor: y = |x| / sqrt(2) is rounded already, so Cody's split buys nothing
-    tail = np.exp(-y * y) * np.where(y <= 4.0, mid, big)
+    tail *= np.exp(-y * y)
     return np.where(y <= 0.46875, 0.5 - y * small, tail)
 
 
 def ndtr(x: np.ndarray) -> np.ndarray:
-    """The standard normal distribution function Phi, elementwise."""
+    """The standard normal distribution function Phi, elementwise over a 1-D array."""
     h = _half_erfc(_SQRT_HALF * np.abs(x))
     return np.where(x < 0.0, h, 1.0 - h)
 
 
 def _lower_ndtri(q: np.ndarray) -> np.ndarray:
     """Phi^-1(q) for q <= 1/2 (Wichura 1988); q below tiny counts as tiny, so 0 stays finite."""
-    q = np.maximum(q, _TINY)
+    n = len(q)
     c = q - 0.5
-    t = np.sqrt(-np.log(q))
-    central, near, far = _ratios(_WICHURA, 0.180625 - c * c, t - 1.6, t - 5.0)
-    return np.where(q >= 0.075, c * central, np.where(t <= 5.0, near, far))
+    tail = q < 0.075
+    t = np.sqrt(-np.log(np.maximum(q[tail], _TINY)))
+    m = n + len(t)  # the tail's points end here
+    far = t > 5.0
+    variables = [0.180625 - c * c, t - 1.6]
+    if np.count_nonzero(far):
+        variables.append(t[far] - 5.0)
+    nd = _polynomials(_WICHURA, *variables)
+    x = c * (nd[0, :n] / nd[3, :n])
+    near = nd[1, n:m] / nd[4, n:m]
+    if len(variables) == 3:
+        near[far] = nd[2, m:] / nd[5, m:]
+    x[tail] = near
+    return x
 
 
 def ndtri(p: np.ndarray) -> np.ndarray:
@@ -268,6 +293,14 @@ def lattice(n: int, dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def _points(n: int, dim: int) -> np.ndarray:
+    """The unshifted lattice points k z / n, k = 0..n-1, one row per coordinate (read-only)."""
+    points = np.multiply.outer(lattice(n, dim), np.arange(n)) % n / n
+    points.setflags(write=False)
+    return points
+
+
+@functools.lru_cache(maxsize=64)
 def lattice_size(evaluations: int) -> int:
     """Points per shifted lattice: the largest prime up to evaluations / REPLICATES
     and MAX_LATTICE, or 1.
@@ -295,7 +328,8 @@ def _periodise(x: np.ndarray) -> tuple:
     sq = head * head
     u = np.empty_like(x)
     u[:SMOOTHED] = sq * head * (10.0 + head * (6.0 * head - 15.0))
-    u[SMOOTHED:] = 1.0 - np.abs(2.0 * x[SMOOTHED:] - 1.0)
+    if len(x) > SMOOTHED:
+        u[SMOOTHED:] = 1.0 - np.abs(2.0 * x[SMOOTHED:] - 1.0)
     weight = np.multiply.reduce(30.0 * sq * np.square(1.0 - head), axis=0)
     return u, weight
 
@@ -313,7 +347,7 @@ def orthant_probability(gram: np.ndarray, evaluations: int, seed: int) -> tuple:
     if dim == 0:
         return 0.5, PHI_ERROR
     n = lattice_size(evaluations)
-    base = np.multiply.outer(lattice(n, dim), np.arange(n)) % n / n  # the unshifted points
+    base = _points(n, dim)
     shifts_count = max(REPLICATES, evaluations // MAX_LATTICE)
     shifts = np.random.default_rng(seed).random((shifts_count, dim)).T
     sums = np.empty(shifts_count)

@@ -39,6 +39,25 @@ def deck_dets(A: SymmetricMatrix) -> list:
     return sorted(float(np.linalg.det(card.entries)) for card in deck(A))
 
 
+def signed_cycle_near_miss(weights, diagonal):
+    """(A, B): the weighted cycle C_n (edge (i, i+1) of weight weights[i], the given
+    diagonal) and the same cycle with the sign of edge (0, 1) flipped; the identity
+    sigmas pair them.
+
+    Every card is a weighted path, a tree, so B's card is A's conjugated by a
+    +-1 diagonal and has the same spectrum, yet no permutation maps one onto
+    the other. Only the Hamiltonian-cycle term of det changes:
+    det A - det B = (-1)^(n+1) 4 prod(w_e) (Harary 1953; Zaslavsky 1982).
+    """
+    n = len(weights)
+    a = np.diag(np.asarray(diagonal, dtype=float))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = weights[i]
+    b = a.copy()
+    b[0, 1] = b[1, 0] = -weights[0]
+    return SymmetricMatrix(a), SymmetricMatrix(b)
+
+
 def path_adjacency(n: int) -> SymmetricMatrix:
     a = np.zeros((n, n))
     for i in range(n - 1):

@@ -50,6 +50,43 @@ def equicorrelated_gram(d):
     return g @ g.T
 
 
+def _around(*values):
+    """Each value and its two floating-point neighbours."""
+    return np.concatenate([[np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)] for v in values])
+
+
+def _signed(magnitudes):
+    return np.concatenate([-magnitudes[::-1], magnitudes])
+
+
+def _mixed(*parts):
+    return np.random.default_rng(0).permutation(np.concatenate(parts))
+
+
+# Cody's ranges in y = |x| / sqrt(2): small up to 0.46875, mid up to 4, tail beyond,
+# clipped to 27 (only the first and last points of a range can round across a breakpoint)
+_SMALL = _signed(np.linspace(0.0, 0.66, 500))
+_MID = _signed(np.linspace(0.67, 5.65, 500))
+_TAIL = _signed(np.linspace(5.66, 37.0, 500))
+CDF_RANGES = {
+    "small": _SMALL, "mid": _MID, "tail": _TAIL,
+    "clipped": _signed(np.geomspace(38.2, 1e300, 500)),
+    "mixed": _mixed(_SMALL, _MID, _TAIL),
+    "breakpoints": _mixed(_around(*(s * 0.46875 * math.sqrt(2.0) for s in (-1, 1)),
+                                  *(s * 4.0 * math.sqrt(2.0) for s in (-1, 1)))),
+}
+# Wichura's ranges in q = min(p, 1 - p): central down to 0.075, near tail down to
+# q = e^-25 (t = sqrt(-log q) = 5), far tail below
+_CENTRAL = np.linspace(0.075, 0.9249, 1001)
+_NEAR = np.concatenate([np.geomspace(1.4e-11, 0.0749, 400), 1.0 - np.geomspace(1e-10, 0.0749, 100)])
+_FAR = np.concatenate([np.geomspace(1e-300, 1.3e-11, 450), 1.0 - np.geomspace(1e-15, 1e-11, 50)])
+INVERSE_RANGES = {
+    "central": _CENTRAL, "near": _NEAR, "far": _FAR,
+    "mixed": _mixed(_CENTRAL, _NEAR, _FAR),
+    "breakpoints": _mixed(_around(0.075, 0.925, math.exp(-25.0))),
+}
+
+
 class TestNormal:
     def test_cdf_matches_scipy(self):
         x = np.linspace(-37.0, 37.0, 200_001)
@@ -57,6 +94,16 @@ class TestNormal:
         assert np.max(np.abs(got - want)) <= 4e-16
         positive = want > 0.0
         assert np.max(np.abs(got - want)[positive] / want[positive]) <= 1e-13
+
+    @pytest.mark.parametrize("size", [1, 2, 1001])
+    @pytest.mark.parametrize("name", sorted(CDF_RANGES))
+    def test_cdf_matches_scipy_range_by_range(self, name, size):
+        # every point in one of Cody's ranges, so each skipped range is skipped, or mixed
+        x = CDF_RANGES[name][:size]
+        got, want = ndtr(x), special.ndtr(x)
+        assert np.max(np.abs(got - want)) <= 4e-16
+        if name != "clipped":  # past the clip scipy's values are subnormal
+            assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_cdf_saturates_without_warnings(self):
         low = ndtr(np.array([-np.inf, -1e300, -40.0]))
@@ -66,6 +113,15 @@ class TestNormal:
     def test_inverse_matches_scipy(self):
         p = np.concatenate([np.linspace(1e-12, 1.0 - 1e-12, 100_001),
                             np.logspace(-300, -2, 5000), 1.0 - np.logspace(-15, -2, 500)])
+        got, want = ndtri(p), special.ndtri(p)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("size", [1, 2, 1001])
+    @pytest.mark.parametrize("name", sorted(INVERSE_RANGES))
+    def test_inverse_matches_scipy_range_by_range(self, name, size):
+        # every point in one of Wichura's ranges, so each skipped range is skipped, or mixed
+        p = INVERSE_RANGES[name][:size]
         got, want = ndtri(p), special.ndtri(p)
         assert np.max(np.abs(got - want)) <= 1e-13
         assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-14

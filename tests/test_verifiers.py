@@ -28,7 +28,7 @@ from reconlab.presentation import _ShiftedSpectrum, _spectrum
 from reconlab import verifiers
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
 
-from conftest import complete_bipartite_adjacency, identity_hypomorphism
+from conftest import complete_bipartite_adjacency, identity_hypomorphism, signed_cycle_near_miss
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -148,6 +148,48 @@ class TestGridScaleDefects:
         rep = verify_tutte(A, SymmetricMatrix(flipped), identity_hypomorphism(5),
                            lambda_grid=DEFAULT_GRID + (1000.0,), t_grid=[0.0], force=True)
         assert not rep.passed
+
+
+def _near_miss_weights(n, kind):
+    """(weights, diagonal) of a near miss: unit weights, or one seeded nonzero set."""
+    if kind == "unit":
+        return np.ones(n), np.zeros(n)
+    rng = np.random.default_rng(0)
+    return rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n), rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("kind", ["unit", "seeded"])
+@pytest.mark.parametrize("n", range(5, 13))
+class TestSignedCycleNearMisses:
+    """C_n against C_n with edge (0, 1) negated: every card pair is cospectral, the
+    determinants differ by the Hamiltonian-cycle term alone, and every check must fail."""
+
+    def test_determinants_differ_by_the_cycle_term(self, n, kind):
+        w, diag = _near_miss_weights(n, kind)
+        A, B = signed_cycle_near_miss(w, diag)
+        want = (-1.0) ** (n + 1) * 4.0 * np.prod(w)
+        got = np.linalg.det(A.entries) - np.linalg.det(B.entries)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_gate_residual_is_twice_the_flipped_weight(self, n, kind):
+        w, diag = _near_miss_weights(n, kind)
+        cert = verify_hypomorphism(*signed_cycle_near_miss(w, diag), identity_hypomorphism(n))
+        assert not cert.valid
+        assert cert.worst_residual == 2.0 * abs(w[0])
+
+    def test_forced_verifiers_fail(self, n, kind):
+        w, diag = _near_miss_weights(n, kind)
+        A, B = signed_cycle_near_miss(w, diag)
+        sigma = identity_hypomorphism(n)
+        assert not verify_tutte(A, B, sigma, force=True).passed
+        assert not verify_main_theorem(A, B, sigma, force=True).passed
+
+
+@pytest.mark.parametrize("kind", ["unit", "seeded"])
+@pytest.mark.parametrize("n", range(5, 10))  # SEARCH_CAP = 9
+def test_search_finds_no_certificate_for_a_near_miss(n, kind):
+    w, diag = _near_miss_weights(n, kind)
+    assert find_hypomorphism(*signed_cycle_near_miss(w, diag)) is None
 
 
 class TestEq1:
