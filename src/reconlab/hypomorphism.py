@@ -85,8 +85,6 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
 def _match_submatrix(a: np.ndarray, b: np.ndarray, atol: float) -> Optional[Permutation]:
     """First permutation (in backtracking order) with b[s(k), s(l)] = a[k, l], else None."""
     m = a.shape[0]
-    if m == 0:
-        return Permutation(())
     # cheap global prunes: sorted row sums, then sorted spectra
     if np.max(np.abs(np.sort(a.sum(axis=1)) - np.sort(b.sum(axis=1)))) > max(atol, 1e-9):
         return None

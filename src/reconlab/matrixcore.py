@@ -33,7 +33,12 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Real symmetric n x n matrix. Asymmetric or non-finite input is rejected, not repaired."""
+    """Real symmetric n x n matrix; asymmetric (beyond tolerance) or non-finite input is rejected.
+
+    Input within the asymmetry tolerance is stored as its lower triangle
+    mirrored, the triangle np.linalg.eigh reads, so every consumer sees one
+    exactly symmetric matrix. Exactly symmetric input is stored unchanged.
+    """
 
     entries: np.ndarray
 
@@ -50,6 +55,8 @@ class SymmetricMatrix:
         asym = float(np.max(np.abs(a - a.T)))
         if asym > tol:
             raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
+        if asym > 0.0:
+            a = np.where(np.tri(a.shape[0], dtype=bool), a, a.T)
         object.__setattr__(self, "entries", _frozen_array(a))
 
     @property
@@ -113,11 +120,8 @@ def deck(A: SymmetricMatrix) -> list:
     A = as_matrix(A)
     if A.n < 2:
         raise DegenerateOrder("deck requires order >= 2")
-    cards = []
-    for i in range(A.n):
-        sub = np.delete(np.delete(A.entries, i, axis=0), i, axis=1)
-        cards.append(SymmetricMatrix(sub))
-    return cards
+    keep = leave_one_out(A.n)
+    return [SymmetricMatrix(card) for card in A.entries[keep[:, :, None], keep[:, None, :]]]
 
 
 def shifted_det_grid(A: SymmetricMatrix, lams, ts) -> np.ndarray:

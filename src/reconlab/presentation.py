@@ -59,8 +59,7 @@ class Presentation:
         return self.columns.shape[1]
 
     def gram(self) -> SymmetricMatrix:
-        g = self.columns.T @ self.columns
-        return SymmetricMatrix(0.5 * (g + g.T))
+        return SymmetricMatrix(self.columns.T @ self.columns)
 
 
 class GoodPositionReason(enum.Enum):
@@ -95,13 +94,6 @@ def _eigh_psd(A: SymmetricMatrix) -> tuple:
     if spec.mu[0] < -tol:
         raise NotPositiveSemidefinite(f"min eigenvalue {spec.mu[0]:.3e} below -{tol:.3e}")
     return spec.mu, spec.q
-
-
-def require_positive_definite(A: SymmetricMatrix) -> None:
-    w = np.linalg.eigvalsh(A.entries)
-    tol = REL_TOL * scale(A.entries)
-    if w[0] < tol:
-        raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} below PD tolerance {tol:.3e}")
 
 
 def factor_presentation(A: SymmetricMatrix) -> Presentation:
@@ -166,7 +158,7 @@ def project_origin(U: Presentation) -> PerturbationPath:
     way, are evaluated and must agree; disagreement signals ill conditioning.
     """
     A = U.gram()
-    require_positive_definite(A)
+    _require_pd(A, 0.0)
     ones = np.ones(U.n)
     x = np.linalg.solve(A.entries, ones)
     denom = float(ones @ x)
@@ -249,15 +241,20 @@ def _spectrum(A: SymmetricMatrix) -> _ShiftedSpectrum:
     return spec
 
 
+def _require_pd(A: SymmetricMatrix, lam: float) -> _ShiftedSpectrum:
+    """A's kept spectrum, raising unless A + lam I is positive definite (the pd_bound rule)."""
+    spec = _spectrum(A)
+    w, tol = spec.pd_bound(lam)
+    if w < tol:
+        raise NotPositiveDefinite(f"min eigenvalue {w:.3e} below PD tolerance {tol:.3e}")
+    return spec
+
+
 def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
     """-1 / (1^T (A + lam*I)^-1 1); requires a finite lam with A + lam*I positive definite."""
     if not math.isfinite(lam):
         raise NotFinite(f"lambda {lam} is not finite")
-    spec = _spectrum(as_matrix(A))
-    w, tol = spec.pd_bound(lam)
-    if w < tol:
-        raise NotPositiveDefinite(f"min eigenvalue {w:.3e} below PD tolerance {tol:.3e}")
-    return float(spec.t(lam))
+    return float(_require_pd(as_matrix(A), lam).t(lam))
 
 
 def lambda0_search(A: SymmetricMatrix) -> float:
@@ -313,7 +310,7 @@ def per1_report(A: SymmetricMatrix) -> InteriorReport:
     verifies U w = u0 and 1^T w = 1, then reads their signs.
     """
     A = as_matrix(A)
-    require_positive_definite(A)
+    _require_pd(A, 0.0)
     ones = np.ones(A.n)
     x = np.linalg.solve(A.entries, ones)
     cond3 = bool(np.min(x) > 0.0)

@@ -227,16 +227,17 @@ def monotonicity_check(cone_inner: Cone, cone_outer: Cone, samples: int = DEFAUL
     return inner.fraction <= outer.fraction + SIGMAS * combined_std_error(inner, outer)
 
 
-def _simplex_coefficients(apex: np.ndarray, points: np.ndarray, target: np.ndarray):
-    """Coefficients alpha with target - apex = sum alpha_i (p_i - apex), or None."""
-    gens = (points - apex).T
-    rhs = target - apex
-    coef, resid, rank, _ = np.linalg.lstsq(gens, rhs, rcond=None)
-    if rank < gens.shape[1]:
+def _affine_weights(vertices: np.ndarray, x: np.ndarray):
+    """(weights w, projection p) of x onto aff(vertices), or None if the vertices are dependent.
+
+    p = v_0 + sum_{i>0} w_i (v_i - v_0) by least squares, w_0 = 1 - sum_{i>0} w_i.
+    """
+    base = vertices[0]
+    directions = (vertices[1:] - base).T
+    sol, _, rank, _ = np.linalg.lstsq(directions, x - base, rcond=None)
+    if rank < directions.shape[1]:
         return None
-    if float(np.linalg.norm(gens @ coef - rhs)) > 1e-9 * scale(np.linalg.norm(rhs)):
-        return None
-    return coef
+    return np.concatenate([[1.0 - float(np.sum(sol))], sol]), base + directions @ sol
 
 
 @dataclass(frozen=True)
@@ -249,14 +250,14 @@ class ComparisonReport:
     margin: float
 
 
-def _verdict(lhs: SolidAngleEstimate, rhs: SolidAngleEstimate):
+def _verdict(lhs: SolidAngleEstimate, rhs: SolidAngleEstimate) -> dict:
     """Strictness of rhs > lhs with a SIGMAS-sigma margin; closer calls are inconclusive."""
     margin = SIGMAS * combined_std_error(lhs, rhs)
     diff = rhs.fraction - lhs.fraction
     strict = diff > margin
     violated = diff < -margin
-    inconclusive = not strict and not violated
-    return strict, inconclusive, violated, margin
+    return dict(strict=strict, inconclusive=not strict and not violated, violated=violated,
+                margin=margin)
 
 
 def comparison_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
@@ -270,30 +271,23 @@ def comparison_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     pts = np.asarray(points, dtype=float)
-    coef = _simplex_coefficients(u, pts, v)
-    if coef is None:
+    affine = _affine_weights(np.vstack([u, pts]), v)
+    if affine is None or (float(np.linalg.norm(affine[1] - v))
+                          > 1e-9 * scale(np.linalg.norm(v - u))):
         raise PreconditionViolated("v is not in the affine span of the simplex at u")
-    if np.min(coef) <= _INTERIOR_TOL or float(np.sum(coef)) >= 1.0 - _INTERIOR_TOL:
+    if np.min(affine[0]) <= _INTERIOR_TOL:
         raise PreconditionViolated("v is not strictly interior to conv({u} U points)")
     lhs_cone = Cone.from_points(u, pts)
     rhs_cone = Cone.from_points(v, pts)
     lhs = angle_fraction(lhs_cone, samples, seed)
     rhs = angle_fraction(rhs_cone, samples, seed + 1)
-    strict, inconclusive, violated, margin = _verdict(lhs, rhs)
-    return ComparisonReport(lhs=lhs, rhs=rhs, strict=strict, inconclusive=inconclusive,
-                            violated=violated, margin=margin)
+    return ComparisonReport(lhs=lhs, rhs=rhs, **_verdict(lhs, rhs))
 
 
 @dataclass(frozen=True)
-class DisplacementReport:
-    lhs: SolidAngleEstimate
-    rhs: SolidAngleEstimate
+class DisplacementReport(ComparisonReport):
     rhs_congruent: SolidAngleEstimate
     gram_residual: float
-    strict: bool
-    inconclusive: bool
-    violated: bool
-    margin: float
 
 
 def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
@@ -317,16 +311,12 @@ def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
         raise PreconditionViolated("u - v is not orthogonal to the u-generators")
 
     # projection of u onto aff(points): affine weights must be strictly positive
-    k = pts.shape[0]
-    base = pts[0]
-    directions = (pts[1:] - base).T
-    sol, _, rank, _ = np.linalg.lstsq(directions, u - base, rcond=None)
-    if rank < k - 1:
+    affine = _affine_weights(pts, u)
+    if affine is None:
         raise PreconditionViolated("affine hull of points is degenerate")
-    weights = np.concatenate([[1.0 - float(np.sum(sol))], sol])
+    weights, u0 = affine
     if np.min(weights) <= _INTERIOR_TOL:
         raise PreconditionViolated("projection of u is not interior to conv(points)")
-    u0 = base + directions @ sol
 
     lhs_cone = Cone.from_points(u, pts)
     rhs_cone = Cone.from_points(v, pts)
@@ -344,10 +334,9 @@ def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
     gram_residual = float(np.max(np.abs(gram_v - gram_vp)))
     rhs_congruent = angle_fraction(Cone.from_points(vprime, pts, ambient_dim=d), samples, seed + 2)
 
-    strict, inconclusive, violated, margin = _verdict(rhs, lhs)  # expects lhs > rhs
     return DisplacementReport(lhs=lhs, rhs=rhs, rhs_congruent=rhs_congruent,
-                              gram_residual=gram_residual, strict=strict,
-                              inconclusive=inconclusive, violated=violated, margin=margin)
+                              gram_residual=gram_residual,
+                              **_verdict(rhs, lhs))  # expects lhs > rhs
 
 
 @dataclass(frozen=True)

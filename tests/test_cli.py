@@ -13,7 +13,7 @@ from reconlab.matrixcore import Permutation, SymmetricMatrix
 from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
 from reconlab.verifiers import DEFAULT_GRID
 
-from conftest import identity_hypomorphism, path_adjacency
+from conftest import CARD_SCALE_RAW, identity_hypomorphism, path_adjacency
 
 
 @pytest.fixture
@@ -110,6 +110,14 @@ class TestDeck:
         cards = envelope["report"]["deck"]
         assert len(cards) == 3 and cards[0]["n"] == 2
         assert "seed" not in envelope and "samples" not in envelope
+
+    def test_subtolerance_asymmetry_is_accepted(self, tmp_path, capsys):
+        # each card used to be checked at its own smaller scale and exit 2
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 3, "entries": CARD_SCALE_RAW.tolist()}))
+        code, out, _ = run_cli(capsys, "deck", "--matrix", str(path))
+        assert code == 0
+        assert len(json.loads(out)["report"]["deck"]) == 3
 
     def test_nan_entry_is_input_error(self, tmp_path, capsys):
         # json.load accepts the NaN literal, so the matrix type must reject it
@@ -227,6 +235,15 @@ class TestVerifyGeometry:
                                "--samples", "60000")
         assert code == 0
         assert json.loads(out)["samples"] == 50_000
+
+    # the README example: one d = 2 cone (seed 24303) lies 4.38 standard errors
+    # from its closed form, as a 32-shift spread (t with 31 degrees of freedom)
+    # does more often than SIGMAS = 4 allows for a Gaussian
+    @pytest.mark.xfail(strict=True, reason="exact_vs_monte_carlo: 49 passed, 1 failed")
+    def test_default_run_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-geometry", "--deterministic")
+        assert json.loads(out)["report"]["tallies"]["exact_vs_monte_carlo"]["failed"] == 0
+        assert code == 0
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "verify-geometry", "--count", "1", "--seed", "9",

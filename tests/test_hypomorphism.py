@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from reconlab import (
     Hypomorphism,
-    NotSymmetric,
     Permutation,
     SearchTooLarge,
     SymmetricMatrix,
@@ -24,6 +23,7 @@ from reconlab.hypomorphism import EXACT_TOL, cycle_adjacency, cycle_pair_corpus
 from reconlab.matrixcore import scale
 
 from conftest import (
+    CARD_SCALE_RAW,
     complete_adjacency,
     deck_dets,
     identity_hypomorphism,
@@ -135,24 +135,18 @@ class TestVerify:
         assert valid_seen > 40 and failing_seen > 40
 
     def test_card_scale_does_not_tighten_symmetry(self):
-        # asymmetry 5e-8 is within 1e-10 * 1000, the tolerance at A's own scale;
-        # the card that deletes row 0 has scale 1, where it would not be
-        A = SymmetricMatrix([[0.0, 1000.0, 0.0], [1000.0, 0.0, 0.5], [0.0, 0.5 + 5e-8, 0.0]])
+        A = SymmetricMatrix(CARD_SCALE_RAW)
         cert = verify_hypomorphism(A, A, identity_hypomorphism(3))
         assert cert.valid and cert.worst_residual == 0.0 and cert.failing_index is None
         assert verify_tutte(A, A, identity_hypomorphism(3)).passed
 
-    # deck() rebuilds each card as a SymmetricMatrix, whose asymmetry tolerance is
-    # relative to the card's own scale; deck slices validated once would mend it
-    @pytest.mark.xfail(strict=True, raises=NotSymmetric,
-                       reason="each deck card is validated at its own smaller scale")
+    # the stored matrix is exactly symmetric, so no card can fail its own check
     @pytest.mark.parametrize("call", [
         pytest.param(lambda A: len(deck(A)) == 3, id="deck"),
         pytest.param(lambda A: find_hypomorphism(A, A) is not None, id="find_hypomorphism"),
     ])
     def test_card_scale_does_not_tighten_deck_symmetry(self, call):
-        A = SymmetricMatrix([[0.0, 1000.0, 0.0], [1000.0, 0.0, 0.5], [0.0, 0.5 + 5e-8, 0.0]])
-        assert call(A)
+        assert call(SymmetricMatrix(CARD_SCALE_RAW))
 
 
 class TestFind:

@@ -16,7 +16,7 @@ from reconlab import (
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
 from reconlab.matrixcore import leave_one_out, shifted_det_grid
 
-from conftest import deck_dets, path_adjacency, symmetric_matrices
+from conftest import CARD_SCALE_RAW, deck_dets, path_adjacency, symmetric_matrices
 
 
 def det_cofactor(a: np.ndarray) -> float:
@@ -39,6 +39,21 @@ class TestSymmetricMatrix:
     def test_accepts_subtolerance_noise(self):
         a = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
         assert SymmetricMatrix(a).n == 2
+
+    def test_subtolerance_noise_stores_the_lower_triangle_mirrored(self):
+        stored = SymmetricMatrix(CARD_SCALE_RAW).entries
+        assert np.array_equal(stored, stored.T)
+        mirrored = np.tril(CARD_SCALE_RAW) + np.tril(CARD_SCALE_RAW, -1).T
+        np.testing.assert_array_equal(stored, mirrored)
+        # eigh reads the lower triangle, so the stored matrix decomposes bit for bit alike
+        for got, raw in zip(np.linalg.eigh(stored), np.linalg.eigh(CARD_SCALE_RAW)):
+            assert got.tobytes() == raw.tobytes()
+
+    def test_exactly_symmetric_input_keeps_its_bytes(self, rng):
+        w = rng.standard_normal((6, 6))
+        a = w + w.T
+        a[0, 1] = a[1, 0] = -0.0
+        assert SymmetricMatrix(a).entries.tobytes() == a.tobytes()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
@@ -76,6 +91,23 @@ class TestDeck:
     def test_too_small(self):
         with pytest.raises(DegenerateOrder):
             deck(SymmetricMatrix(np.array([[3.0]])))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_row_and_column_deletion(self, n, rng):
+        w = rng.standard_normal((n, n))
+        A = SymmetricMatrix(w + w.T)
+        cards = deck(A)
+        assert len(cards) == n
+        for i, card in enumerate(cards):
+            ref = np.delete(np.delete(A.entries, i, axis=0), i, axis=1)
+            assert card.entries.tobytes() == ref.tobytes()
+            assert card.entries.flags.c_contiguous and not card.entries.flags.writeable
+
+    def test_card_scale_matrix(self):
+        cards = deck(SymmetricMatrix(CARD_SCALE_RAW))
+        assert len(cards) == 3
+        # card 0 keeps rows 1 and 2, whose lower-triangle entry is 0.5 + 5e-8
+        np.testing.assert_array_equal(cards[0].entries, [[0.0, 0.5 + 5e-8], [0.5 + 5e-8, 0.0]])
 
 
 @pytest.mark.parametrize("n", range(2, 10))

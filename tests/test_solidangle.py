@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,7 +29,7 @@ from reconlab import (
 )
 from reconlab.orthant import (CHUNK_POINTS, PHI_ERROR, REPLICATES, lattice_size,
                               orthant_probability)
-from reconlab.solidangle import SAMPLES_PER_POINT
+from reconlab.solidangle import SAMPLES_PER_POINT, ComparisonReport
 
 
 def quadrant():
@@ -375,12 +376,16 @@ class TestComparison:
         assert not rep.violated  # strict or inconclusive are both acceptable here
 
     def test_interiority_enforced(self):
-        with pytest.raises(PreconditionViolated):
+        interior = "not strictly interior"
+        with pytest.raises(PreconditionViolated, match=interior):
             comparison_check(np.zeros(2), np.eye(2), np.array([0.7, 0.7]))  # sum >= 1
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match=interior):
             comparison_check(np.zeros(2), np.eye(2), np.array([-0.1, 0.5]))
-        with pytest.raises(PreconditionViolated):
+        span = "not in the affine span"
+        with pytest.raises(PreconditionViolated, match=span):
             comparison_check(np.zeros(3), np.eye(3)[:2], np.array([0.2, 0.2, 0.5]))
+        with pytest.raises(PreconditionViolated, match=span):  # affinely dependent simplex
+            comparison_check(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0.5, 0.0]))
 
     def test_random_3d_instances_strict(self, rng):
         for _ in range(10):
@@ -416,6 +421,21 @@ class TestDisplacement:
     def test_orthogonality_enforced(self):
         with pytest.raises(PreconditionViolated):
             displacement_check(np.zeros(3), np.eye(3)[:2], np.array([0.5, 0.0, 1.0]))
+
+    def test_projection_must_be_interior_to_a_nondegenerate_hull(self):
+        lift = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(PreconditionViolated, match="affine hull of points is degenerate"):
+            displacement_check(np.zeros(3), np.array([[1.0, 0.0, 0.0]] * 2), lift)
+        u = np.array([2.0, -1.0, 0.0])  # projects to 2 e1 - e2 on the line through e1, e2
+        with pytest.raises(PreconditionViolated, match="projection of u is not interior"):
+            displacement_check(u, np.eye(3)[:2], u + lift)
+
+    def test_report_extends_the_comparison_report(self):
+        rep = displacement_check(np.zeros(3), np.eye(3)[:2], np.array([0.0, 0.0, 1.0]))
+        assert isinstance(rep, ComparisonReport)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "lhs", "rhs", "strict", "inconclusive", "violated", "margin",
+            "rhs_congruent", "gram_residual"]
 
     def test_lifted_plane_example(self):
         u = np.zeros(3)
