@@ -92,34 +92,31 @@ def _match_submatrix(a: np.ndarray, b: np.ndarray, atol: float) -> Optional[Perm
     if np.max(np.abs(ev_a - ev_b)) > _SPECTRUM_PRUNE_TOL * scale(a, b):
         return None
 
-    rows_a = np.sort(a, axis=1)
-    rows_b = np.sort(b, axis=1)
+    # every (k, cand) fit on the diagonal and on the sorted rows, in one broadcast
+    fits = ((np.abs(np.diag(b) - np.diag(a)[:, None]) <= atol)
+            & (np.abs(np.sort(b, axis=1) - np.sort(a, axis=1)[:, None]).max(axis=2) <= atol))
+    candidates = [[cand for cand, fit in enumerate(row) if fit] for row in fits.tolist()]
+    a, b = a.tolist(), b.tolist()  # the backtracking reads single entries: Python floats
     image = [-1] * m
     used = [False] * m
 
     def extend(k: int) -> bool:
         if k == m:
             return True
-        for cand in range(m):
+        row_a = a[k]
+        for cand in candidates[k]:
             if used[cand]:
                 continue
-            if abs(b[cand, cand] - a[k, k]) > atol:
-                continue
-            if np.max(np.abs(rows_b[cand] - rows_a[k])) > atol:
-                continue
-            ok = True
+            row_b = b[cand]
             for l in range(k):
-                if abs(b[cand, image[l]] - a[k, l]) > atol:
-                    ok = False
+                if abs(row_b[image[l]] - row_a[l]) > atol:
                     break
-            if not ok:
-                continue
-            image[k] = cand
-            used[cand] = True
-            if extend(k + 1):
-                return True
-            image[k] = -1
-            used[cand] = False
+            else:
+                image[k] = cand
+                used[cand] = True
+                if extend(k + 1):
+                    return True
+                used[cand] = False
         return False
 
     return Permutation(tuple(image)) if extend(0) else None

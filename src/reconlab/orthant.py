@@ -115,6 +115,7 @@ _WICHURA = _coefficients(
      5.99832206555887937690e-1, 1.0),
 )
 _CODY[:3] *= 0.5
+_CODY_NEAR = _CODY[[0, 1, 3, 4]]  # the small and mid ranges' rows, for calls with no y > 4
 _WICHURA[1:3] *= -1.0
 
 
@@ -122,11 +123,12 @@ def _polynomials(coefs: np.ndarray, *variables: np.ndarray) -> np.ndarray:
     """Every row of coefs at every point of the variables, strung together in order.
 
     Each range's variable runs over that range's points only, and the caller
-    reads the range's numerator (row k) and denominator (row k + 3) at those
-    points. The powers come by repeated doubling and one matrix product
-    evaluates every polynomial. A lone point is evaluated twice, because BLAS
-    takes its matrix-vector route for a single column and sums in another
-    order there: a value must not depend on the points beside it.
+    reads the range's numerator (row k) and denominator (the row half the
+    table below it) at those points. The powers come by repeated doubling
+    and one matrix product evaluates every polynomial. A lone point is
+    evaluated twice, because BLAS takes its matrix-vector route for a single
+    column and sums in another order there: a value must not depend on the
+    points beside it.
 
     The powers and the values share one allocation: as two, the allocator
     could hand the heap's top back to the kernel between calls, and a
@@ -153,18 +155,18 @@ def _polynomials(coefs: np.ndarray, *variables: np.ndarray) -> np.ndarray:
 
 def _half_erfc(y: np.ndarray) -> np.ndarray:
     """erfc(y) / 2 for y >= 0, that is Phi(-sqrt(2) y) (Cody 1969)."""
-    y = np.minimum(y, _ERFC_CLIP)
     n = len(y)
     big = y > 4.0
     if np.count_nonzero(big):
+        y = np.minimum(y, _ERFC_CLIP)
         yb = y[big]
         r = 1.0 / (yb * yb)
         nd = _polynomials(_CODY, y, r)
         small, tail = nd[:2, :n] / nd[3:5, :n]
         tail[big] = (_HALF_RSQRT_PI - r * (nd[2, n:] / nd[5, n:])) / yb
-    else:
-        nd = _polynomials(_CODY, y)
-        small, tail = nd[:2, :n] / nd[3:5, :n]
+    else:  # the usual case: only the small and mid rows, and no clip below y = 4
+        nd = _polynomials(_CODY_NEAR, y)
+        small, tail = nd[:2, :n] / nd[2:, :n]
     # e^(-y^2) in one factor: y = |x| / sqrt(2) is rounded already, so Cody's split buys nothing
     tail *= np.exp(-y * y)
     return np.where(y <= 0.46875, 0.5 - y * small, tail)

@@ -59,7 +59,12 @@ class Presentation:
         return self.columns.shape[1]
 
     def gram(self) -> SymmetricMatrix:
-        return SymmetricMatrix(self.columns.T @ self.columns)
+        """U^T U, built at the first call and kept, so its spectrum is decomposed once."""
+        g = getattr(self, "_gram", None)
+        if g is None:
+            g = SymmetricMatrix(self.columns.T @ self.columns)
+            object.__setattr__(self, "_gram", g)
+        return g
 
 
 class GoodPositionReason(enum.Enum):
@@ -186,7 +191,9 @@ class _ShiftedSpectrum:
     shift. The smallest and largest diagonal entries and the largest
     off-diagonal magnitude of A give scale(A + lam I) exactly without forming
     the shifted matrix. The arrays are read-only, since every caller of
-    `_spectrum(A)` shares them.
+    `_spectrum(A)` shares them. A lambda0 probe is numpy's per-call overhead
+    around one small product, so c and mu are also kept as column views and
+    `certified` enters np.errstate only near overflow.
     """
 
     def __init__(self, A: SymmetricMatrix):
@@ -196,6 +203,8 @@ class _ShiftedSpectrum:
         self.c_sq = self.c ** 2
         for kept in (self.mu, self.q, self.c, self.c_sq):
             kept.setflags(write=False)
+        self.c_col, self.mu_col = self.c[:, None], self.mu[:, None]
+        self.mu_peak = float(np.max(np.abs(self.mu)))
         diag = np.diag(a)
         self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
         off = np.abs(a)
@@ -212,7 +221,7 @@ class _ShiftedSpectrum:
 
     def inverse_ones(self, lams) -> np.ndarray:
         """(A + lam I)^-1 1 as column k for the k-th shift in lams."""
-        return self.q @ (self.c[:, None] / (self.mu[:, None] + np.asarray(lams, dtype=float)))
+        return self.q @ (self.c_col / (self.mu_col + np.asarray(lams, dtype=float)))
 
     def t(self, lams) -> np.ndarray:
         """t(lam) = -1 / (1^T (A + lam I)^-1 1) = -1 / sum_i c_i^2 / (mu_i + lam), per shift."""
@@ -225,9 +234,15 @@ class _ShiftedSpectrum:
         w, tol = self.pd_bound(lam)
         if w < tol:
             return False
-        # an overflowing mu + p gives x = 0, which fails the margin like any small x
-        with np.errstate(over="ignore"):
-            x = self.inverse_ones((lam, 2.0 * lam, 10.0 * lam))
+        probes = np.array((lam, 2.0 * lam, 10.0 * lam))
+        # with lam >= 0, |mu + p| <= max |mu| + 10 lam, and mu + p >= w >= tol keeps
+        # c / (mu + p) small: no step of the probe can overflow
+        if lam >= 0.0 and math.isfinite(self.mu_peak + 10.0 * lam):
+            x = self.inverse_ones(probes)
+        else:
+            # an overflowing mu + p gives x = 0, which fails the margin like any small x
+            with np.errstate(over="ignore"):
+                x = self.inverse_ones(probes)
         # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
         return bool(x.min() >= POS_MARGIN / self.scale)
 
@@ -271,7 +286,7 @@ def lambda0_search(A: SymmetricMatrix) -> float:
     spec = _spectrum(as_matrix(A))
     if spec.lambda0 is not None:
         return spec.lambda0
-    hi = float(np.max(np.abs(spec.mu))) + 1.0
+    hi = spec.mu_peak + 1.0
     doublings = 0
     while True:
         if not math.isfinite(10.0 * hi):  # an infinite probe never certifies

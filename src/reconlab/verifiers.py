@@ -223,15 +223,19 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     # w[s, k] ascending, v[s, k][:, 0] its lowest eigenvector, for side s (A, B) at t_k
     shift = sampled[:, None, None] * np.ones((A.n, A.n))
     w, v = np.linalg.eigh(np.stack([A.entries + shift, B.entries + shift]))
+    lowest = w[:, :, 0].tolist()
+    gaps = (w[:, :, 1] - w[:, :, 0]).tolist()
+    scales = np.maximum(np.abs(w).max(axis=(0, 2)), 1.0).tolist()  # scale(w[0, k], w[1, k])
+    # the alignment stays one dot per sample: a stacked product sums in another order
     samples = tuple(LowestEigenSample(
-        t=float(t),
-        lambda_n_a=float(w[0, k, 0]),
-        lambda_n_b=float(w[1, k, 0]),
-        eigengap_a=float(w[0, k, 1] - w[0, k, 0]),
-        eigengap_b=float(w[1, k, 1] - w[1, k, 0]),
+        t=t,
+        lambda_n_a=lowest[0][k],
+        lambda_n_b=lowest[1][k],
+        eigengap_a=gaps[0][k],
+        eigengap_b=gaps[1][k],
         eigvec_alignment=float(abs(v[0, k, :, 0] @ v[1, k, :, 0])),
-        scale=scale(w[0, k], w[1, k]),
-    ) for k, t in enumerate(sampled))
+        scale=scales[k],
+    ) for k, t in enumerate(sampled.tolist()))
     ok = all(
         abs(s.lambda_n_a - s.lambda_n_b) <= EIG_TOL * s.scale
         and s.eigengap_a > GAP_TOL * s.scale

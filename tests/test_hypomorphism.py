@@ -207,6 +207,94 @@ class TestFind:
         assert cert.valid == found and cert.tol == EXACT_TOL * scale(A.entries, B_near.entries)
 
 
+def reference_match_submatrix(a, b, atol):
+    """The per-card search tested fit by fit on numpy entries: the same prunes, then
+    each (k, cand) fit checked at the node where the backtracking reaches it."""
+    m = a.shape[0]
+    if np.max(np.abs(np.sort(a.sum(axis=1)) - np.sort(b.sum(axis=1)))) > max(atol, 1e-9):
+        return None
+    ev_a, ev_b = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    if np.max(np.abs(ev_a - ev_b)) > hypomorphism._SPECTRUM_PRUNE_TOL * scale(a, b):
+        return None
+    rows_a, rows_b = np.sort(a, axis=1), np.sort(b, axis=1)
+    image, used = [-1] * m, [False] * m
+
+    def extend(k):
+        if k == m:
+            return True
+        for cand in range(m):
+            if used[cand] or abs(b[cand, cand] - a[k, k]) > atol:
+                continue
+            if np.max(np.abs(rows_b[cand] - rows_a[k])) > atol:
+                continue
+            if any(abs(b[cand, image[l]] - a[k, l]) > atol for l in range(k)):
+                continue
+            image[k], used[cand] = cand, True
+            if extend(k + 1):
+                return True
+            image[k], used[cand] = -1, False
+        return False
+
+    return Permutation(tuple(image)) if extend(0) else None
+
+
+class TestSearchAgainstReference:
+    """The table-driven card search returns the reference's permutation or None on
+    the cards of the atlas graphs on 3-6 vertices."""
+
+    @staticmethod
+    def card_class_tau(g, rng):
+        """A seeded relabelling within the classes of isomorphic cards."""
+        nx = pytest.importorskip("networkx")
+        n = g.number_of_nodes()
+        cards = [g.subgraph([v for v in range(n) if v != i]) for i in range(n)]
+        image, placed = list(range(n)), set()
+        for i in range(n):
+            if i in placed:
+                continue
+            members = [j for j in range(n) if j not in placed
+                       and nx.faster_could_be_isomorphic(cards[i], cards[j])
+                       and nx.is_isomorphic(cards[i], cards[j])]
+            placed.update(members)
+            for v, w in zip(members, rng.permutation(members)):
+                image[v] = int(w)
+        return Permutation(tuple(image))
+
+    @pytest.mark.parametrize("relabelling", ["identity", "card-class", "random"])
+    def test_atlas_graphs_on_3_to_6_vertices(self, relabelling):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(20261019)
+        graphs = [g for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
+        assert len(graphs) == 205
+        found = cards = 0
+        for g in graphs:
+            n = g.number_of_nodes()
+            A = SymmetricMatrix(nx.to_numpy_array(g, nodelist=range(n)))
+            if relabelling == "identity":
+                tau = Permutation.identity(n)
+            elif relabelling == "card-class":
+                tau = self.card_class_tau(g, rng)
+            else:
+                tau = Permutation(tuple(int(v) for v in rng.permutation(n)))
+            B = perm_similarity(A, tau)
+            atol = EXACT_TOL * scale(A.entries, B.entries)
+            deck_a, deck_b = deck(A), deck(B)
+            # card i against card i, as find_hypomorphism pairs them; under the identity
+            # every (i, j), so that isomorphic cards meet under other labellings too
+            pairs = (itertools.product(range(n), repeat=2) if relabelling == "identity"
+                     else zip(range(n), range(n)))
+            for i, j in pairs:
+                a, b = deck_a[i].entries, deck_b[j].entries
+                match = hypomorphism._match_submatrix(a, b, atol)
+                assert match == reference_match_submatrix(a, b, atol), (list(g.edges), tau, i, j)
+                found += match is not None
+            cards += n
+        if relabelling == "card-class":  # every card has an isomorphic partner
+            assert found == cards
+        else:
+            assert found >= 400
+
+
 class TestGenPair:
     def test_rotated_cycle_certified(self):
         rec = Graph6Record(n=5, adjacency=cycle_adjacency(5).entries.astype(int))

@@ -401,6 +401,47 @@ class TestSpectralAgainstSolve:
         assert spec.certified(lam)
 
 
+def reference_certified(spec, lam):
+    """The certificate with no fast path: every probe under np.errstate, the three
+    shifts passed as a tuple and c and mu reshaped at each call."""
+    w, tol = spec.pd_bound(lam)
+    if w < tol:
+        return False
+    with np.errstate(over="ignore"):
+        lams = np.asarray((lam, 2.0 * lam, 10.0 * lam), dtype=float)
+        x = spec.q @ (spec.c[:, None] / (spec.mu[:, None] + lams))
+    return bool(x.min() >= POS_MARGIN / spec.scale)
+
+
+class TestProbeAgainstReference:
+    """lambda0_search returns, bit for bit, what it returns with the reference probe."""
+
+    @staticmethod
+    def assert_same_lambda0(monkeypatch, arrays):
+        # a fresh SymmetricMatrix per search, so that no kept lambda0 is read
+        lean = [lambda0_search(SymmetricMatrix(a)).hex() for a in arrays]
+        with monkeypatch.context() as patched:
+            patched.setattr(_ShiftedSpectrum, "certified", reference_certified)
+            reference = [lambda0_search(SymmetricMatrix(a)).hex() for a in arrays]
+        assert lean == reference
+
+    @pytest.mark.parametrize("factor", [1e-8, 1.0, 1e3, 1e9, 1e13])
+    def test_atlas_graphs_on_3_to_6_vertices(self, monkeypatch, factor):
+        nx = pytest.importorskip("networkx")
+        arrays = [factor * nx.to_numpy_array(g)
+                  for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
+        assert len(arrays) == 205
+        self.assert_same_lambda0(monkeypatch, arrays)
+
+    def test_random_symmetric_matrices(self, monkeypatch):
+        rng = np.random.default_rng(20261019)
+        arrays = []
+        for _ in range(200):
+            w = rng.standard_normal((int(rng.integers(2, 10)),) * 2)
+            arrays.append(10.0 ** rng.uniform(-6.0, 12.0) * (w + w.T))
+        self.assert_same_lambda0(monkeypatch, arrays)
+
+
 def exact_inverse_ones(adjacency, lam):
     """x with (A + lam I) x = 1 by Gauss-Jordan elimination over the rationals; None if singular."""
     n = len(adjacency)
