@@ -18,6 +18,7 @@ from .errors import DrawFailed
 from .matrixcore import REL_TOL, SymmetricMatrix, scale
 from .presentation import (
     Presentation,
+    _spectrum,
     factor_presentation,
     good_position_report,
     per1_report,
@@ -157,7 +158,7 @@ def _check_t_monotonicity(report: SuiteReport, rng: np.random.Generator, n: int)
     psd = random_pd_matrix(rng, n)
     indef = random_indefinite_matrix(rng, n)
     for matrix, soft in ((psd, False), (indef, True)):
-        lam_min = float(np.linalg.eigvalsh(matrix.entries)[0])
+        lam_min = float(_spectrum(matrix).mu[0])
         base = max(0.0, -lam_min)
         grid = base + np.array([0.5, 1.0, 2.0, 4.0, 8.0])
         ts = [t_of_lambda(matrix, lam) for lam in grid]

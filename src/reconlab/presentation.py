@@ -6,13 +6,14 @@ has dimension n-1; numerically this is rank(A) = n-1 together with a strictly
 positive kernel vector. Translating a presentation along the projection u0 of
 the origin onto its affine hull realizes the family A + t*J geometrically.
 
-The lambda path (t(lambda), the lambda0 certificate and its search) and the
-PSD factorisations read one eigendecomposition of A per matrix:
-(A + lambda I)^-1 1 = Q (c / (mu + lambda)) with c = Q^T 1, so no shifted
-matrix is factored. It is computed at the first call that needs it and kept
-on the SymmetricMatrix, with lambda0_search's certified result. The kept
-values cannot go stale: the matrix is frozen and its entries are
-write-protected, so they are exactly what a fresh decomposition would give.
+The lambda path (t(lambda), the lambda0 certificate and its search), the
+PSD factorisations and the A^-1 1 of project_origin and per1_report read one
+eigendecomposition of A per matrix: (A + lambda I)^-1 1 = Q (c / (mu + lambda))
+with c = Q^T 1, so no shifted matrix is factored. It is computed at the first
+call that needs it and kept on the SymmetricMatrix, with lambda0_search's
+certified result. The kept values cannot go stale: the matrix is frozen and its
+entries are write-protected, so they are exactly what a fresh decomposition
+would give.
 """
 
 from __future__ import annotations
@@ -161,15 +162,12 @@ def project_origin(U: Presentation) -> PerturbationPath:
 
     Both closed forms, U A^-1 1 / (1^T A^-1 1) and (U^T)^-1 1 scaled the same
     way, are evaluated and must agree; disagreement signals ill conditioning.
+    A^-1 1 is read from the Gram's kept spectrum, (U^T)^-1 1 from an LU solve.
     """
-    A = U.gram()
-    _require_pd(A, 0.0)
-    ones = np.ones(U.n)
-    x = np.linalg.solve(A.entries, ones)
-    denom = float(ones @ x)
-    norm_sq = 1.0 / denom
+    x = _require_pd(U.gram(), 0.0).inverse_ones(0.0)[:, 0]
+    norm_sq = 1.0 / float(x.sum())
     u0 = (U.columns @ x) * norm_sq
-    u0_alt = np.linalg.solve(U.columns.T, ones) * norm_sq
+    u0_alt = np.linalg.solve(U.columns.T, np.ones(U.n)) * norm_sq
     gap = float(np.max(np.abs(u0 - u0_alt)))
     if gap > REL_TOL * scale(u0):
         raise ConsistencyError(f"u0 closed forms disagree by {gap:.3e}")
@@ -320,19 +318,18 @@ class InteriorReport:
 def per1_report(A: SymmetricMatrix) -> InteriorReport:
     """Audit the equivalence 'u0 interior to conv U' <=> 'A^-1 1 positive'.
 
-    cond3 reads the sign of A^-1 1 directly. cond2 re-derives u0's barycentric
-    weights w = A^-1 1 / (1^T A^-1 1) inside a freshly factored presentation,
-    verifies U w = u0 and 1^T w = 1, then reads their signs.
+    cond3 reads the sign of A^-1 1, taken from A's kept spectrum. cond2
+    re-derives u0's barycentric weights w = A^-1 1 / (1^T A^-1 1) inside a
+    freshly factored presentation, verifies U w = u0 and 1^T w = 1, then reads
+    their signs.
     """
     A = as_matrix(A)
-    _require_pd(A, 0.0)
-    ones = np.ones(A.n)
-    x = np.linalg.solve(A.entries, ones)
+    x = _require_pd(A, 0.0).inverse_ones(0.0)[:, 0]
     cond3 = bool(np.min(x) > 0.0)
 
     U = factor_presentation(A)
     path = project_origin(U)
-    w = x / float(ones @ x)
+    w = x / float(x.sum())
     resid = float(np.max(np.abs(U.columns @ w - path.u0)))
     if resid > 1e-8 * scale(path.u0):
         raise ConsistencyError(f"barycentric reconstruction residual {resid:.3e}")

@@ -155,9 +155,8 @@ def _exact_2d(cone: Cone, d: int) -> SolidAngleEstimate:
     return _estimate(angle / (2.0 * math.pi), d, 0.0, 0, AngleMethod.EXACT_2D)
 
 
-def _exact_3d(cone: Cone, d: int) -> SolidAngleEstimate:
-    """Spherical-triangle solid angle (van Oosterom-Strackee), over 4*pi."""
-    q, _ = _span_data(cone)
+def _exact_3d(cone: Cone, q: np.ndarray, d: int) -> SolidAngleEstimate:
+    """Spherical-triangle solid angle (van Oosterom-Strackee), over 4*pi; q is the span basis."""
     g = (q.T @ cone.generators.T).T  # 3 generators in span coordinates
     g = g / np.linalg.norm(g, axis=1)[:, None]
     numer = abs(float(np.linalg.det(g)))
@@ -193,7 +192,7 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
     """
     _require_count("samples", samples, 1)
     _require_count("seed", seed, 0)
-    _, rank = _span_data(cone)
+    q, rank = _span_data(cone)
     d = cone.ambient_dim if cone.ambient_dim is not None else rank
     if rank > d:
         raise DimensionMismatch(f"generators span {rank} dimensions, ambient is {d}")
@@ -203,7 +202,7 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
         if d == 2:
             return _exact_2d(cone, d)
         if d == 3 and cone.k == 3:
-            return _exact_3d(cone, d)
+            return _exact_3d(cone, q, d)
     gram = cone.generators @ cone.generators.T
     fraction, std_error = orthant_probability(gram, -(-samples // SAMPLES_PER_POINT), seed)
     return _estimate(fraction, d, std_error, samples, AngleMethod.MONTE_CARLO)

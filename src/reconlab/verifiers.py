@@ -4,8 +4,9 @@ Every verifier gates on the deck-matching certificate itself (reports must be
 self-certifying); `force=True` bypasses the gate for negative controls. Grid
 verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
 and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
-decides the identity. The default 9-point lam grid (DEFAULT_GRID) does so only for n <= 8;
-larger pairs need a `lambda_grid` (CLI: `--grid-lambda`) of n + 1 points or more.
+decides the identity. The default lam grid is max(9, n + 1) points evenly
+spaced on [-4, 4], so it decides the identity at every n; for n <= 8 it is
+DEFAULT_GRID, which is also the default t grid.
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
@@ -48,13 +49,15 @@ T_SAMPLES = 10  # interior t values the main theorem samples
 DEFAULT_GRID = tuple(np.linspace(-4.0, 4.0, 9))
 
 
-def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism, force: bool):
+def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism, force: bool) -> tuple:
+    """(A, B) as SymmetricMatrix, raising NotHypomorphic unless the certificate holds or force."""
+    A, B = as_matrix(A), as_matrix(B)
     cert = verify_hypomorphism(A, B, sigma)
     if not cert.valid and not force:
         raise NotHypomorphic(
             f"certificate fails at index {cert.failing_index} "
             f"(residual {cert.worst_residual:.3e})")
-    return cert
+    return A, B
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,9 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
         raise DimensionMismatch(f"empty grid ({lams.size} lam values, {ts.size} t values)")
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(ts))):
         raise NotFinite("grid has a non-finite value")
-    A, B = as_matrix(A), as_matrix(B)
-    _gate(A, B, sigma, force)
+    A, B = _gate(A, B, sigma, force)
+    if lambda_grid is None and A.n >= len(DEFAULT_GRID):  # n + 1 values fix a degree-n det
+        lams = np.linspace(-4.0, 4.0, A.n + 1)
     rows = np.append(lams, 0.0) if against_lambda_zero else lams
     with np.errstate(over="ignore", invalid="ignore"):
         da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
@@ -136,8 +140,7 @@ def verify_main2(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     cross-checked against the leave-one-out-volume vector of a fresh
     factorization, so the spectral and geometric routes agree.
     """
-    A, B = as_matrix(A), as_matrix(B)
-    _gate(A, B, sigma, force)
+    A, B = _gate(A, B, sigma, force)
     rep_a = good_position_report(A)
     rep_b = good_position_report(B)
     if not rep_a.is_good or not rep_b.is_good:
@@ -168,8 +171,7 @@ def verify_main1_t_agreement(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypo
     """The singularizing rank-one coefficient must agree on both sides."""
     if not math.isfinite(lam):
         raise NotFinite(f"lambda {lam} is not finite")
-    A, B = as_matrix(A), as_matrix(B)
-    _gate(A, B, sigma, force)
+    A, B = _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
     if lam < lam0:
         raise LambdaTooSmall(f"lambda {lam} below certified threshold {lam0}")
@@ -213,8 +215,7 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     checked: equal lowest eigenvalues, one-dimensionality via the eigengap,
     and colinear lowest eigenvectors by absolute cosine.
     """
-    A, B = as_matrix(A), as_matrix(B)
-    _gate(A, B, sigma, force)
+    A, B = _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
     t_values = _spectrum(A).t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
     # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + 1) / n

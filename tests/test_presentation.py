@@ -26,7 +26,7 @@ from reconlab import (
     t_of_lambda,
     volume_eigenvector,
 )
-from reconlab.geometry_suite import random_good_position_presentation
+from reconlab.geometry_suite import random_good_position_presentation, random_pd_matrix
 from reconlab.hypomorphism import cycle_pair_corpus
 from reconlab.matrixcore import REL_TOL
 from reconlab.presentation import POS_MARGIN, _ShiftedSpectrum, _spectrum
@@ -174,6 +174,43 @@ class TestProjectOrigin:
         U = factor_presentation(EQUILATERAL)
         with pytest.raises(NotPositiveDefinite):
             project_origin(U)
+
+
+def _lu_inverse_ones(A: SymmetricMatrix) -> np.ndarray:
+    """A^-1 1 by an LU solve: an oracle independent of the kept spectrum."""
+    return np.linalg.solve(A.entries, np.ones(A.n))
+
+
+def _rel_gap(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+class TestInverseOnesAgainstLU:
+    """project_origin and per1_report read A^-1 1 from the kept spectrum; an LU solve agrees."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_project_origin(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for _ in range(20):
+            U = factor_presentation(random_pd_matrix(rng, n))
+            path = project_origin(U)
+            x = _lu_inverse_ones(U.gram())
+            norm_sq = 1.0 / float(x.sum())
+            assert _rel_gap(path.u0_norm_sq, norm_sq) <= 1e-12
+            assert _rel_gap(path.u0, (U.columns @ x) * norm_sq) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_per1_report(self, n):
+        rng = np.random.default_rng(3000 + n)
+        for _ in range(20):
+            A = random_pd_matrix(rng, n)
+            rep = per1_report(A)
+            x = _lu_inverse_ones(A)
+            w = x / float(x.sum())
+            assert _rel_gap(rep.weights, w) <= 1e-12
+            assert rep.cond3 == bool(np.min(x) > 0.0)
+            assert rep.cond2 == bool(np.min(w) > 0.0)
 
 
 class TestPerturbation:

@@ -29,6 +29,7 @@ from reconlab import (
 )
 from reconlab.orthant import (CHUNK_POINTS, PHI_ERROR, REPLICATES, lattice_size,
                               orthant_probability)
+from reconlab import solidangle
 from reconlab.solidangle import SAMPLES_PER_POINT, ComparisonReport
 
 
@@ -112,6 +113,19 @@ class TestAngleFraction:
         assert est.fraction == pytest.approx(0.125, abs=1e-15)
         assert est.abs_norm == pytest.approx(math.pi / 6.0)
         assert est.method is AngleMethod.EXACT_3D
+
+    def test_closed_form_3d_takes_one_span_basis(self, rng, monkeypatch):
+        calls, span_data = [], solidangle._span_data
+
+        def counting_span_data(cone):
+            calls.append(cone)
+            return span_data(cone)
+
+        monkeypatch.setattr(solidangle, "_span_data", counting_span_data)
+        for cone in (octant(), Cone(apex=np.zeros(3), generators=rng.standard_normal((3, 3)))):
+            calls.clear()
+            assert angle_fraction(cone).method is AngleMethod.EXACT_3D
+            assert len(calls) == 1
 
     def test_45_degree_cone(self):
         c = Cone(apex=np.zeros(2), generators=np.array([[1.0, 0.0], [1.0, 1.0]]))

@@ -25,6 +25,7 @@ from reconlab import (
 from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus, matrix_pair
 from reconlab.matrixcore import Permutation, scale, shifted_det_grid
 from reconlab.presentation import _ShiftedSpectrum, _spectrum
+from reconlab.serialize import dumps
 from reconlab import verifiers
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
 
@@ -123,6 +124,34 @@ class TestTutte:
                 assert tutte.residuals[i, j] == abs(f)
                 assert eq1.residuals[i, j] == abs(f - f0)
         assert not tutte.passed and not eq1.passed
+
+
+class TestDefaultLambdaGrid:
+    """The default lam grid has max(9, n + 1) points, enough to fix a degree-n determinant."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_is_default_grid_up_to_eight(self, n):
+        A = SymmetricMatrix(np.eye(n))
+        for verifier in (verify_tutte, verify_eq1):
+            assert verifier(A, A, identity_hypomorphism(n)).lambda_grid == DEFAULT_GRID
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_has_n_plus_one_points_past_eight(self, n):
+        A = SymmetricMatrix(np.eye(n))
+        rep = verify_tutte(A, A, identity_hypomorphism(n), t_grid=[0.0])
+        assert rep.lambda_grid == tuple(np.linspace(-4.0, 4.0, n + 1))
+
+    def test_roots_on_the_nine_point_grid_do_not_hide_a_forged_pair(self):
+        # both determinants vanish at every point of DEFAULT_GRID, so nine points
+        # see no difference; the default grid of 12 points for n = 11 does
+        A = SymmetricMatrix(np.diag(DEFAULT_GRID + (5.0, 6.0)))
+        B = SymmetricMatrix(np.diag(DEFAULT_GRID + (5.0, 7.0)))
+        nine = verify_tutte(A, B, identity_hypomorphism(11), lambda_grid=DEFAULT_GRID,
+                            t_grid=[0.0], force=True)
+        assert nine.passed and nine.max_abs_diff == 0.0
+        rep = verify_tutte(A, B, identity_hypomorphism(11), t_grid=[0.0], force=True)
+        assert len(rep.lambda_grid) == 12
+        assert not rep.passed and rep.max_abs_diff > 1e3
 
 
 class TestGridScaleDefects:
@@ -483,3 +512,19 @@ def test_one_spectrum_per_matrix(monkeypatch):
     for M in (A, B):
         lambda0_search(SymmetricMatrix(M.entries.copy()))
     assert len(probed) == probes
+
+
+def test_plain_arrays_give_the_same_reports(c6_pair):
+    # the gate coerces both matrices, so every verifier reads a plain array pair
+    # exactly as it reads the SymmetricMatrix pair
+    A, B, sigma = c6_pair
+    lam = max(lambda0_search(A), lambda0_search(B)) + 1.0
+    shift_a, shift_b = good_position_shift(A, lam), good_position_shift(B, lam)
+    cases = [(verify_tutte, A, B, ()), (verify_eq1, A, B, ()),
+             (verify_main1_t_agreement, A, B, (lam,)), (verify_main_theorem, A, B, ()),
+             (verify_main2, shift_a, shift_b, ())]
+    for verifier, M, N, extra in cases:
+        typed = verifier(M, N, sigma, *extra)
+        plain = verifier(M.entries.copy(), N.entries.copy(), sigma, *extra)
+        assert typed.passed
+        assert dumps(plain) == dumps(typed), verifier.__name__
