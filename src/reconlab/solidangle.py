@@ -113,14 +113,15 @@ class SolidAngleEstimate:
     method: AngleMethod
 
 
-def _span_data(cone: Cone):
-    """(orthonormal basis of span as columns, span rank); raises if dependent."""
-    g = cone.generators.T  # columns are generators
-    u, s, _ = np.linalg.svd(g, full_matrices=False)
+def _span_data(generators: np.ndarray):
+    """(orthonormal basis of the span of the generator rows as columns, span rank);
+    raises if they are dependent."""
+    u, s, _ = np.linalg.svd(generators.T, full_matrices=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > REL_TOL * smax)) if smax > 0 else 0
-    if rank < cone.k:
-        raise NonSimplicialCone(f"{cone.k} generators span only {rank} dimensions")
+    k = generators.shape[0]
+    if rank < k:
+        raise NonSimplicialCone(f"{k} generators span only {rank} dimensions")
     return u[:, :rank], rank
 
 
@@ -130,7 +131,7 @@ def cone_contains(cone: Cone, x) -> bool:
     True iff x lies in the generator span and its unique expansion
     coefficients are all >= -coefTol. Boundary points count as inside.
     """
-    q, rank = _span_data(cone)
+    q, rank = _span_data(cone.generators)
     x = np.asarray(x, dtype=float)
     coords = q.T @ x
     resid = float(np.linalg.norm(x - q @ coords))
@@ -146,18 +147,18 @@ def _estimate(fraction: float, d: int, std_error: float, samples: int,
                               std_error=float(std_error), samples=samples, method=method)
 
 
-def _exact_2d(cone: Cone, d: int) -> SolidAngleEstimate:
+def _exact_2d(generators: np.ndarray, d: int) -> SolidAngleEstimate:
     # planar angle via atan2(|cross|, dot), robust near 0 and pi
-    g1, g2 = cone.generators
+    g1, g2 = generators
     dot = float(g1 @ g2)
     cross_sq = float(g1 @ g1) * float(g2 @ g2) - dot * dot
     angle = math.atan2(math.sqrt(max(cross_sq, 0.0)), dot)
     return _estimate(angle / (2.0 * math.pi), d, 0.0, 0, AngleMethod.EXACT_2D)
 
 
-def _exact_3d(cone: Cone, q: np.ndarray, d: int) -> SolidAngleEstimate:
+def _exact_3d(generators: np.ndarray, q: np.ndarray, d: int) -> SolidAngleEstimate:
     """Spherical-triangle solid angle (van Oosterom-Strackee), over 4*pi; q is the span basis."""
-    g = (q.T @ cone.generators.T).T  # 3 generators in span coordinates
+    g = (q.T @ generators.T).T  # 3 generators in span coordinates
     g = g / np.linalg.norm(g, axis=1)[:, None]
     numer = abs(float(np.linalg.det(g)))
     denom = 1.0 + float(g[0] @ g[1]) + float(g[1] @ g[2]) + float(g[2] @ g[0])
@@ -186,13 +187,19 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
     measure zero); ambient 2 uses the planar angle; ambient 3 with three
     generators uses the spherical-triangle closed form; everything else is
     the sampled orthant probability (AngleMethod.MONTE_CARLO, see the module
-    docstring). `force_monte_carlo` samples even where a closed form exists,
-    for cross-validation. `samples` must be an integer >= 1 and `seed` an
-    integer >= 0; bools are refused.
+    docstring). Every route sees the generators scaled by the one power of
+    two that brings their largest entry into [0.5, 1), so the result does not
+    move with the generators' scale. `force_monte_carlo` samples even where a
+    closed form exists, for cross-validation. `samples` must be an integer
+    >= 1 and `seed` an integer >= 0; bools are refused.
     """
     _require_count("samples", samples, 1)
     _require_count("seed", seed, 0)
-    q, rank = _span_data(cone)
+    # the fraction does not depend on scale: bring the largest |entry| into [0.5, 1) by
+    # one power of two, which is exact, so no product below overflows or underflows
+    _, exponent = math.frexp(np.abs(cone.generators).max())
+    gens = np.ldexp(cone.generators, -exponent)
+    q, rank = _span_data(gens)
     d = cone.ambient_dim if cone.ambient_dim is not None else rank
     if rank > d:
         raise DimensionMismatch(f"generators span {rank} dimensions, ambient is {d}")
@@ -200,10 +207,10 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
         return _estimate(0.0, d, 0.0, 0, _zero_method(d))
     if not force_monte_carlo:
         if d == 2:
-            return _exact_2d(cone, d)
+            return _exact_2d(gens, d)
         if d == 3 and cone.k == 3:
-            return _exact_3d(cone, q, d)
-    gram = cone.generators @ cone.generators.T
+            return _exact_3d(gens, q, d)
+    gram = gens @ gens.T
     fraction, std_error = orthant_probability(gram, -(-samples // SAMPLES_PER_POINT), seed)
     return _estimate(fraction, d, std_error, samples, AngleMethod.MONTE_CARLO)
 
@@ -319,8 +326,8 @@ def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
 
     lhs_cone = Cone.from_points(u, pts)
     rhs_cone = Cone.from_points(v, pts)
-    _, rank_lhs = _span_data(lhs_cone)
-    _, rank_rhs = _span_data(rhs_cone)
+    _, rank_lhs = _span_data(lhs_cone.generators)
+    _, rank_rhs = _span_data(rhs_cone.generators)
     d = max(rank_lhs, rank_rhs)
     lhs = angle_fraction(Cone.from_points(u, pts, ambient_dim=d), samples, seed)
     rhs = angle_fraction(Cone.from_points(v, pts, ambient_dim=d), samples, seed + 1)

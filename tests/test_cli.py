@@ -74,6 +74,17 @@ class TestAngle:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_fraction_does_not_move_with_generator_scale(self, tmp_path, capsys):
+        fractions = []
+        for factor in (1.0, 2.0 ** 520):
+            gens = factor * (np.eye(3) + 0.3 * np.triu(np.ones((3, 3)), 1))
+            path = tmp_path / "skewed.json"
+            path.write_text(json.dumps({"apex": [0.0] * 3, "generators": gens.tolist()}))
+            code, out, _ = run_cli(capsys, "angle", "--cone", str(path), "--deterministic")
+            assert code == 0
+            fractions.append(json.loads(out)["report"]["fraction"])
+        assert fractions[0] == fractions[1] == pytest.approx(0.06892, abs=1e-5)
+
     def test_csv_format(self, octant_path, capsys):
         code, out, _ = run_cli(capsys, "angle", "--cone", octant_path, "--format", "csv")
         assert code == 0

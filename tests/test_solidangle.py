@@ -117,15 +117,24 @@ class TestAngleFraction:
     def test_closed_form_3d_takes_one_span_basis(self, rng, monkeypatch):
         calls, span_data = [], solidangle._span_data
 
-        def counting_span_data(cone):
-            calls.append(cone)
-            return span_data(cone)
+        def counting_span_data(generators):
+            calls.append(generators)
+            return span_data(generators)
 
         monkeypatch.setattr(solidangle, "_span_data", counting_span_data)
         for cone in (octant(), Cone(apex=np.zeros(3), generators=rng.standard_normal((3, 3)))):
             calls.clear()
             assert angle_fraction(cone).method is AngleMethod.EXACT_3D
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("exponent", [520, -520, 700, -700])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generator_scale_moves_no_bit(self, d, exponent):
+        # a product of generators at 2^+-520 overflows or underflows; angle_fraction
+        # rescales by a power of two first, which is exact
+        unit = skewed_cone(d)
+        scaled = Cone(apex=unit.apex, generators=np.ldexp(unit.generators, exponent))
+        assert angle_fraction(scaled) == angle_fraction(unit)
 
     def test_45_degree_cone(self):
         c = Cone(apex=np.zeros(2), generators=np.array([[1.0, 0.0], [1.0, 1.0]]))
