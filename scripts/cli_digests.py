@@ -8,8 +8,10 @@ every pair and a closed-form `angle`, then the sampled commands: Monte Carlo
 `angle` on the 4-D orthant (70,001 samples; a product orthant comes out exact
 with a nonzero error), on a skewed 5-D cone (131,072 samples: 32 shifts of a
 31-point lattice) and on a skewed 6-D cone (1,048,577 samples: 46 shifts of
-the largest, 181-point lattice, evaluated in three chunks), and a small
-`verify-geometry`. Each digest covers the exit code, stdout and stderr, so
+the largest, 181-point lattice, evaluated in three chunks), a small
+`verify-geometry` and the README's default one on 200 instances (it exits 1
+on the known `exact_vs_monte_carlo` failure, and the exit code is part of
+its digest). Each digest covers the exit code, stdout and stderr, so
 two runs or two checkouts compare with `diff`:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
@@ -69,6 +71,8 @@ def commands(root: str) -> list:
                      "--seed", "11"]))
     out.append(("verify-geometry count-2",
                 ["verify-geometry", "--count", "2", "--samples", "20000", "--seed", "24301"]))
+    out.append(("verify-geometry readme-default",
+                ["verify-geometry", "--count", "200", "--seed", "24301"]))
     return out
 
 

@@ -18,7 +18,6 @@ from .errors import DrawFailed
 from .matrixcore import REL_TOL, SymmetricMatrix, scale
 from .presentation import (
     Presentation,
-    _spectrum,
     factor_presentation,
     good_position_report,
     per1_report,
@@ -108,7 +107,7 @@ def _direct_good_position(U: Presentation) -> bool:
 
 def _check_good_position_instance(report: SuiteReport, rng: np.random.Generator, n: int):
     U = random_good_position_presentation(rng, n)
-    A = U.gram()
+    A = U.gram
     gp = good_position_report(A)
     direct = _direct_good_position(U)
     report.tally("lemma1_equivalence").record(direct == gp.is_good)
@@ -138,7 +137,7 @@ def _check_projection_instance(report: SuiteReport, rng: np.random.Generator, n:
     for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
         shifted = perturb_presentation(U, s)
         target = A.entries + (s * s - 2.0 * s) * path.u0_norm_sq * j
-        gap = float(np.max(np.abs(shifted.gram().entries - target)))
+        gap = float(np.max(np.abs(shifted.gram.entries - target)))
         report.tally("perturbation_gram_law").record(gap <= RESID_TOL * scale(target))
 
     eps = 1e-4 * path.u0_norm_sq
@@ -158,7 +157,7 @@ def _check_t_monotonicity(report: SuiteReport, rng: np.random.Generator, n: int)
     psd = random_pd_matrix(rng, n)
     indef = random_indefinite_matrix(rng, n)
     for matrix, soft in ((psd, False), (indef, True)):
-        lam_min = float(_spectrum(matrix).mu[0])
+        lam_min = float(matrix.spectrum.mu[0])
         base = max(0.0, -lam_min)
         grid = base + np.array([0.5, 1.0, 2.0, 4.0, 8.0])
         ts = [t_of_lambda(matrix, lam) for lam in grid]

@@ -1,20 +1,29 @@
 """Dense symmetric-matrix primitives.
 
 Decks (row/column deletions), shifted determinants det(A - lambda*I + t*J),
-permutation similarity and the shared relative tolerance policy. Everything
-here is a pure function of immutable inputs; arrays stored on the
-dataclasses are write-protected.
+permutation similarity, the shared relative tolerance policy and each
+matrix's spectrum. Everything here is a pure function of immutable inputs;
+arrays stored on the dataclasses are write-protected.
+
+`A.spectrum` (one eigendecomposition serving every shift lambda) and
+`A.spectrum.lambda0` (the certified shift of the lambda path) are cached
+properties: computed at the first access and kept; an access that raises
+keeps nothing. The matrix is frozen and its entries are write-protected, so a
+kept value is exactly what a fresh decomposition would give.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOrder, DimensionMismatch, NotFinite, NotSymmetric
+from .errors import DegenerateOrder, DimensionMismatch, NotCertified, NotFinite, NotSymmetric
 
 REL_TOL = 1e-10  # relative decisions compare a residual with REL_TOL * scale(inputs)
+POS_MARGIN = 1e-12  # the lambda0 certificate asks (A + p I)^-1 1 >= POS_MARGIN / scale(A)
 
 
 def scale(*arrays) -> float:
@@ -62,6 +71,104 @@ class SymmetricMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @functools.cached_property
+    def spectrum(self) -> "Spectrum":
+        """This matrix's Spectrum, computed at the first access and kept."""
+        return Spectrum(self)
+
+
+class Spectrum:
+    """One eigendecomposition A = Q diag(mu) Q^T that serves every shift lam.
+
+    (A + lam I)^-1 1 = Q (c / (mu + lam)) with c = Q^T 1, so t(lam), the
+    positive-definiteness test and the positivity certificate cost O(n^2) per
+    shift. The smallest and largest diagonal entries and the largest
+    off-diagonal magnitude of A give scale(A + lam I) exactly without forming
+    the shifted matrix. The arrays are read-only, since every reader of
+    `A.spectrum` shares them. A lambda0 probe is numpy's per-call overhead
+    around one small product, so c and mu are also kept as column views and
+    `certified` enters np.errstate only near overflow.
+    """
+
+    def __init__(self, A: SymmetricMatrix):
+        a = A.entries
+        self.mu, self.q = np.linalg.eigh(a)
+        self.c = self.q.T @ np.ones(A.n)
+        self.c_sq = self.c ** 2
+        for kept in (self.mu, self.q, self.c, self.c_sq):
+            kept.setflags(write=False)
+        self.c_col, self.mu_col = self.c[:, None], self.mu[:, None]
+        self.mu_peak = float(np.max(np.abs(self.mu)))
+        diag = np.diag(a)
+        self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
+        off = np.abs(a)
+        np.fill_diagonal(off, 0.0)
+        self.off_peak = max(1.0, float(off.max()))  # scale(off)
+        # scale(a): its largest |entry| lies off the diagonal or at a diagonal extreme
+        self.scale = max(self.off_peak, abs(self.diag_lo), abs(self.diag_hi))
+
+    def pd_bound(self, lam: float) -> tuple:
+        """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
+        shifted_scale = max(self.off_peak, abs(self.diag_lo + lam), abs(self.diag_hi + lam))
+        return float(self.mu[0]) + lam, REL_TOL * shifted_scale
+
+    def inverse_ones(self, lams) -> np.ndarray:
+        """(A + lam I)^-1 1 as column k for the k-th shift in lams."""
+        return self.q @ (self.c_col / (self.mu_col + np.asarray(lams, dtype=float)))
+
+    def t(self, lams) -> np.ndarray:
+        """t(lam) = -1 / (1^T (A + lam I)^-1 1) = -1 / sum_i c_i^2 / (mu_i + lam), per shift."""
+        lams = np.asarray(lams, dtype=float)
+        return -1.0 / np.sum(self.c_sq / (self.mu + lams[..., None]), axis=-1)
+
+    def certified(self, lam: float) -> bool:
+        """PD and (A + p I)^-1 1 >= POS_MARGIN / scale(A) at every p in {lam, 2 lam, 10 lam}."""
+        # PD at lam > 0 gives PD at every p >= lam: tol(p) <= tol(lam) + REL_TOL * (p - lam)
+        w, tol = self.pd_bound(lam)
+        if w < tol:
+            return False
+        probes = np.array((lam, 2.0 * lam, 10.0 * lam))
+        # with lam >= 0, |mu + p| <= max |mu| + 10 lam, and mu + p >= w >= tol keeps
+        # c / (mu + p) small: no step of the probe can overflow
+        if lam >= 0.0 and math.isfinite(self.mu_peak + 10.0 * lam):
+            x = self.inverse_ones(probes)
+        else:
+            # an overflowing mu + p gives x = 0, which fails the margin like any small x
+            with np.errstate(over="ignore"):
+                x = self.inverse_ones(probes)
+        # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
+        return bool(x.min() >= POS_MARGIN / self.scale)
+
+    @functools.cached_property
+    def lambda0(self) -> float:
+        """A certified shift past which (A + lam I)^-1 1 stays positive, searched once.
+
+        Start at operator-norm + 1, double until the certificate holds (giving
+        up once the 10x probe overflows), then bisect downward in 40 steps.
+        Tightening is best effort; the returned value is always re-certified
+        (existence is guaranteed for large shifts, minimality is not). A
+        search that raises NotCertified keeps nothing.
+        """
+        hi = self.mu_peak + 1.0
+        doublings = 0
+        while True:
+            if not math.isfinite(10.0 * hi):  # an infinite probe never certifies
+                raise NotCertified(f"no certified lambda0 below overflow (reached {hi:.3e})")
+            if self.certified(hi):
+                break
+            hi *= 2.0
+            doublings += 1
+            if doublings > 200:
+                raise NotCertified(f"no certified lambda0 after 200 doublings (reached {hi:.3e})")
+        lo = hi / 2.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if self.certified(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 def as_matrix(a) -> SymmetricMatrix:

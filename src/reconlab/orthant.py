@@ -32,9 +32,11 @@ the range beyond y = 4 over r = 1/y^2 only at the points there; Wichura's
 central rational at every point, and log, sqrt and the near and far tails
 only at the points with q < 0.075, the far tail only if some t > 5. The
 ranges' variables are strung together, one matrix product evaluates every
-polynomial at once and each range divides only at its own points, so a call
-makes a fixed number of numpy calls, a few more when a tail has
-points, whatever the number of points and the degree.
+polynomial at once and each range divides only at its own points, so a Phi
+call makes a fixed number of numpy calls, and a Phi^-1 call a few more when
+a tail has points, whatever the number of points and the degree. Every Phi
+call reads the whole Cody table, its y clipped at 27 (erfc(27) is below the
+smallest normal double).
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ _WICHURA = _coefficients(
      5.99832206555887937690e-1, 1.0),
 )
 _CODY[:3] *= 0.5
-_CODY_NEAR = _CODY[[0, 1, 3, 4]]  # the small and mid ranges' rows, for calls with no y > 4
 _WICHURA[1:3] *= -1.0
 
 
@@ -156,17 +157,13 @@ def _polynomials(coefs: np.ndarray, *variables: np.ndarray) -> np.ndarray:
 def _half_erfc(y: np.ndarray) -> np.ndarray:
     """erfc(y) / 2 for y >= 0, that is Phi(-sqrt(2) y) (Cody 1969)."""
     n = len(y)
+    y = np.minimum(y, _ERFC_CLIP)
     big = y > 4.0
-    if np.count_nonzero(big):
-        y = np.minimum(y, _ERFC_CLIP)
-        yb = y[big]
-        r = 1.0 / (yb * yb)
-        nd = _polynomials(_CODY, y, r)
-        small, tail = nd[:2, :n] / nd[3:5, :n]
-        tail[big] = (_HALF_RSQRT_PI - r * (nd[2, n:] / nd[5, n:])) / yb
-    else:  # the usual case: only the small and mid rows, and no clip below y = 4
-        nd = _polynomials(_CODY_NEAR, y)
-        small, tail = nd[:2, :n] / nd[2:, :n]
+    yb = y[big]
+    r = 1.0 / (yb * yb)
+    nd = _polynomials(_CODY, y, r)
+    small, tail = nd[:2, :n] / nd[3:5, :n]
+    tail[big] = (_HALF_RSQRT_PI - r * (nd[2, n:] / nd[5, n:])) / yb
     # e^(-y^2) in one factor: y = |x| / sqrt(2) is rounded already, so Cody's split buys nothing
     tail *= np.exp(-y * y)
     return np.where(y <= 0.46875, 0.5 - y * small, tail)

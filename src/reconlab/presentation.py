@@ -7,18 +7,16 @@ positive kernel vector. Translating a presentation along the projection u0 of
 the origin onto its affine hull realizes the family A + t*J geometrically.
 
 The lambda path (t(lambda), the lambda0 certificate and its search), the
-PSD factorisations and the A^-1 1 of project_origin and per1_report read one
-eigendecomposition of A per matrix: (A + lambda I)^-1 1 = Q (c / (mu + lambda))
-with c = Q^T 1, so no shifted matrix is factored. It is computed at the first
-call that needs it and kept on the SymmetricMatrix, with lambda0_search's
-certified result. The kept values cannot go stale: the matrix is frozen and its
-entries are write-protected, so they are exactly what a fresh decomposition
-would give.
+PSD factorisations and the A^-1 1 of project_origin and per1_report read the
+one eigendecomposition each matrix keeps as `A.spectrum` (see matrixcore), so
+no shifted matrix is factored. A presentation keeps its Gram matrix
+`U.gram`, so its spectrum is decomposed once too.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,14 +27,12 @@ from .errors import (
     BadPosition,
     ConsistencyError,
     DimensionMismatch,
-    NotCertified,
     NotFinite,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
 )
-from .matrixcore import REL_TOL, SymmetricMatrix, as_matrix, leave_one_out, scale
+from .matrixcore import REL_TOL, Spectrum, SymmetricMatrix, as_matrix, leave_one_out, scale
 
-POS_MARGIN = 1e-12
 _KERNEL_POS_TOL = 1e-12
 
 
@@ -59,13 +55,10 @@ class Presentation:
     def n(self) -> int:
         return self.columns.shape[1]
 
+    @functools.cached_property
     def gram(self) -> SymmetricMatrix:
-        """U^T U, built at the first call and kept, so its spectrum is decomposed once."""
-        g = getattr(self, "_gram", None)
-        if g is None:
-            g = SymmetricMatrix(self.columns.T @ self.columns)
-            object.__setattr__(self, "_gram", g)
-        return g
+        """U^T U, built at the first access and kept, so its spectrum is decomposed once."""
+        return SymmetricMatrix(self.columns.T @ self.columns)
 
 
 class GoodPositionReason(enum.Enum):
@@ -95,7 +88,7 @@ class PerturbationPath:
 
 def _eigh_psd(A: SymmetricMatrix) -> tuple:
     """Ascending eigenvalues and eigenvectors, raising if one is below -REL_TOL * scale(A)."""
-    spec = _spectrum(A)
+    spec = A.spectrum
     tol = REL_TOL * spec.scale
     if spec.mu[0] < -tol:
         raise NotPositiveSemidefinite(f"min eigenvalue {spec.mu[0]:.3e} below -{tol:.3e}")
@@ -147,7 +140,7 @@ def volume_eigenvector(U: Presentation) -> np.ndarray:
     basis of span(U), over (n-1)!. Returned with unit sum.
     """
     n = U.n
-    report = good_position_report(U.gram())
+    report = good_position_report(U.gram)
     if not report.is_good:
         raise BadPosition(f"presentation not in good position: {report.reason.value}")
     q = np.linalg.svd(U.columns)[0][:, :n - 1]  # orthonormal basis of the (n-1)-dim span
@@ -164,7 +157,7 @@ def project_origin(U: Presentation) -> PerturbationPath:
     way, are evaluated and must agree; disagreement signals ill conditioning.
     A^-1 1 is read from the Gram's kept spectrum, (U^T)^-1 1 from an LU solve.
     """
-    x = _require_pd(U.gram(), 0.0).inverse_ones(0.0)[:, 0]
+    x = _require_pd(U.gram, 0.0).inverse_ones(0.0)[:, 0]
     norm_sq = 1.0 / float(x.sum())
     u0 = (U.columns @ x) * norm_sq
     u0_alt = np.linalg.solve(U.columns.T, np.ones(U.n)) * norm_sq
@@ -181,82 +174,9 @@ def perturb_presentation(U: Presentation, s: float) -> Presentation:
     return Presentation(U.columns - s * path.u0[:, None])
 
 
-class _ShiftedSpectrum:
-    """One eigendecomposition A = Q diag(mu) Q^T that serves every shift lam.
-
-    (A + lam I)^-1 1 = Q (c / (mu + lam)) with c = Q^T 1, so t(lam), the
-    positive-definiteness test and the positivity certificate cost O(n^2) per
-    shift. The smallest and largest diagonal entries and the largest
-    off-diagonal magnitude of A give scale(A + lam I) exactly without forming
-    the shifted matrix. The arrays are read-only, since every caller of
-    `_spectrum(A)` shares them. A lambda0 probe is numpy's per-call overhead
-    around one small product, so c and mu are also kept as column views and
-    `certified` enters np.errstate only near overflow.
-    """
-
-    def __init__(self, A: SymmetricMatrix):
-        a = A.entries
-        self.mu, self.q = np.linalg.eigh(a)
-        self.c = self.q.T @ np.ones(A.n)
-        self.c_sq = self.c ** 2
-        for kept in (self.mu, self.q, self.c, self.c_sq):
-            kept.setflags(write=False)
-        self.c_col, self.mu_col = self.c[:, None], self.mu[:, None]
-        self.mu_peak = float(np.max(np.abs(self.mu)))
-        diag = np.diag(a)
-        self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
-        off = np.abs(a)
-        np.fill_diagonal(off, 0.0)
-        self.off_peak = max(1.0, float(off.max()))  # scale(off)
-        # scale(a): its largest |entry| lies off the diagonal or at a diagonal extreme
-        self.scale = max(self.off_peak, abs(self.diag_lo), abs(self.diag_hi))
-        self.lambda0 = None  # lambda0_search's certified result, once it has succeeded
-
-    def pd_bound(self, lam: float) -> tuple:
-        """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
-        shifted_scale = max(self.off_peak, abs(self.diag_lo + lam), abs(self.diag_hi + lam))
-        return float(self.mu[0]) + lam, REL_TOL * shifted_scale
-
-    def inverse_ones(self, lams) -> np.ndarray:
-        """(A + lam I)^-1 1 as column k for the k-th shift in lams."""
-        return self.q @ (self.c_col / (self.mu_col + np.asarray(lams, dtype=float)))
-
-    def t(self, lams) -> np.ndarray:
-        """t(lam) = -1 / (1^T (A + lam I)^-1 1) = -1 / sum_i c_i^2 / (mu_i + lam), per shift."""
-        lams = np.asarray(lams, dtype=float)
-        return -1.0 / np.sum(self.c_sq / (self.mu + lams[..., None]), axis=-1)
-
-    def certified(self, lam: float) -> bool:
-        """PD and (A + p I)^-1 1 >= POS_MARGIN / scale(A) at every p in {lam, 2 lam, 10 lam}."""
-        # PD at lam > 0 gives PD at every p >= lam: tol(p) <= tol(lam) + REL_TOL * (p - lam)
-        w, tol = self.pd_bound(lam)
-        if w < tol:
-            return False
-        probes = np.array((lam, 2.0 * lam, 10.0 * lam))
-        # with lam >= 0, |mu + p| <= max |mu| + 10 lam, and mu + p >= w >= tol keeps
-        # c / (mu + p) small: no step of the probe can overflow
-        if lam >= 0.0 and math.isfinite(self.mu_peak + 10.0 * lam):
-            x = self.inverse_ones(probes)
-        else:
-            # an overflowing mu + p gives x = 0, which fails the margin like any small x
-            with np.errstate(over="ignore"):
-                x = self.inverse_ones(probes)
-        # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
-        return bool(x.min() >= POS_MARGIN / self.scale)
-
-
-def _spectrum(A: SymmetricMatrix) -> _ShiftedSpectrum:
-    """A's _ShiftedSpectrum, computed at the first call and kept on A for the later ones."""
-    spec = getattr(A, "_spectrum", None)
-    if spec is None:
-        spec = _ShiftedSpectrum(A)
-        object.__setattr__(A, "_spectrum", spec)
-    return spec
-
-
-def _require_pd(A: SymmetricMatrix, lam: float) -> _ShiftedSpectrum:
+def _require_pd(A: SymmetricMatrix, lam: float) -> Spectrum:
     """A's kept spectrum, raising unless A + lam I is positive definite (the pd_bound rule)."""
-    spec = _spectrum(A)
+    spec = A.spectrum
     w, tol = spec.pd_bound(lam)
     if w < tol:
         raise NotPositiveDefinite(f"min eigenvalue {w:.3e} below PD tolerance {tol:.3e}")
@@ -273,37 +193,10 @@ def t_of_lambda(A: SymmetricMatrix, lam: float) -> float:
 def lambda0_search(A: SymmetricMatrix) -> float:
     """A shift lambda0 past which the inverse applied to the ones vector stays positive.
 
-    Start at operator-norm + 1, double until the certificate holds (giving up
-    once the 10x probe overflows), then bisect downward in 40 steps.
-    Tightening is best effort; the returned value is always re-certified
-    (existence is guaranteed for large shifts, minimality is not).
-    Every probe reads the one eigendecomposition kept per matrix, and the
-    certified result is kept beside it, so a later call on the same matrix
-    returns it without searching; a search that raises keeps nothing.
+    `A.spectrum.lambda0`: searched at the first call on a matrix and kept on
+    its spectrum; a search that raises NotCertified keeps nothing.
     """
-    spec = _spectrum(as_matrix(A))
-    if spec.lambda0 is not None:
-        return spec.lambda0
-    hi = spec.mu_peak + 1.0
-    doublings = 0
-    while True:
-        if not math.isfinite(10.0 * hi):  # an infinite probe never certifies
-            raise NotCertified(f"no certified lambda0 below overflow (reached {hi:.3e})")
-        if spec.certified(hi):
-            break
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise NotCertified(f"no certified lambda0 after 200 doublings (reached {hi:.3e})")
-    lo = hi / 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if spec.certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    spec.lambda0 = hi
-    return hi
+    return as_matrix(A).spectrum.lambda0
 
 
 @dataclass(frozen=True)

@@ -125,19 +125,29 @@ def _span_data(generators: np.ndarray):
     return u[:, :rank], rank
 
 
+def _unit_scale(a: np.ndarray) -> np.ndarray:
+    """a times the power of two that brings its largest |entry| into [0.5, 1): exact, and
+    no product of the result overflows or underflows. An all-zero a comes back as it is."""
+    _, exponent = math.frexp(np.abs(a).max())
+    return np.ldexp(a, -exponent)
+
+
 def cone_contains(cone: Cone, x) -> bool:
     """Membership of the vector x (taken relative to the cone vertex at 0).
 
     True iff x lies in the generator span and its unique expansion
     coefficients are all >= -coefTol. Boundary points count as inside.
+    Membership does not change under positive scaling of the generators or
+    of x, so each is read at unit scale, whatever its magnitude.
     """
-    q, rank = _span_data(cone.generators)
-    x = np.asarray(x, dtype=float)
+    gens = _unit_scale(cone.generators)
+    q, _ = _span_data(gens)
+    x = _unit_scale(np.asarray(x, dtype=float))
     coords = q.T @ x
     resid = float(np.linalg.norm(x - q @ coords))
     if resid > REL_TOL * scale(np.linalg.norm(x)):
         return False
-    coef = np.linalg.solve(q.T @ cone.generators.T, coords)
+    coef = np.linalg.solve(q.T @ gens.T, coords)
     return bool(np.min(coef) >= -COEF_TOL)
 
 
@@ -195,10 +205,7 @@ def angle_fraction(cone: Cone, samples: int = DEFAULT_SAMPLES, seed: int = DEFAU
     """
     _require_count("samples", samples, 1)
     _require_count("seed", seed, 0)
-    # the fraction does not depend on scale: bring the largest |entry| into [0.5, 1) by
-    # one power of two, which is exact, so no product below overflows or underflows
-    _, exponent = math.frexp(np.abs(cone.generators).max())
-    gens = np.ldexp(cone.generators, -exponent)
+    gens = _unit_scale(cone.generators)  # the fraction does not depend on scale
     q, rank = _span_data(gens)
     d = cone.ambient_dim if cone.ambient_dim is not None else rank
     if rank > d:
@@ -301,10 +308,11 @@ def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
     """Displacing the apex orthogonally off the configuration shrinks the angle.
 
     Preconditions: (u - v) orthogonal to every u - u_i, u != v, and the
-    projection of u onto aff(points) interior to the hull. Both cones are
-    measured in the common span dimension of their generator systems; the
-    displaced cone is cross-checked against its congruent in-span image
-    v' = u + (1 - sqrt(|v-u|^2/|u0-u|^2 + 1)) (u0 - u), whose Gram matches.
+    projection of u onto aff(points) interior to the hull. Each cone is
+    measured in its own span, of dimension len(points), or raises
+    NonSimplicialCone; the displaced cone is cross-checked against its
+    congruent in-span image v' = u + (1 - sqrt(|v-u|^2/|u0-u|^2 + 1)) (u0 - u),
+    whose Gram matches.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -324,13 +332,8 @@ def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
     if np.min(weights) <= _INTERIOR_TOL:
         raise PreconditionViolated("projection of u is not interior to conv(points)")
 
-    lhs_cone = Cone.from_points(u, pts)
-    rhs_cone = Cone.from_points(v, pts)
-    _, rank_lhs = _span_data(lhs_cone.generators)
-    _, rank_rhs = _span_data(rhs_cone.generators)
-    d = max(rank_lhs, rank_rhs)
-    lhs = angle_fraction(Cone.from_points(u, pts, ambient_dim=d), samples, seed)
-    rhs = angle_fraction(Cone.from_points(v, pts, ambient_dim=d), samples, seed + 1)
+    lhs = angle_fraction(Cone.from_points(u, pts), samples, seed)
+    rhs = angle_fraction(Cone.from_points(v, pts), samples, seed + 1)
 
     dist_sq = float((v - u) @ (v - u))
     u0_sq = float((u0 - u) @ (u0 - u))
@@ -338,7 +341,7 @@ def displacement_check(u, points: Sequence, v, samples: int = DEFAULT_SAMPLES,
     gram_v = (pts - v) @ (pts - v).T
     gram_vp = (pts - vprime) @ (pts - vprime).T
     gram_residual = float(np.max(np.abs(gram_v - gram_vp)))
-    rhs_congruent = angle_fraction(Cone.from_points(vprime, pts, ambient_dim=d), samples, seed + 2)
+    rhs_congruent = angle_fraction(Cone.from_points(vprime, pts), samples, seed + 2)
 
     return DisplacementReport(lhs=lhs, rhs=rhs, rhs_congruent=rhs_congruent,
                               gram_residual=gram_residual,
@@ -360,7 +363,7 @@ def partition_check(U: Presentation, samples: int = DEFAULT_SAMPLES,
     The n cones cone(0, U without u_i), measured in the (n-1)-dimensional
     span, must have fractions summing to 1.
     """
-    report = good_position_report(U.gram())
+    report = good_position_report(U.gram)
     if not report.is_good:
         raise BadPosition(f"presentation not in good position: {report.reason.value}")
     apex = np.zeros(U.columns.shape[0])

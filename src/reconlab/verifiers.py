@@ -31,7 +31,6 @@ from .errors import BadPosition, DimensionMismatch, LambdaTooSmall, NotFinite, N
 from .hypomorphism import Hypomorphism, verify_hypomorphism
 from .matrixcore import SymmetricMatrix, as_matrix, scale, shifted_det_grid
 from .presentation import (
-    _spectrum,
     factor_presentation,
     good_position_report,
     lambda0_search,
@@ -79,15 +78,16 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     The residual is |f| or, with `against_lambda_zero`, |f - f(0, t)|; the
     lam = 0 reference row then also counts towards the scale.
     """
-    lams = np.asarray(DEFAULT_GRID if lambda_grid is None else lambda_grid, dtype=float)
-    ts = np.asarray(DEFAULT_GRID if t_grid is None else t_grid, dtype=float)
-    if lams.size == 0 or ts.size == 0:
-        raise DimensionMismatch(f"empty grid ({lams.size} lam values, {ts.size} t values)")
-    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(ts))):
-        raise NotFinite("grid has a non-finite value")
+    lams, ts = (None if g is None else np.asarray(g, dtype=float) for g in (lambda_grid, t_grid))
+    for name, grid in (("lam", lams), ("t", ts)):
+        if grid is not None and grid.size == 0:
+            raise DimensionMismatch(f"empty {name} grid")
+        if grid is not None and not np.all(np.isfinite(grid)):
+            raise NotFinite(f"{name} grid has a non-finite value")
     A, B = _gate(A, B, sigma, force)
-    if lambda_grid is None and A.n >= len(DEFAULT_GRID):  # n + 1 values fix a degree-n det
-        lams = np.linspace(-4.0, 4.0, A.n + 1)
+    if lams is None:  # n + 1 values fix a degree-n det
+        lams = np.linspace(-4.0, 4.0, max(len(DEFAULT_GRID), A.n + 1))
+    ts = np.asarray(DEFAULT_GRID) if ts is None else ts
     rows = np.append(lams, 0.0) if against_lambda_zero else lams
     with np.errstate(over="ignore", invalid="ignore"):
         da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
@@ -217,7 +217,7 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     """
     A, B = _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
-    t_values = _spectrum(A).t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
+    t_values = A.spectrum.t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
     # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + 1) / n
     t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
     sampled = np.linspace(t_lo, t_hi, T_SAMPLES + 2)[1:-1]

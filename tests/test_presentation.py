@@ -28,8 +28,7 @@ from reconlab import (
 )
 from reconlab.geometry_suite import random_good_position_presentation, random_pd_matrix
 from reconlab.hypomorphism import cycle_pair_corpus
-from reconlab.matrixcore import REL_TOL
-from reconlab.presentation import POS_MARGIN, _ShiftedSpectrum, _spectrum
+from reconlab.matrixcore import POS_MARGIN, REL_TOL, Spectrum
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -61,7 +60,7 @@ def test_presentation_rejects_non_finite(bad):
 class TestFactor:
     def test_identity(self):
         U = factor_presentation(SymmetricMatrix(np.eye(3)))
-        np.testing.assert_allclose(U.gram().entries, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(U.gram.entries, np.eye(3), atol=1e-12)
 
     def test_all_ones_collapses_to_one_direction(self):
         U = factor_presentation(SymmetricMatrix(np.ones((3, 3))))
@@ -74,7 +73,7 @@ class TestFactor:
             w = rng.standard_normal((n, n))
             a = SymmetricMatrix(w.T @ w)
             U = factor_presentation(a)
-            assert np.max(np.abs(U.gram().entries - a.entries)) <= 1e-9
+            assert np.max(np.abs(U.gram.entries - a.entries)) <= 1e-9
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite):
@@ -95,7 +94,7 @@ class TestGoodPosition:
 
     def test_hand_solved_kernel(self):
         # a(2,0) + b(0,1) + c(-1,-1) = 0 forces (a,b,c) parallel to (1,2,2)
-        rep = good_position_report(planar_example_presentation().gram())
+        rep = good_position_report(planar_example_presentation().gram)
         assert rep.is_good
         np.testing.assert_allclose(rep.kernel_vector, [0.2, 0.4, 0.4], atol=1e-12)
 
@@ -103,7 +102,7 @@ class TestGoodPosition:
         # {e1, e2, e1+e2}: the kernel combo is (1, 1, -1), so 0 is on the hull
         # boundary's far side and the sign test must reject
         cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        rep = good_position_report(Presentation(cols).gram())
+        rep = good_position_report(Presentation(cols).gram)
         assert not rep.is_good
         assert rep.reason is GoodPositionReason.KERNEL_SIGN_MIXED
 
@@ -126,7 +125,7 @@ class TestVolumeEigenvector:
             last = -(lead @ alpha[:n - 1]) / alpha[n - 1]
             U = Presentation(np.vstack([np.column_stack([lead, last]), np.zeros(n)]))
             vec = volume_eigenvector(U)
-            a = U.gram().entries
+            a = U.gram.entries
             assert np.max(np.abs(a @ vec)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
             assert np.min(vec) > 0
 
@@ -195,7 +194,7 @@ class TestInverseOnesAgainstLU:
         for _ in range(20):
             U = factor_presentation(random_pd_matrix(rng, n))
             path = project_origin(U)
-            x = _lu_inverse_ones(U.gram())
+            x = _lu_inverse_ones(U.gram)
             norm_sq = 1.0 / float(x.sum())
             assert _rel_gap(path.u0_norm_sq, norm_sq) <= 1e-12
             assert _rel_gap(path.u0, (U.columns @ x) * norm_sq) <= 1e-12
@@ -222,14 +221,14 @@ class TestPerturbation:
         w = rng.standard_normal((4, 4))
         U = factor_presentation(SymmetricMatrix(w.T @ w + 0.5 * np.eye(4)))
         reflected = perturb_presentation(U, 2.0)
-        np.testing.assert_allclose(reflected.gram().entries, U.gram().entries, atol=1e-9)
+        np.testing.assert_allclose(reflected.gram.entries, U.gram.entries, atol=1e-9)
         assert not np.allclose(reflected.columns, U.columns)
 
     def test_s_one_hits_the_boundary(self):
         shifted = perturb_presentation(Presentation(np.eye(3)), 1.0)
-        np.testing.assert_allclose(shifted.gram().entries,
+        np.testing.assert_allclose(shifted.gram.entries,
                                    np.eye(3) - np.ones((3, 3)) / 3.0, atol=1e-12)
-        eigs = np.linalg.eigvalsh(shifted.gram().entries)
+        eigs = np.linalg.eigvalsh(shifted.gram.entries)
         np.testing.assert_allclose(sorted(eigs), [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_gram_law_on_grid(self, rng):
@@ -240,7 +239,7 @@ class TestPerturbation:
         j = np.ones((5, 5))
         for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
             target = a.entries + (s * s - 2 * s) * path.u0_norm_sq * j
-            got = perturb_presentation(U, s).gram().entries
+            got = perturb_presentation(U, s).gram.entries
             scale = max(1.0, np.max(np.abs(target)))
             assert np.max(np.abs(got - target)) <= 1e-9 * scale
 
@@ -277,21 +276,21 @@ class TestTOfLambda:
 class TestLambda0:
     def test_identity_post_check(self):
         lam0 = lambda0_search(SymmetricMatrix(np.eye(3)))
-        assert _ShiftedSpectrum(SymmetricMatrix(np.eye(3))).certified(lam0)
+        assert Spectrum(SymmetricMatrix(np.eye(3))).certified(lam0)
 
     def test_anti_diagonal_closed_form(self):
         # (A + lam I)^-1 1 = (1/(lam-1)) * 1, positive only past lam = 1
         a = SymmetricMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         lam0 = lambda0_search(a)
         assert lam0 >= 1.0
-        assert _ShiftedSpectrum(a).certified(lam0)
+        assert Spectrum(a).certified(lam0)
 
     def test_random_post_check_scales(self, rng):
         for _ in range(5):
             w = rng.standard_normal((5, 5))
             a = SymmetricMatrix(0.5 * (w + w.T))
             lam0 = lambda0_search(a)
-            spec = _ShiftedSpectrum(a)
+            spec = Spectrum(a)
             assert spec.certified(lam0) and spec.certified(10.0 * lam0)
 
     def test_large_scale_certifies(self):
@@ -299,7 +298,7 @@ class TestLambda0:
         a = SymmetricMatrix(1e13 * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
                                              [1.0, 1.0, 0.0]]))
         lam0 = lambda0_search(a)
-        assert _ShiftedSpectrum(a).certified(lam0)
+        assert Spectrum(a).certified(lam0)
 
     def test_exhausted_doubling_is_typed(self):
         # at scale 1e308 the 10 lam probe overflows to inf, where (A + p I)^-1 1 is 0, so
@@ -309,7 +308,7 @@ class TestLambda0:
             with pytest.raises(NotCertified, match="overflow"):
                 lambda0_search(SymmetricMatrix(1e308 * np.eye(3)))
             a = SymmetricMatrix(1e307 * np.eye(3))
-            assert _ShiftedSpectrum(a).certified(lambda0_search(a))
+            assert Spectrum(a).certified(lambda0_search(a))
 
     def test_overflowing_shifted_spectrum_is_typed(self):
         # 10 lam is finite but mu + 10 lam is not: the probe reads x = 0 and fails
@@ -340,7 +339,7 @@ class TestKeptSpectrum:
         factor_presentation(S)  # keeps S's spectrum
         kept = _lambda_calls(M, S, lam, lambda X: X)
         assert kept == _lambda_calls(M, S, lam, lambda X: SymmetricMatrix(X.entries.copy()))
-        assert _spectrum(M).lambda0 == lambda0_search(M)
+        assert M.spectrum.lambda0 == lambda0_search(M)
 
     def test_atlas_graphs_on_3_to_6_vertices(self):
         nx = pytest.importorskip("networkx")
@@ -359,7 +358,7 @@ class TestKeptSpectrum:
     def test_kept_arrays_are_read_only(self):
         M = SymmetricMatrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
         lambda0_search(M)
-        spec = _spectrum(M)
+        spec = M.spectrum
         for kept in (spec.mu, spec.q, spec.c, spec.c_sq):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0] = 0.0
@@ -369,7 +368,7 @@ class TestKeptSpectrum:
         for _ in range(2):
             with pytest.raises(NotCertified, match="overflow"):
                 lambda0_search(M)
-            assert _spectrum(M).lambda0 is None
+            assert "lambda0" not in M.spectrum.__dict__
 
 
 def random_symmetric(rng, n):
@@ -405,7 +404,7 @@ class TestSpectralAgainstSolve:
             lam = well_conditioned_shift(rng, a)
             ones = np.ones(a.n)
             x_ref = np.linalg.solve(a.entries + lam * np.eye(a.n), ones)
-            x = _ShiftedSpectrum(a).inverse_ones([lam])[:, 0]
+            x = Spectrum(a).inverse_ones([lam])[:, 0]
             assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
             t_ref = -1.0 / (ones @ x_ref)
             assert abs(t_of_lambda(a, lam) - t_ref) <= 1e-12 * abs(t_ref)
@@ -421,14 +420,14 @@ class TestSpectralAgainstSolve:
                 ok, closest = solve_certificate(a, lam)
                 if closest is not None and closest <= 1e-10:
                     continue  # within roundoff of the threshold: either verdict is right
-                assert _ShiftedSpectrum(a).certified(lam) == ok
+                assert Spectrum(a).certified(lam) == ok
                 compared += 1
         assert compared >= 300
 
     def test_every_probe_counts(self):
         # no real matrix is known whose (A + p I)^-1 1 turns negative only at
         # p = 10 lam, so stub that column and check the certificate reads it
-        spec = _ShiftedSpectrum(SymmetricMatrix(np.eye(4)))
+        spec = Spectrum(SymmetricMatrix(np.eye(4)))
         lam = 3.0
         for bad in (lam, 2.0 * lam, 10.0 * lam):
             spec.inverse_ones = lambda lams, bad=bad: np.where(
@@ -458,7 +457,7 @@ class TestProbeAgainstReference:
         # a fresh SymmetricMatrix per search, so that no kept lambda0 is read
         lean = [lambda0_search(SymmetricMatrix(a)).hex() for a in arrays]
         with monkeypatch.context() as patched:
-            patched.setattr(_ShiftedSpectrum, "certified", reference_certified)
+            patched.setattr(Spectrum, "certified", reference_certified)
             reference = [lambda0_search(SymmetricMatrix(a)).hex() for a in arrays]
         assert lean == reference
 

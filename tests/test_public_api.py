@@ -1,6 +1,7 @@
 """Every name the package exports is used by the package, its scripts or its benchmark.
 
 A name only the tests call is surface without a user; it belongs in the tests.
+And no package module imports another's underscore name.
 """
 
 import ast
@@ -48,3 +49,18 @@ def test_every_export_has_a_caller():
 def test_allowlist_is_current():
     assert ALLOWED_UNUSED <= exported_names()
     assert not ALLOWED_UNUSED & referenced_names()
+
+
+def underscore_imports() -> list:
+    """(module, name) for each underscore name a package module imports from another."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and alias.name != "__version__"]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert not underscore_imports()

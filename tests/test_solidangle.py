@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ class TestContains:
         gens = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(NonSimplicialCone):
             cone_contains(Cone(apex=np.zeros(2), generators=gens), [1.0, 0.0])
+
+    @pytest.mark.parametrize("exponent", [520, -520, 1000, -1000])
+    def test_verdicts_do_not_move_with_scale(self, exponent):
+        # membership is invariant under positive scaling of the generators and of x
+        gens = np.array([[1.0, 0.3, 0.3], [0.0, 1.0, 0.3]])
+        scaled = Cone(apex=np.zeros(3), generators=2.0 ** exponent * gens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (2.0 ** exponent, 1.0):
+                assert cone_contains(scaled, f * (gens[0] + 2.0 * gens[1]))
+                assert not cone_contains(scaled, f * np.array([0.0, 0.0, 1.0]))
+                assert not cone_contains(scaled, f * (gens[0] - gens[1]))
 
 
 class TestAngleFraction:
@@ -376,6 +389,19 @@ class TestMonotonicity:
         with pytest.raises(NotNested):
             monotonicity_check(quadrant(), octant())
 
+    @pytest.mark.parametrize("exponent", [520, -520])
+    def test_nesting_does_not_move_with_scale(self, exponent):
+        f = 2.0 ** exponent
+        gens = np.array([[1.0, 0.3, 0.3], [0.0, 1.0, 0.3]])
+        outer = Cone(apex=np.zeros(3), generators=f * gens)
+        inner = Cone(apex=np.zeros(3), generators=f * np.array([gens[0], gens[0] + gens[1]]))
+        off_span = Cone(apex=np.zeros(3), generators=f * np.array([gens[0], [0.0, 0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert monotonicity_check(inner, outer, samples=20_000)
+            with pytest.raises(NotNested):
+                monotonicity_check(off_span, outer, samples=20_000)
+
     def test_constructed_nesting(self, rng):
         for _ in range(5):
             gens = rng.standard_normal((3, 3))
@@ -452,6 +478,13 @@ class TestDisplacement:
         u = np.array([2.0, -1.0, 0.0])  # projects to 2 e1 - e2 on the line through e1, e2
         with pytest.raises(PreconditionViolated, match="projection of u is not interior"):
             displacement_check(u, np.eye(3)[:2], u + lift)
+
+    def test_apex_in_the_hull_is_not_simplicial(self):
+        # u on the segment between the points meets every precondition, but its
+        # generators are dependent, so the cone at u has no simplicial angle
+        pts = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(NonSimplicialCone):
+            displacement_check(np.zeros(3), pts, np.array([0.0, 1.0, 0.0]))
 
     def test_report_extends_the_comparison_report(self):
         rep = displacement_check(np.zeros(3), np.eye(3)[:2], np.array([0.0, 0.0, 1.0]))

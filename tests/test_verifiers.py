@@ -23,8 +23,7 @@ from reconlab import (
     verify_tutte,
 )
 from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus, matrix_pair
-from reconlab.matrixcore import Permutation, scale, shifted_det_grid
-from reconlab.presentation import _ShiftedSpectrum, _spectrum
+from reconlab.matrixcore import Permutation, Spectrum, scale, shifted_det_grid
 from reconlab.serialize import dumps
 from reconlab import verifiers
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
@@ -387,7 +386,7 @@ def test_scale_sweep_c6_shuffle(c6_pair, exponent):
     scale = 10.0 ** exponent
     A, B = SymmetricMatrix(scale * A.entries), SymmetricMatrix(scale * B.entries)
     lam0 = lambda0_search(A)
-    assert _ShiftedSpectrum(A).certified(lam0)
+    assert Spectrum(A).certified(lam0)
     assert verify_main_theorem(A, B, sigma).passed
 
 
@@ -401,7 +400,7 @@ SWEEP_VERIFIERS = {
     "main2": lambda A, B, sigma, lam: verify_main2(
         good_position_shift(A, lam), good_position_shift(B, lam), sigma).passed,
     "lambda0": lambda A, B, sigma, lam: all(
-        _ShiftedSpectrum(M).certified(lambda0_search(M)) for M in (A, B)),
+        Spectrum(M).certified(lambda0_search(M)) for M in (A, B)),
 }
 # The 9-point det grid loses the singular C8 at 1e13 (relative residual 1.49e-8
 # against TUTTE_TOL = 1e-8); no tolerance cures it, exact polynomials would.
@@ -504,7 +503,7 @@ def test_one_spectrum_per_matrix(monkeypatch):
     # scripts/run_theorem_sweep.py's calls on one pair: every lambda-dependent call on
     # a matrix object reads the spectrum and lambda0 kept on it
     built, probed = [], []
-    build, probe = _ShiftedSpectrum.__init__, _ShiftedSpectrum.certified
+    build, probe = Spectrum.__init__, Spectrum.certified
 
     def counting_build(self, M):
         built.append(M)
@@ -514,8 +513,8 @@ def test_one_spectrum_per_matrix(monkeypatch):
         probed.append(self)
         return probe(self, lam)
 
-    monkeypatch.setattr(_ShiftedSpectrum, "__init__", counting_build)
-    monkeypatch.setattr(_ShiftedSpectrum, "certified", counting_probe)
+    monkeypatch.setattr(Spectrum, "__init__", counting_build)
+    monkeypatch.setattr(Spectrum, "certified", counting_probe)
     A, B, sigma = matrix_pair(cycle_adjacency(6), Permutation.swap(6, 1, 3))
     verify_tutte(A, B, sigma)
     verify_eq1(A, B, sigma)
@@ -528,7 +527,7 @@ def test_one_spectrum_per_matrix(monkeypatch):
     assert len(ids) == len(set(ids))
     assert {id(A), id(B), id(shift_a), id(shift_b)} <= set(ids)
     # the probes of one search per side, and none after
-    assert {id(spec) for spec in probed} == {id(_spectrum(A)), id(_spectrum(B))}
+    assert {id(spec) for spec in probed} == {id(A.spectrum), id(B.spectrum)}
     probes = len(probed)
     probed.clear()
     for M in (A, B):
