@@ -39,6 +39,8 @@ class Hypomorphism:
             if s.degree != n - 1:
                 raise DimensionMismatch(f"sigma degree {s.degree} != {n - 1}")
         object.__setattr__(self, "sigmas", sigmas)
+        # [(A, B, per-card residuals, scale(A, B))] of the last pair verify_hypomorphism checked
+        object.__setattr__(self, "_checked", [None])
 
     @property
     def n(self) -> int:
@@ -62,19 +64,30 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
     and B_i == sigma_i A_i sigma_i^T reads B_i[sigma_i(p), sigma_i(q)] ==
     A_i[p, q], so each residual is a difference of the same two floats a loop
     over the deck would subtract.
+
+    sigma keeps the residuals and scale(A, B) of the last pair it checked,
+    with the pair itself: a chain of verifiers on the same (A, B, sigma)
+    objects computes them once. The objects are frozen, so kept residuals are
+    what a fresh computation gives; EXACT_TOL is applied at every call. The
+    slot is read once into an immutable tuple, so a concurrent check of
+    another pair can replace it but never mix two pairs.
     """
     A, B = as_matrix(A), as_matrix(B)
     if A.n != B.n or A.n != sigma.n:
         raise DimensionMismatch(f"orders differ: A={A.n}, B={B.n}, sigma={sigma.n}")
     if A.n < 3:
         raise DimensionMismatch("deck matching requires order >= 3")
-    n = A.n
-    keep = leave_one_out(n)
-    moved = keep[np.arange(n)[:, None], [s.image for s in sigma.sigmas]]
-    diff = (B.entries[moved[:, :, None], moved[:, None, :]]
-            - A.entries[keep[:, :, None], keep[:, None, :]])
-    resid = np.abs(diff).reshape(n, -1).max(axis=1)
-    threshold = EXACT_TOL * scale(A.entries, B.entries)
+    checked = sigma._checked[0]
+    if checked is None or checked[0] is not A or checked[1] is not B:
+        n = A.n
+        keep = leave_one_out(n)
+        moved = keep[np.arange(n)[:, None], [s.image for s in sigma.sigmas]]
+        diff = (B.entries[moved[:, :, None], moved[:, None, :]]
+                - A.entries[keep[:, :, None], keep[:, None, :]])
+        checked = (A, B, np.abs(diff).reshape(n, -1).max(axis=1), scale(A.entries, B.entries))
+        sigma._checked[0] = checked
+    _, _, resid, peak = checked
+    threshold = EXACT_TOL * peak
     failing = np.flatnonzero(resid > threshold)
     return HypomorphyCertificate(valid=failing.size == 0, worst_residual=float(resid.max()),
                                  failing_index=int(failing[0]) if failing.size else None,

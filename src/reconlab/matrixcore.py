@@ -5,8 +5,9 @@ permutation similarity, the shared relative tolerance policy and each
 matrix's spectrum. Everything here is a pure function of immutable inputs;
 arrays stored on the dataclasses are write-protected.
 
-`A.spectrum` (one eigendecomposition serving every shift lambda) and
-`A.spectrum.lambda0` (the certified shift of the lambda path) are cached
+`A.spectrum` (one eigendecomposition serving every shift lambda),
+`A.spectrum.lambda0` (the certified shift of the lambda path) and
+`A.default_det_grid` (the determinants on the default grid) are cached
 properties: computed at the first access and kept; an access that raises
 keeps nothing. The matrix is frozen and its entries are write-protected, so a
 kept value is exactly what a fresh decomposition would give.
@@ -24,6 +25,7 @@ from .errors import DegenerateOrder, DimensionMismatch, NotCertified, NotFinite,
 
 REL_TOL = 1e-10  # relative decisions compare a residual with REL_TOL * scale(inputs)
 POS_MARGIN = 1e-12  # the lambda0 certificate asks (A + p I)^-1 1 >= POS_MARGIN / scale(A)
+DEFAULT_GRID = tuple(np.linspace(-4.0, 4.0, 9))  # the default t grid, and lam grid up to n = 8
 
 
 def scale(*arrays) -> float:
@@ -76,6 +78,18 @@ class SymmetricMatrix:
     def spectrum(self) -> "Spectrum":
         """This matrix's Spectrum, computed at the first access and kept."""
         return Spectrum(self)
+
+    @functools.cached_property
+    def default_det_grid(self) -> np.ndarray:
+        """shifted_det_grid(self, default_lambdas(n), DEFAULT_GRID), computed once and kept read-only.
+
+        An overflowing determinant is kept as the inf or nan it gives; the
+        verifiers reject such a grid at every call.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = shifted_det_grid(self, default_lambdas(self.n), DEFAULT_GRID)
+        grid.setflags(write=False)
+        return grid
 
 
 class Spectrum:
@@ -229,6 +243,14 @@ def deck(A: SymmetricMatrix) -> list:
         raise DegenerateOrder("deck requires order >= 2")
     keep = leave_one_out(A.n)
     return [SymmetricMatrix(card) for card in A.entries[keep[:, :, None], keep[:, None, :]]]
+
+
+def default_lambdas(n: int) -> np.ndarray:
+    """max(9, n + 1) points evenly spaced on [-4, 4]: n + 1 values fix a degree-n det.
+
+    Up to n = 8 this is DEFAULT_GRID bit for bit.
+    """
+    return np.linspace(-4.0, 4.0, max(len(DEFAULT_GRID), n + 1))
 
 
 def shifted_det_grid(A: SymmetricMatrix, lams, ts) -> np.ndarray:

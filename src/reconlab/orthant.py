@@ -33,10 +33,11 @@ central rational at every point, and log, sqrt and the near and far tails
 only at the points with q < 0.075, the far tail only if some t > 5. The
 ranges' variables are strung together, one matrix product evaluates every
 polynomial at once and each range divides only at its own points, so a Phi
-call makes a fixed number of numpy calls, and a Phi^-1 call a few more when
-a tail has points, whatever the number of points and the degree. Every Phi
-call reads the whole Cody table, its y clipped at 27 (erfc(27) is below the
-smallest normal double).
+or Phi^-1 call makes a fixed number of numpy calls, a few more when a tail
+has points, whatever the number of points and the degree. A Phi call with a
+point beyond y = 4 reads the whole Cody table, its y clipped at 27 (erfc(27)
+is below the smallest normal double); one with none reads the first four
+rows only.
 """
 
 from __future__ import annotations
@@ -71,23 +72,24 @@ def _coefficients(*polys) -> np.ndarray:
     return rows
 
 
-# Cody's erfc (CALERF) as numerator rows, then denominator rows: erf(y)/y for
-# y <= 0.46875 as a rational in y^2 and e^(y^2) erfc(y) for y <= 4 as one in y,
-# and (1/sqrt(pi) - e^(y^2) erfc(y) y) / r for y > 4 as one in r = 1/y^2. The
-# numerators are halved below, since Phi(-sqrt(2) y) = erfc(y) / 2.
+# Cody's erfc (CALERF): erf(y)/y for y <= 0.46875 as a rational in y^2 and
+# e^(y^2) erfc(y) for y <= 4 as one in y, as numerator rows, then denominator
+# rows; last, the numerator and denominator of (1/sqrt(pi) - e^(y^2) erfc(y) y) / r
+# for y > 4 as one in r = 1/y^2, so a call with no point there reads _CODY[:4].
+# The numerators are halved below, since Phi(-sqrt(2) y) = erfc(y) / 2.
 _CODY = _coefficients(
     _in_square((1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
                 3.77485237685302021e02, 3.20937758913846947e03)),
     (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
      6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
      1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
-    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
     _in_square((1.0, 2.36012909523441209e01, 2.44024637934444173e02,
                 1.28261652607737228e03, 2.84423683343917062e03)),
     (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
      3.43936767414372164e03, 1.23033935480374942e03),
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
     (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
      6.05183413124413191e-2, 2.33520497626869185e-3),
 )
@@ -116,7 +118,7 @@ _WICHURA = _coefficients(
      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
      5.99832206555887937690e-1, 1.0),
 )
-_CODY[:3] *= 0.5
+_CODY[[0, 1, 4]] *= 0.5
 _WICHURA[1:3] *= -1.0
 
 
@@ -124,12 +126,11 @@ def _polynomials(coefs: np.ndarray, *variables: np.ndarray) -> np.ndarray:
     """Every row of coefs at every point of the variables, strung together in order.
 
     Each range's variable runs over that range's points only, and the caller
-    reads the range's numerator (row k) and denominator (the row half the
-    table below it) at those points. The powers come by repeated doubling
-    and one matrix product evaluates every polynomial. A lone point is
-    evaluated twice, because BLAS takes its matrix-vector route for a single
-    column and sums in another order there: a value must not depend on the
-    points beside it.
+    reads the range's numerator and denominator rows at those points. The
+    powers come by repeated doubling and one matrix product evaluates every
+    polynomial. A lone point is evaluated twice, because BLAS takes its
+    matrix-vector route for a single column and sums in another order there:
+    a value must not depend on the points beside it.
 
     The powers and the values share one allocation: as two, the allocator
     could hand the heap's top back to the kernel between calls, and a
@@ -157,13 +158,17 @@ def _polynomials(coefs: np.ndarray, *variables: np.ndarray) -> np.ndarray:
 def _half_erfc(y: np.ndarray) -> np.ndarray:
     """erfc(y) / 2 for y >= 0, that is Phi(-sqrt(2) y) (Cody 1969)."""
     n = len(y)
-    y = np.minimum(y, _ERFC_CLIP)
     big = y > 4.0
-    yb = y[big]
-    r = 1.0 / (yb * yb)
-    nd = _polynomials(_CODY, y, r)
-    small, tail = nd[:2, :n] / nd[3:5, :n]
-    tail[big] = (_HALF_RSQRT_PI - r * (nd[2, n:] / nd[5, n:])) / yb
+    if not big.any():  # no point in the tail's range: its rows and variable are left out
+        nd = _polynomials(_CODY[:4], y)
+        small, tail = nd[:2, :n] / nd[2:, :n]
+    else:
+        y = np.minimum(y, _ERFC_CLIP)
+        yb = y[big]
+        r = 1.0 / (yb * yb)
+        nd = _polynomials(_CODY, y, r)
+        small, tail = nd[:2, :n] / nd[2:4, :n]
+        tail[big] = (_HALF_RSQRT_PI - r * (nd[4, n:] / nd[5, n:])) / yb
     # e^(-y^2) in one factor: y = |x| / sqrt(2) is rounded already, so Cody's split buys nothing
     tail *= np.exp(-y * y)
     return np.where(y <= 0.46875, 0.5 - y * small, tail)

@@ -6,7 +6,10 @@ verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
 and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
 decides the identity. The default lam grid is max(9, n + 1) points evenly
 spaced on [-4, 4], so it decides the identity at every n; for n <= 8 it is
-DEFAULT_GRID, which is also the default t grid.
+DEFAULT_GRID, which is also the default t grid. The determinants on the
+default grids are each matrix's kept `default_det_grid`, so the gate's
+residuals (kept on sigma) and the grid are computed once per certified pair
+however many verifiers read them.
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
@@ -29,7 +32,8 @@ import numpy as np
 
 from .errors import BadPosition, DimensionMismatch, LambdaTooSmall, NotFinite, NotHypomorphic
 from .hypomorphism import Hypomorphism, verify_hypomorphism
-from .matrixcore import SymmetricMatrix, as_matrix, scale, shifted_det_grid
+from .matrixcore import (DEFAULT_GRID, SymmetricMatrix, as_matrix, default_lambdas, scale,
+                         shifted_det_grid)
 from .presentation import (
     factor_presentation,
     good_position_report,
@@ -45,7 +49,6 @@ ALIGN_TOL = 1e-9
 T_AGREE_TOL = 1e-10
 GEOM_GRID_POINTS = 16
 T_SAMPLES = 10  # interior t values the main theorem samples
-DEFAULT_GRID = tuple(np.linspace(-4.0, 4.0, 9))
 
 
 def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism, force: bool) -> tuple:
@@ -85,12 +88,18 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
         if grid is not None and not np.all(np.isfinite(grid)):
             raise NotFinite(f"{name} grid has a non-finite value")
     A, B = _gate(A, B, sigma, force)
-    if lams is None:  # n + 1 values fix a degree-n det
-        lams = np.linspace(-4.0, 4.0, max(len(DEFAULT_GRID), A.n + 1))
+    kept = lams is None and ts is None  # both grids default: each matrix's kept grid
+    lams = default_lambdas(A.n) if lams is None else lams
     ts = np.asarray(DEFAULT_GRID) if ts is None else ts
-    rows = np.append(lams, 0.0) if against_lambda_zero else lams
     with np.errstate(over="ignore", invalid="ignore"):
-        da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
+        if not kept:
+            rows = np.append(lams, 0.0) if against_lambda_zero else lams
+            da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
+        elif against_lambda_zero:
+            da, db = (np.vstack((M.default_det_grid, shifted_det_grid(M, [0.0], ts)))
+                      for M in (A, B))
+        else:
+            da, db = A.default_det_grid, B.default_det_grid
     if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
         raise NotFinite("a determinant on the grid overflows; use smaller grid values")
     diff = da - db

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -12,9 +14,15 @@ from reconlab import (
     deck,
     find_hypomorphism,
     gen_pair,
+    good_position_shift,
     graph6_decode,
+    lambda0_search,
     perm_similarity,
+    verify_eq1,
     verify_hypomorphism,
+    verify_main1_t_agreement,
+    verify_main2,
+    verify_main_theorem,
     verify_tutte,
 )
 from reconlab.graph6 import Graph6Record, graph6_encode
@@ -147,6 +155,99 @@ class TestVerify:
     ])
     def test_card_scale_does_not_tighten_deck_symmetry(self, call):
         assert call(SymmetricMatrix(CARD_SCALE_RAW))
+
+
+class TestKeptResiduals:
+    """sigma keeps the per-card residuals of the last (A, B) it checked, with the pair itself."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        # the residuals are computed only where leave_one_out is called
+        calls = []
+        loo = hypomorphism.leave_one_out
+
+        def counting(n):
+            calls.append(n)
+            return loo(n)
+
+        monkeypatch.setattr(hypomorphism, "leave_one_out", counting)
+        return calls
+
+    @staticmethod
+    def pair():
+        A = cycle_adjacency(6)
+        B = perm_similarity(A, Permutation.swap(6, 1, 3))
+        return A, B, find_hypomorphism(A, B)
+
+    def test_repeated_checks_compute_once(self, computed):
+        A, B, sigma = self.pair()
+        first = verify_hypomorphism(A, B, sigma)
+        assert all(verify_hypomorphism(A, B, sigma) == first for _ in range(4))
+        assert first.valid and len(computed) == 1
+        # a fresh sigma with the same permutations computes its own, equal residuals
+        assert verify_hypomorphism(A, B, Hypomorphism(sigma.sigmas)) == first
+        assert len(computed) == 2
+
+    def test_verifier_chain_computes_once_per_pair(self, computed):
+        # the atlas pipeline: the explicit gate and four verifiers on one (A, B, sigma),
+        # then verify_main2 on the good-position shifts, a pair of its own
+        A, B, sigma = self.pair()
+        assert verify_hypomorphism(A, B, sigma).valid
+        verify_tutte(A, B, sigma)
+        verify_eq1(A, B, sigma)
+        lam = max(lambda0_search(A), lambda0_search(B)) + 1.0
+        verify_main1_t_agreement(A, B, sigma, lam)
+        verify_main_theorem(A, B, sigma)
+        assert computed == [6]
+        assert verify_main2(good_position_shift(A, lam), good_position_shift(B, lam), sigma).passed
+        assert computed == [6, 6]
+
+    def test_equal_entries_in_another_object_are_recomputed(self, computed):
+        A, B, sigma = self.pair()
+        cert = verify_hypomorphism(A, B, sigma)
+        twin = SymmetricMatrix(B.entries.copy())
+        assert verify_hypomorphism(A, twin, sigma) == cert
+        assert verify_hypomorphism(SymmetricMatrix(A.entries.copy()), twin, sigma) == cert
+        assert len(computed) == 3
+
+    def test_forged_pair_after_a_valid_one(self, computed):
+        A, B, sigma = self.pair()
+        assert verify_hypomorphism(A, B, sigma).valid
+        forged = B.entries.copy()
+        forged[0, 0] += 1e-3
+        cert = verify_hypomorphism(A, SymmetricMatrix(forged), sigma)
+        assert not cert.valid and cert.worst_residual == pytest.approx(1e-3)
+        assert cert.failing_index is not None
+        # and the valid pair, checked again, reads its own residuals once more
+        again = verify_hypomorphism(A, B, sigma)
+        assert again.valid and again.worst_residual == 0.0
+        assert len(computed) == 3
+
+    def test_tolerance_applies_at_every_call(self, monkeypatch, computed):
+        A, B, sigma = self.pair()
+        noisy = B.entries.copy()
+        noisy[0, 1] = noisy[1, 0] = noisy[0, 1] + 1e-9
+        B = SymmetricMatrix(noisy)
+        assert not verify_hypomorphism(A, B, sigma).valid
+        monkeypatch.setattr(hypomorphism, "EXACT_TOL", 1e-8)
+        cert = verify_hypomorphism(A, B, sigma)
+        assert cert.valid and cert.failing_index is None
+        assert cert.tol == 1e-8 * scale(A.entries, B.entries)
+        assert len(computed) == 1
+
+    def test_one_slot_however_many_pairs(self):
+        A, B, sigma = self.pair()
+        a, b = A.entries, B.entries
+        refs = []
+        for _ in range(1000):
+            A2, B2 = SymmetricMatrix(a.copy()), SymmetricMatrix(b.copy())
+            refs.append((weakref.ref(A2), weakref.ref(B2)))
+            assert verify_hypomorphism(A2, B2, sigma).valid
+            assert verify_hypomorphism(a.copy(), b.copy(), sigma).valid  # fresh raw arrays
+        del A2, B2
+        gc.collect()
+        assert not any(ra() or rb() for ra, rb in refs)  # sigma holds only the last pair
+        assert len(sigma._checked) == 1
 
 
 class TestFind:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from reconlab import (
     perm_similarity,
 )
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
-from reconlab.matrixcore import leave_one_out, shifted_det_grid
+from reconlab.matrixcore import DEFAULT_GRID, default_lambdas, leave_one_out, shifted_det_grid
 
 from conftest import CARD_SCALE_RAW, deck_dets, path_adjacency, symmetric_matrices
 
@@ -142,6 +144,31 @@ class TestShiftedDet:
         expected = float(np.prod(values - lam))
         scale = max(1.0, abs(expected))
         assert abs(shifted_det_grid(A, [lam], [0.0])[0, 0] - expected) <= 1e-8 * scale
+
+
+class TestDefaultDetGrid:
+    """Each matrix keeps its determinants on the default grids, read-only."""
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_bit_equal_to_a_fresh_grid(self, rng, n):
+        w = rng.standard_normal((n, n))
+        A = SymmetricMatrix(w + w.T)
+        lams = np.linspace(-4.0, 4.0, max(9, n + 1))
+        np.testing.assert_array_equal(default_lambdas(n), lams)
+        grid = A.default_det_grid
+        assert grid.shape == (len(lams), 9)
+        assert grid.tobytes() == shifted_det_grid(A, lams, DEFAULT_GRID).tobytes()
+        assert A.default_det_grid is grid  # computed once, kept
+
+    def test_read_only(self):
+        A = cycle_adjacency(5)
+        grid = A.default_det_grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            A.default_det_grid = np.zeros_like(grid)
+        assert A.default_det_grid is grid
 
 
 class TestPermSimilarity:

@@ -1,4 +1,6 @@
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from reconlab import (
     verify_main_theorem,
     verify_tutte,
 )
-from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus, matrix_pair
-from reconlab.matrixcore import Permutation, Spectrum, scale, shifted_det_grid
+from reconlab.hypomorphism import SEARCH_CAP, cycle_adjacency, cycle_pair_corpus, matrix_pair
+from reconlab.matrixcore import Permutation, Spectrum, default_lambdas, scale, shifted_det_grid
 from reconlab.serialize import dumps
 from reconlab import verifiers
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
@@ -497,6 +499,110 @@ class TestCorpusWideProperties:
             da = shifted_det_grid(pair["A"], [0.0], ts)[0]
             db = shifted_det_grid(pair["B"], [0.0], ts)[0]
             assert np.all(np.abs(da - db) <= 1e-8 * np.maximum(1.0, np.abs(da)))
+
+
+class TestKeptDefaultGrid:
+    """With both grids defaulted, the verifiers read each matrix's kept default_det_grid;
+    verify_eq1 adds one fresh lam = 0 row and keeps it to itself."""
+
+    @staticmethod
+    def fresh_pair(n):
+        A, B, sigma = matrix_pair(cycle_adjacency(n), Permutation.swap(n, 1, 3))
+        assert sigma is not None
+        return A, B, sigma
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_reports_match_explicit_grids_byte_for_byte(self, n):
+        A, B, sigma = self.fresh_pair(n)
+        grids = {"lambda_grid": default_lambdas(n), "t_grid": DEFAULT_GRID}
+        for verifier in (verify_tutte, verify_eq1, verify_tutte):
+            kept = verifier(A, B, sigma)
+            explicit = verifier(SymmetricMatrix(A.entries.copy()),
+                                SymmetricMatrix(B.entries.copy()), sigma, **grids)
+            assert kept.passed
+            assert dumps(kept) == dumps(explicit), verifier.__name__
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_identity_pairs_match_explicit_grids(self, rng, n):
+        w = rng.standard_normal((n, n))
+        A, sigma = SymmetricMatrix(w + w.T), identity_hypomorphism(n)
+        grids = {"lambda_grid": default_lambdas(n), "t_grid": DEFAULT_GRID}
+        for verifier in (verify_tutte, verify_eq1):
+            assert dumps(verifier(A, A, sigma)) == dumps(verifier(A, A, sigma, **grids))
+
+    def test_determinants_computed(self, monkeypatch):
+        # a lone verifier computes what it did with no kept grid; a chain adds only eq1's row
+        counted = []
+        det = np.linalg.det
+
+        def counting(m):
+            counted.append(int(np.prod(np.shape(m)[:-2])))
+            return det(m)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        rows = len(default_lambdas(9))
+        for first, second, want in ((verify_tutte, verify_eq1, (rows, 1)),
+                                    (verify_eq1, verify_tutte, (rows + 1, 0))):
+            A, B, sigma = self.fresh_pair(9)
+            counted.clear()
+            first(A, B, sigma)
+            assert sum(counted) == 2 * want[0] * len(DEFAULT_GRID)
+            counted.clear()
+            second(A, B, sigma)
+            assert sum(counted) == 2 * want[1] * len(DEFAULT_GRID)
+
+    def test_tutte_reads_only_its_own_rows(self, monkeypatch):
+        # C9's ten-point lam grid holds no lam = 0: eq1's reference row is its own
+        A, B, sigma = self.fresh_pair(9)
+        lams = default_lambdas(9)
+        assert 0.0 not in lams
+        before = dumps(verify_tutte(A, B, sigma))
+        eq1 = verify_eq1(A, B, sigma)
+        tutte = verify_tutte(A, B, sigma)
+        assert dumps(tutte) == before
+        assert A.default_det_grid.shape == B.default_det_grid.shape == (10, 9)
+        assert tutte.residuals.shape == (10, 9) and eq1.residuals.shape == (10, 9)
+        own = [shifted_det_grid(M, lams, DEFAULT_GRID) for M in (A, B)]
+        zero = [shifted_det_grid(M, [0.0], DEFAULT_GRID) for M in (A, B)]
+        assert tutte.scale == max(float(np.max(np.abs(g))) for g in own)
+        assert eq1.scale == max(float(np.max(np.abs(g))) for g in own + zero)
+        # a non-finite lam = 0 row fails eq1 alone
+        grid = verifiers.shifted_det_grid
+
+        def overflowing_zero_row(M, lam_rows, ts):
+            out = grid(M, lam_rows, ts)
+            return np.full_like(out, np.inf) if list(lam_rows) == [0.0] else out
+
+        monkeypatch.setattr(verifiers, "shifted_det_grid", overflowing_zero_row)
+        with pytest.raises(NotFinite):
+            verify_eq1(A, B, sigma)
+        assert dumps(verify_tutte(A, B, sigma)) == before
+
+    def test_overflowing_kept_grid_fails_every_call(self):
+        A, B, sigma = matrix_pair(SymmetricMatrix(1e200 * cycle_adjacency(5).entries),
+                                  Permutation.swap(5, 1, 3))
+        assert sigma is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                for verifier in (verify_tutte, verify_eq1):
+                    with pytest.raises(NotFinite):
+                        verifier(A, B, sigma)
+        assert not np.all(np.isfinite(A.default_det_grid))
+
+
+SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
+
+
+@pytest.mark.parametrize("argv", [["--n-min", "2"], ["--n-min", "3"], ["--n-min", "4"],
+                                  ["--n-max", str(SEARCH_CAP + 1)],
+                                  ["--n-min", "7", "--n-max", "6"]])
+def test_sweep_rejects_orders_outside_the_corpus_range(monkeypatch, capsys, argv):
+    monkeypatch.setattr("sys.argv", [str(SWEEP)] + argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    assert exc.value.code == 2
+    assert f"need 5 <= --n-min <= --n-max <= {SEARCH_CAP}" in capsys.readouterr().err
 
 
 def test_one_spectrum_per_matrix(monkeypatch):
