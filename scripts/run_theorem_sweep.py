@@ -15,20 +15,20 @@ from reconlab import (
     verify_main_theorem,
     verify_tutte,
 )
-from reconlab.hypomorphism import SEARCH_CAP, cycle_pair_corpus
+from reconlab.hypomorphism import CORPUS_MIN_ORDER, SEARCH_CAP, cycle_pair_corpus
 from reconlab.verifiers import good_position_shift
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    # the corpus's shuffle relabeling swap(1, 3) needs C5 (on C4 it is an automorphism),
-    # and the search certifies no order past SEARCH_CAP
-    parser.add_argument("--n-min", type=int, default=5, help="smallest cycle order, at least 5")
+    # the corpus starts at CORPUS_MIN_ORDER, and the search certifies no order past SEARCH_CAP
+    parser.add_argument("--n-min", type=int, default=CORPUS_MIN_ORDER,
+                        help=f"smallest cycle order, at least {CORPUS_MIN_ORDER}")
     parser.add_argument("--n-max", type=int, default=8,
                         help=f"largest cycle order, at most {SEARCH_CAP} (the search's cap)")
     args = parser.parse_args()
-    if not 5 <= args.n_min <= args.n_max <= SEARCH_CAP:
-        parser.error(f"need 5 <= --n-min <= --n-max <= {SEARCH_CAP}, "
+    if not CORPUS_MIN_ORDER <= args.n_min <= args.n_max <= SEARCH_CAP:
+        parser.error(f"need {CORPUS_MIN_ORDER} <= --n-min <= --n-max <= {SEARCH_CAP}, "
                      f"got --n-min {args.n_min} --n-max {args.n_max}")
 
     corpus = cycle_pair_corpus(ns=tuple(range(args.n_min, args.n_max + 1)))

@@ -10,15 +10,16 @@ factors), and generates test pairs from relabeled graphs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, SearchTooLarge
+from .errors import DegenerateOrder, DimensionMismatch, SearchTooLarge
 from .graph6 import Graph6Record
 from .matrixcore import (Permutation, SymmetricMatrix, as_matrix, deck, leave_one_out,
-                         perm_similarity, scale)
+                         perm_similarity)
 
 EXACT_TOL = 1e-12  # relative: residuals are compared with EXACT_TOL * scale(A, B)
 SEARCH_CAP = 9
@@ -39,12 +40,19 @@ class Hypomorphism:
             if s.degree != n - 1:
                 raise DimensionMismatch(f"sigma degree {s.degree} != {n - 1}")
         object.__setattr__(self, "sigmas", sigmas)
-        # [(A, B, per-card residuals, scale(A, B))] of the last pair verify_hypomorphism checked
-        object.__setattr__(self, "_checked", [None])
 
     @property
     def n(self) -> int:
         return len(self.sigmas)
+
+    @functools.cached_property
+    def index_tables(self) -> tuple:
+        """(keep, moved), read-only: keep[i] = leave_one_out(n)[i], moved[i] = keep[i][sigma_i]."""
+        keep = leave_one_out(self.n)
+        moved = keep[np.arange(self.n)[:, None], [s.image for s in self.sigmas]]
+        for table in (keep, moved):
+            table.setflags(write=False)
+        return keep, moved
 
 
 @dataclass(frozen=True)
@@ -63,31 +71,19 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
     per-card matrices. Card i keeps the indices keep[i] (every index but i),
     and B_i == sigma_i A_i sigma_i^T reads B_i[sigma_i(p), sigma_i(q)] ==
     A_i[p, q], so each residual is a difference of the same two floats a loop
-    over the deck would subtract.
-
-    sigma keeps the residuals and scale(A, B) of the last pair it checked,
-    with the pair itself: a chain of verifiers on the same (A, B, sigma)
-    objects computes them once. The objects are frozen, so kept residuals are
-    what a fresh computation gives; EXACT_TOL is applied at every call. The
-    slot is read once into an immutable tuple, so a concurrent check of
-    another pair can replace it but never mix two pairs.
+    over the deck would subtract. The index tables are sigma's own; the
+    residuals are computed at every call, so nothing about a pair is kept.
     """
     A, B = as_matrix(A), as_matrix(B)
     if A.n != B.n or A.n != sigma.n:
         raise DimensionMismatch(f"orders differ: A={A.n}, B={B.n}, sigma={sigma.n}")
     if A.n < 3:
         raise DimensionMismatch("deck matching requires order >= 3")
-    checked = sigma._checked[0]
-    if checked is None or checked[0] is not A or checked[1] is not B:
-        n = A.n
-        keep = leave_one_out(n)
-        moved = keep[np.arange(n)[:, None], [s.image for s in sigma.sigmas]]
-        diff = (B.entries[moved[:, :, None], moved[:, None, :]]
-                - A.entries[keep[:, :, None], keep[:, None, :]])
-        checked = (A, B, np.abs(diff).reshape(n, -1).max(axis=1), scale(A.entries, B.entries))
-        sigma._checked[0] = checked
-    _, _, resid, peak = checked
-    threshold = EXACT_TOL * peak
+    keep, moved = sigma.index_tables
+    diff = (B.entries[moved[:, :, None], moved[:, None, :]]
+            - A.entries[keep[:, :, None], keep[:, None, :]])
+    resid = np.abs(diff).reshape(A.n, -1).max(axis=1)
+    threshold = EXACT_TOL * max(A.scale, B.scale)
     failing = np.flatnonzero(resid > threshold)
     return HypomorphyCertificate(valid=failing.size == 0, worst_residual=float(resid.max()),
                                  failing_index=int(failing[0]) if failing.size else None,
@@ -146,7 +142,7 @@ def find_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix) -> Optional[Hypomo
     if A.n > SEARCH_CAP:
         raise SearchTooLarge(f"order {A.n} exceeds search cap {SEARCH_CAP}")
     deck_a, deck_b = deck(A), deck(B)
-    atol = EXACT_TOL * scale(A.entries, B.entries)  # the gate's threshold
+    atol = EXACT_TOL * max(A.scale, B.scale)  # the gate's threshold
     sigmas = []
     for i in range(A.n):
         match = _match_submatrix(deck_a[i].entries, deck_b[i].entries, atol)
@@ -177,6 +173,9 @@ def matrix_pair(A: SymmetricMatrix, tau: Permutation):
 # ---------------------------------------------------------------------------
 # the relabeled-cycle corpus
 
+CORPUS_MIN_ORDER = 5  # the shuffle swap(1, 3) is out of range on C3 and an automorphism of C4
+
+
 def cycle_adjacency(n: int) -> SymmetricMatrix:
     a = np.zeros((n, n))
     for i in range(n):
@@ -203,6 +202,9 @@ def cycle_pair_corpus(ns=(5, 6, 7, 8), kinds=("rotation", "reflection", "shuffle
     the per-index search always succeeds. Dihedral relabelings reproduce the
     same matrix (automorphisms); the shuffle kind supplies pairs with B != A.
     """
+    ns = tuple(ns)
+    if any(n < CORPUS_MIN_ORDER for n in ns):
+        raise DegenerateOrder(f"cycle corpus orders start at {CORPUS_MIN_ORDER}, got {min(ns)}")
     corpus = []
     for n in ns:
         for kind in kinds:

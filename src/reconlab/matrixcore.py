@@ -5,19 +5,19 @@ permutation similarity, the shared relative tolerance policy and each
 matrix's spectrum. Everything here is a pure function of immutable inputs;
 arrays stored on the dataclasses are write-protected.
 
-`A.spectrum` (one eigendecomposition serving every shift lambda),
-`A.spectrum.lambda0` (the certified shift of the lambda path) and
-`A.default_det_grid` (the determinants on the default grid) are cached
-properties: computed at the first access and kept; an access that raises
-keeps nothing. The matrix is frozen and its entries are write-protected, so a
-kept value is exactly what a fresh decomposition would give.
+A matrix keeps what is a function of it alone: `A.scale` (set by the
+constructor), and the cached properties `A.spectrum` (one eigendecomposition
+for every shift lambda), `A.spectrum.lambda0` and `A.default_det_grid`,
+computed at the first access; an access that raises keeps nothing. The matrix
+is frozen and its entries are write-protected, so a kept value is exactly
+what a fresh computation would give.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class SymmetricMatrix:
     """
 
     entries: np.ndarray
+    scale: float = field(init=False, repr=False, compare=False)  # scale(entries), as stored
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -68,7 +69,9 @@ class SymmetricMatrix:
             raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
         if asym > 0.0:
             a = np.where(np.tri(a.shape[0], dtype=bool), a, a.T)
+            peak = float(np.max(np.abs(a)))  # the mirrored entries' own peak
         object.__setattr__(self, "entries", _frozen_array(a))
+        object.__setattr__(self, "scale", max(1.0, peak))
 
     @property
     def n(self) -> int:
@@ -81,13 +84,14 @@ class SymmetricMatrix:
 
     @functools.cached_property
     def default_det_grid(self) -> np.ndarray:
-        """shifted_det_grid(self, default_lambdas(n), DEFAULT_GRID), computed once and kept read-only.
+        """shifted_det_grid(self, default_lambdas(n) + [0], DEFAULT_GRID), computed once, read-only.
 
-        An overflowing determinant is kept as the inf or nan it gives; the
-        verifiers reject such a grid at every call.
+        The last row, lam = 0, is verify_eq1's reference. An overflowing
+        determinant is kept as the inf or nan it gives; the verifiers reject
+        such a grid at every call.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = shifted_det_grid(self, default_lambdas(self.n), DEFAULT_GRID)
+            grid = shifted_det_grid(self, np.append(default_lambdas(self.n), 0.0), DEFAULT_GRID)
         grid.setflags(write=False)
         return grid
 
@@ -99,10 +103,10 @@ class Spectrum:
     positive-definiteness test and the positivity certificate cost O(n^2) per
     shift. The smallest and largest diagonal entries and the largest
     off-diagonal magnitude of A give scale(A + lam I) exactly without forming
-    the shifted matrix. The arrays are read-only, since every reader of
-    `A.spectrum` shares them. A lambda0 probe is numpy's per-call overhead
-    around one small product, so c and mu are also kept as column views and
-    `certified` enters np.errstate only near overflow.
+    the shifted matrix; `scale` is A.scale. The arrays are read-only, since
+    every reader of `A.spectrum` shares them. A lambda0 probe is numpy's
+    per-call overhead around one small product, so c and mu are also kept as
+    column views and `certified` enters np.errstate only near overflow.
     """
 
     def __init__(self, A: SymmetricMatrix):
@@ -119,8 +123,7 @@ class Spectrum:
         off = np.abs(a)
         np.fill_diagonal(off, 0.0)
         self.off_peak = max(1.0, float(off.max()))  # scale(off)
-        # scale(a): its largest |entry| lies off the diagonal or at a diagonal extreme
-        self.scale = max(self.off_peak, abs(self.diag_lo), abs(self.diag_hi))
+        self.scale = A.scale
 
     def pd_bound(self, lam: float) -> tuple:
         """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""

@@ -7,9 +7,9 @@ and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
 decides the identity. The default lam grid is max(9, n + 1) points evenly
 spaced on [-4, 4], so it decides the identity at every n; for n <= 8 it is
 DEFAULT_GRID, which is also the default t grid. The determinants on the
-default grids are each matrix's kept `default_det_grid`, so the gate's
-residuals (kept on sigma) and the grid are computed once per certified pair
-however many verifiers read them.
+default grids, with verify_eq1's lam = 0 row last, are each matrix's kept
+`default_det_grid`: computed once per matrix however many verifiers read
+them. verify_tutte reads only its own rows.
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
@@ -79,7 +79,7 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     """Gate, then compare f = det(A - lam I + t J) - det(B - lam I + t J) on the grid.
 
     The residual is |f| or, with `against_lambda_zero`, |f - f(0, t)|; the
-    lam = 0 reference row then also counts towards the scale.
+    lam = 0 reference row, appended last, then also counts towards the scale.
     """
     lams, ts = (None if g is None else np.asarray(g, dtype=float) for g in (lambda_grid, t_grid))
     for name, grid in (("lam", lams), ("t", ts)):
@@ -91,15 +91,10 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     kept = lams is None and ts is None  # both grids default: each matrix's kept grid
     lams = default_lambdas(A.n) if lams is None else lams
     ts = np.asarray(DEFAULT_GRID) if ts is None else ts
+    rows = lams.size + 1 if against_lambda_zero else lams.size
     with np.errstate(over="ignore", invalid="ignore"):
-        if not kept:
-            rows = np.append(lams, 0.0) if against_lambda_zero else lams
-            da, db = shifted_det_grid(A, rows, ts), shifted_det_grid(B, rows, ts)
-        elif against_lambda_zero:
-            da, db = (np.vstack((M.default_det_grid, shifted_det_grid(M, [0.0], ts)))
-                      for M in (A, B))
-        else:
-            da, db = A.default_det_grid, B.default_det_grid
+        da, db = (M.default_det_grid[:rows] if kept
+                  else shifted_det_grid(M, np.append(lams, 0.0)[:rows], ts) for M in (A, B))
     if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
         raise NotFinite("a determinant on the grid overflows; use smaller grid values")
     diff = da - db

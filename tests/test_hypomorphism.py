@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from reconlab import (
+    DegenerateOrder,
     Hypomorphism,
     Permutation,
     SearchTooLarge,
@@ -27,7 +29,8 @@ from reconlab import (
 )
 from reconlab.graph6 import Graph6Record, graph6_encode
 from reconlab import hypomorphism
-from reconlab.hypomorphism import EXACT_TOL, cycle_adjacency, cycle_pair_corpus
+from reconlab.hypomorphism import (CORPUS_MIN_ORDER, EXACT_TOL, cycle_adjacency,
+                                   cycle_pair_corpus)
 from reconlab.matrixcore import scale
 
 from conftest import (
@@ -158,11 +161,11 @@ class TestVerify:
 
 
 class TestKeptResiduals:
-    """sigma keeps the per-card residuals of the last (A, B) it checked, with the pair itself."""
+    """sigma keeps only its own index tables; the residuals of a pair are computed at every call."""
 
     @pytest.fixture
     def computed(self, monkeypatch):
-        # the residuals are computed only where leave_one_out is called
+        # the index tables are built only where leave_one_out is called
         calls = []
         loo = hypomorphism.leave_one_out
 
@@ -180,17 +183,18 @@ class TestKeptResiduals:
         return A, B, find_hypomorphism(A, B)
 
     def test_repeated_checks_compute_once(self, computed):
+        # the tables are a function of sigma alone: built once per sigma object
         A, B, sigma = self.pair()
         first = verify_hypomorphism(A, B, sigma)
         assert all(verify_hypomorphism(A, B, sigma) == first for _ in range(4))
         assert first.valid and len(computed) == 1
-        # a fresh sigma with the same permutations computes its own, equal residuals
+        # a fresh sigma with the same permutations builds its own, equal tables
         assert verify_hypomorphism(A, B, Hypomorphism(sigma.sigmas)) == first
         assert len(computed) == 2
 
-    def test_verifier_chain_computes_once_per_pair(self, computed):
+    def test_verifier_chain_builds_the_tables_once(self, computed):
         # the atlas pipeline: the explicit gate and four verifiers on one (A, B, sigma),
-        # then verify_main2 on the good-position shifts, a pair of its own
+        # then verify_main2 on the good-position shifts under the same sigma
         A, B, sigma = self.pair()
         assert verify_hypomorphism(A, B, sigma).valid
         verify_tutte(A, B, sigma)
@@ -198,19 +202,17 @@ class TestKeptResiduals:
         lam = max(lambda0_search(A), lambda0_search(B)) + 1.0
         verify_main1_t_agreement(A, B, sigma, lam)
         verify_main_theorem(A, B, sigma)
-        assert computed == [6]
         assert verify_main2(good_position_shift(A, lam), good_position_shift(B, lam), sigma).passed
-        assert computed == [6, 6]
+        assert computed == [6]
 
-    def test_equal_entries_in_another_object_are_recomputed(self, computed):
+    def test_equal_entries_in_another_object_are_recomputed(self):
         A, B, sigma = self.pair()
         cert = verify_hypomorphism(A, B, sigma)
         twin = SymmetricMatrix(B.entries.copy())
         assert verify_hypomorphism(A, twin, sigma) == cert
         assert verify_hypomorphism(SymmetricMatrix(A.entries.copy()), twin, sigma) == cert
-        assert len(computed) == 3
 
-    def test_forged_pair_after_a_valid_one(self, computed):
+    def test_forged_pair_after_a_valid_one(self):
         A, B, sigma = self.pair()
         assert verify_hypomorphism(A, B, sigma).valid
         forged = B.entries.copy()
@@ -218,12 +220,11 @@ class TestKeptResiduals:
         cert = verify_hypomorphism(A, SymmetricMatrix(forged), sigma)
         assert not cert.valid and cert.worst_residual == pytest.approx(1e-3)
         assert cert.failing_index is not None
-        # and the valid pair, checked again, reads its own residuals once more
+        # and the valid pair, checked again, passes on its own residuals
         again = verify_hypomorphism(A, B, sigma)
         assert again.valid and again.worst_residual == 0.0
-        assert len(computed) == 3
 
-    def test_tolerance_applies_at_every_call(self, monkeypatch, computed):
+    def test_tolerance_applies_at_every_call(self, monkeypatch):
         A, B, sigma = self.pair()
         noisy = B.entries.copy()
         noisy[0, 1] = noisy[1, 0] = noisy[0, 1] + 1e-9
@@ -233,9 +234,8 @@ class TestKeptResiduals:
         cert = verify_hypomorphism(A, B, sigma)
         assert cert.valid and cert.failing_index is None
         assert cert.tol == 1e-8 * scale(A.entries, B.entries)
-        assert len(computed) == 1
 
-    def test_one_slot_however_many_pairs(self):
+    def test_sigma_holds_no_matrix(self):
         A, B, sigma = self.pair()
         a, b = A.entries, B.entries
         refs = []
@@ -246,8 +246,16 @@ class TestKeptResiduals:
             assert verify_hypomorphism(a.copy(), b.copy(), sigma).valid  # fresh raw arrays
         del A2, B2
         gc.collect()
-        assert not any(ra() or rb() for ra, rb in refs)  # sigma holds only the last pair
-        assert len(sigma._checked) == 1
+        assert not any(ra() or rb() for ra, rb in refs)
+        assert set(vars(sigma)) == {"sigmas", "index_tables"}
+        # the tables are read-only and kept: sigma cannot be made to hold another's
+        keep, moved = sigma.index_tables
+        assert not keep.flags.writeable and not moved.flags.writeable
+        with pytest.raises(ValueError):
+            moved[0, 0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sigma.index_tables = (keep, keep)
+        assert sigma.index_tables[1] is moved
 
 
 class TestFind:
@@ -477,3 +485,18 @@ class TestCorpus:
     def test_certificates_reverify(self):
         for pair in cycle_pair_corpus(ns=(5, 6, 7), kinds=("rotation",)):
             assert verify_hypomorphism(pair["A"], pair["B"], pair["sigma"]).valid
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_orders_below_the_bound_raise_before_any_pair(self, monkeypatch, n):
+        # swap(1, 3) is out of range on C2 and C3 and an automorphism of C4
+        assert CORPUS_MIN_ORDER == 5
+        built = []
+        monkeypatch.setattr(hypomorphism, "matrix_pair", lambda *args: built.append(args))
+        with pytest.raises(DegenerateOrder, match=f"start at 5, got {n}"):
+            cycle_pair_corpus(ns=(5, n))
+        assert built == []
+
+    def test_orders_from_a_generator(self):
+        # the bound check must not use up the orders the corpus is built from
+        names = [p["name"] for p in cycle_pair_corpus(ns=(n for n in (5, 6)), kinds=("shuffle",))]
+        assert names == ["C5-shuffle", "C6-shuffle"]

@@ -16,7 +16,8 @@ from reconlab import (
     perm_similarity,
 )
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
-from reconlab.matrixcore import DEFAULT_GRID, default_lambdas, leave_one_out, shifted_det_grid
+from reconlab.matrixcore import (DEFAULT_GRID, default_lambdas, leave_one_out, scale,
+                                 shifted_det_grid)
 
 from conftest import CARD_SCALE_RAW, deck_dets, path_adjacency, symmetric_matrices
 
@@ -73,6 +74,33 @@ class TestSymmetricMatrix:
         m = SymmetricMatrix(np.eye(3))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+
+class TestKeptScale:
+    """The constructor keeps scale(entries) of the stored entries; the spectrum reads it."""
+
+    @pytest.mark.parametrize("raw, want", [
+        pytest.param(np.array([[2.0, -3.5], [-3.5, 0.25]]), 3.5, id="exactly-symmetric"),
+        # stored as the lower triangle mirrored: the peak 1000 + 1e-8 above it is not kept
+        pytest.param(np.array([[0.0, 1000.0 + 1e-8], [1000.0, 0.0]]), 1000.0, id="mirrored-peak"),
+        pytest.param(CARD_SCALE_RAW, 1000.0, id="card-scale-raw"),
+        pytest.param(1e-13 * cycle_adjacency(5).entries, 1.0, id="1e-13*C5"),
+        pytest.param(1e13 * cycle_adjacency(8).entries, 1e13, id="1e13*C8"),
+    ])
+    def test_scale_of_the_stored_entries(self, raw, want):
+        M = SymmetricMatrix(raw)
+        assert M.scale == scale(M.entries) == want
+        spec = M.spectrum
+        assert spec.scale == M.scale
+        # the spectrum's own extremes give the same scale: the largest |entry| of A
+        # lies off the diagonal or at a diagonal extreme
+        assert max(spec.off_peak, abs(spec.diag_lo), abs(spec.diag_hi)) == M.scale
+
+    def test_kept_and_frozen(self):
+        M = SymmetricMatrix(np.eye(3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            M.scale = 2.0
+        assert "scale" not in repr(M)
 
 
 class TestDeck:
@@ -147,7 +175,7 @@ class TestShiftedDet:
 
 
 class TestDefaultDetGrid:
-    """Each matrix keeps its determinants on the default grids, read-only."""
+    """Each matrix keeps its determinants on the default grids, with lam = 0 last, read-only."""
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_bit_equal_to_a_fresh_grid(self, rng, n):
@@ -156,8 +184,12 @@ class TestDefaultDetGrid:
         lams = np.linspace(-4.0, 4.0, max(9, n + 1))
         np.testing.assert_array_equal(default_lambdas(n), lams)
         grid = A.default_det_grid
-        assert grid.shape == (len(lams), 9)
-        assert grid.tobytes() == shifted_det_grid(A, lams, DEFAULT_GRID).tobytes()
+        assert grid.shape == (len(lams) + 1, 9)
+        rows = list(lams) + [0.0]
+        assert grid.tobytes() == shifted_det_grid(A, rows, DEFAULT_GRID).tobytes()
+        # each row is the one a grid of that lam alone gives
+        assert grid[-1].tobytes() == shifted_det_grid(A, [0.0], DEFAULT_GRID)[0].tobytes()
+        assert grid[:-1].tobytes() == shifted_det_grid(A, lams, DEFAULT_GRID).tobytes()
         assert A.default_det_grid is grid  # computed once, kept
 
     def test_read_only(self):

@@ -27,7 +27,7 @@ from reconlab import (
 from reconlab.hypomorphism import SEARCH_CAP, cycle_adjacency, cycle_pair_corpus, matrix_pair
 from reconlab.matrixcore import Permutation, Spectrum, default_lambdas, scale, shifted_det_grid
 from reconlab.serialize import dumps
-from reconlab import verifiers
+from reconlab import matrixcore, verifiers
 from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
 
 from conftest import complete_bipartite_adjacency, identity_hypomorphism, signed_cycle_near_miss
@@ -502,8 +502,8 @@ class TestCorpusWideProperties:
 
 
 class TestKeptDefaultGrid:
-    """With both grids defaulted, the verifiers read each matrix's kept default_det_grid;
-    verify_eq1 adds one fresh lam = 0 row and keeps it to itself."""
+    """With both grids defaulted, the verifiers read each matrix's kept default_det_grid,
+    whose last row is verify_eq1's lam = 0 reference; verify_tutte reads only its own rows."""
 
     @staticmethod
     def fresh_pair(n):
@@ -531,7 +531,8 @@ class TestKeptDefaultGrid:
             assert dumps(verifier(A, A, sigma)) == dumps(verifier(A, A, sigma, **grids))
 
     def test_determinants_computed(self, monkeypatch):
-        # a lone verifier computes what it did with no kept grid; a chain adds only eq1's row
+        # the first verifier on a pair builds both kept grids, lam = 0 row included;
+        # the second computes none. Explicit grids compute their own rows at every call
         counted = []
         det = np.linalg.det
 
@@ -541,18 +542,23 @@ class TestKeptDefaultGrid:
 
         monkeypatch.setattr(np.linalg, "det", counting)
         rows = len(default_lambdas(9))
-        for first, second, want in ((verify_tutte, verify_eq1, (rows, 1)),
-                                    (verify_eq1, verify_tutte, (rows + 1, 0))):
+        for first, second in ((verify_tutte, verify_eq1), (verify_eq1, verify_tutte)):
             A, B, sigma = self.fresh_pair(9)
             counted.clear()
             first(A, B, sigma)
-            assert sum(counted) == 2 * want[0] * len(DEFAULT_GRID)
+            assert sum(counted) == 2 * (rows + 1) * len(DEFAULT_GRID)
             counted.clear()
             second(A, B, sigma)
-            assert sum(counted) == 2 * want[1] * len(DEFAULT_GRID)
+            assert sum(counted) == 0
+        grids = {"lambda_grid": default_lambdas(9), "t_grid": DEFAULT_GRID}
+        for verifier, own in ((verify_tutte, rows), (verify_eq1, rows + 1)):
+            for _ in range(2):
+                counted.clear()
+                verifier(A, B, sigma, **grids)
+                assert sum(counted) == 2 * own * len(DEFAULT_GRID)
 
     def test_tutte_reads_only_its_own_rows(self, monkeypatch):
-        # C9's ten-point lam grid holds no lam = 0: eq1's reference row is its own
+        # C9's ten-point lam grid holds no lam = 0: eq1's reference row is the kept grid's last
         A, B, sigma = self.fresh_pair(9)
         lams = default_lambdas(9)
         assert 0.0 not in lams
@@ -560,23 +566,29 @@ class TestKeptDefaultGrid:
         eq1 = verify_eq1(A, B, sigma)
         tutte = verify_tutte(A, B, sigma)
         assert dumps(tutte) == before
-        assert A.default_det_grid.shape == B.default_det_grid.shape == (10, 9)
+        assert A.default_det_grid.shape == B.default_det_grid.shape == (11, 9)
         assert tutte.residuals.shape == (10, 9) and eq1.residuals.shape == (10, 9)
         own = [shifted_det_grid(M, lams, DEFAULT_GRID) for M in (A, B)]
         zero = [shifted_det_grid(M, [0.0], DEFAULT_GRID) for M in (A, B)]
         assert tutte.scale == max(float(np.max(np.abs(g))) for g in own)
         assert eq1.scale == max(float(np.max(np.abs(g))) for g in own + zero)
-        # a non-finite lam = 0 row fails eq1 alone
-        grid = verifiers.shifted_det_grid
+        # a non-finite lam = 0 row fails eq1 alone, kept or computed
+        grid = matrixcore.shifted_det_grid
 
         def overflowing_zero_row(M, lam_rows, ts):
             out = grid(M, lam_rows, ts)
-            return np.full_like(out, np.inf) if list(lam_rows) == [0.0] else out
+            if len(lam_rows) == lams.size + 1 and lam_rows[-1] == 0.0:
+                out[-1] = np.inf
+            return out
 
-        monkeypatch.setattr(verifiers, "shifted_det_grid", overflowing_zero_row)
-        with pytest.raises(NotFinite):
-            verify_eq1(A, B, sigma)
-        assert dumps(verify_tutte(A, B, sigma)) == before
+        for module in (matrixcore, verifiers):
+            monkeypatch.setattr(module, "shifted_det_grid", overflowing_zero_row)
+        explicit = {"lambda_grid": lams, "t_grid": DEFAULT_GRID}
+        for grids in ({}, explicit):
+            A2, B2 = SymmetricMatrix(A.entries.copy()), SymmetricMatrix(B.entries.copy())
+            with pytest.raises(NotFinite):
+                verify_eq1(A2, B2, sigma, **grids)
+            assert dumps(verify_tutte(A2, B2, sigma, **grids)) == before
 
     def test_overflowing_kept_grid_fails_every_call(self):
         A, B, sigma = matrix_pair(SymmetricMatrix(1e200 * cycle_adjacency(5).entries),
@@ -591,18 +603,32 @@ class TestKeptDefaultGrid:
         assert not np.all(np.isfinite(A.default_det_grid))
 
 
-SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SWEEP = SCRIPTS / "run_theorem_sweep.py"
+OUT_OF_RANGE_ORDERS = [["--n-min", "2"], ["--n-min", "3"], ["--n-min", "4"],
+                       ["--n-max", str(SEARCH_CAP + 1)], ["--n-min", "7", "--n-max", "6"]]
 
 
-@pytest.mark.parametrize("argv", [["--n-min", "2"], ["--n-min", "3"], ["--n-min", "4"],
-                                  ["--n-max", str(SEARCH_CAP + 1)],
-                                  ["--n-min", "7", "--n-max", "6"]])
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ORDERS)
 def test_sweep_rejects_orders_outside_the_corpus_range(monkeypatch, capsys, argv):
     monkeypatch.setattr("sys.argv", [str(SWEEP)] + argv)
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SWEEP), run_name="__main__")
     assert exc.value.code == 2
     assert f"need 5 <= --n-min <= --n-max <= {SEARCH_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ORDERS + [["--n-min", "8", "--n-max", "6"]])
+def test_corpus_builder_rejects_orders_outside_the_corpus_range(monkeypatch, capsys, tmp_path,
+                                                                argv):
+    builder = SCRIPTS / "build_cycle_corpus.py"
+    out = tmp_path / "corpus"
+    monkeypatch.setattr("sys.argv", [str(builder), "--out", str(out)] + argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(builder), run_name="__main__")
+    assert exc.value.code == 2
+    assert f"need 5 <= --n-min <= --n-max <= {SEARCH_CAP}" in capsys.readouterr().err
+    assert not out.exists()  # no header-only cycles.g6
 
 
 def test_one_spectrum_per_matrix(monkeypatch):
