@@ -56,8 +56,8 @@ class SuiteReport:
     seed: int
     count: int
     resid_tol: float
-    tallies: Dict[str, InvariantTally] = field(default_factory=dict)
-    fractions: List[float] = field(default_factory=list)
+    tallies: Dict[str, InvariantTally] = field(default_factory=dict, init=False)
+    fractions: List[float] = field(default_factory=list, init=False)
 
     def tally(self, name: str) -> InvariantTally:
         return self.tallies.setdefault(name, InvariantTally())

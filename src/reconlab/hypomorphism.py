@@ -77,8 +77,6 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
     A, B = as_matrix(A), as_matrix(B)
     if A.n != B.n or A.n != sigma.n:
         raise DimensionMismatch(f"orders differ: A={A.n}, B={B.n}, sigma={sigma.n}")
-    if A.n < 3:
-        raise DimensionMismatch("deck matching requires order >= 3")
     keep, moved = sigma.index_tables
     diff = (B.entries[moved[:, :, None], moved[:, None, :]]
             - A.entries[keep[:, :, None], keep[:, None, :]])
@@ -183,19 +181,14 @@ def cycle_adjacency(n: int) -> SymmetricMatrix:
     return SymmetricMatrix(a)
 
 
-def _cycle_relabeling(n: int, kind: str) -> Permutation:
-    if kind == "rotation":
-        return Permutation.rotation(n)
-    if kind == "reflection":
-        return Permutation.reflection(n)
-    if kind == "shuffle":
-        # a transposition outside the dihedral group: rotations and reflections
-        # are cycle automorphisms, so only relabelings like this one give B != A
-        return Permutation.swap(n, 1, 3)
-    raise ValueError(f"unknown relabeling kind {kind!r}")
+def _cycle_relabelings(n: int) -> dict:
+    return {"rotation": Permutation.rotation(n), "reflection": Permutation.reflection(n),
+            # a transposition outside the dihedral group: rotations and reflections
+            # are cycle automorphisms, so only relabelings like this one give B != A
+            "shuffle": Permutation.swap(n, 1, 3)}
 
 
-def cycle_pair_corpus(ns=(5, 6, 7, 8), kinds=("rotation", "reflection", "shuffle")) -> list:
+def cycle_pair_corpus(ns=(5, 6, 7, 8)) -> list:
     """Certified relabeled-cycle pairs; the workhorse corpus for the verifiers.
 
     Cycles are vertex transitive, so every deck element is the same path and
@@ -207,8 +200,7 @@ def cycle_pair_corpus(ns=(5, 6, 7, 8), kinds=("rotation", "reflection", "shuffle
         raise DegenerateOrder(f"cycle corpus orders start at {CORPUS_MIN_ORDER}, got {min(ns)}")
     corpus = []
     for n in ns:
-        for kind in kinds:
-            tau = _cycle_relabeling(n, kind)
+        for kind, tau in _cycle_relabelings(n).items():
             A, B, sigma = matrix_pair(cycle_adjacency(n), tau)
             if sigma is None:
                 raise RuntimeError(f"relabeled C{n} ({kind}) unexpectedly has no certificate")

@@ -211,15 +211,14 @@ class Permutation:
     def degree(self) -> int:
         return len(self.image)
 
-    def __call__(self, k: int) -> int:
-        return self.image[k]
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
     @classmethod
     def swap(cls, n: int, i: int, j: int) -> "Permutation":
+        if not (0 <= i < n and 0 <= j < n):
+            raise DimensionMismatch(f"swap({i}, {j}) out of range 0..{n - 1}")
         img = list(range(n))
         img[i], img[j] = img[j], img[i]
         return cls(tuple(img))

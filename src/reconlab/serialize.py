@@ -3,7 +3,9 @@
 `dumps` is the standard library's encoder with one conversion step for
 dataclasses, enums and numpy values. Floats are written as Python's shortest
 `repr`, which reads back to the same double; a non-finite float is an error,
-not a string. Readers accept anything json.loads produces.
+not a string. Readers accept anything json.loads produces, but a count or an
+index (`n`, a sigma entry, `ambient_dim`) must be a JSON integer: 2.7 or true
+is a ParseError, never truncated.
 """
 
 from __future__ import annotations
@@ -44,13 +46,20 @@ def dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 # wire formats
 
+def _integer(value) -> int:
+    """value if it is a JSON integer; int() would read 2.7 as 2 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def matrix_to_dict(A: SymmetricMatrix) -> dict:
     return {"n": A.n, "entries": A.entries.tolist()}
 
 
 def matrix_from_dict(d: dict) -> SymmetricMatrix:
     try:
-        n = int(d["n"])
+        n = _integer(d["n"])
         entries = np.asarray(d["entries"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}", 0)
@@ -80,7 +89,7 @@ def pair_from_dict(d: dict):
     if raw is None:
         return A, B, None
     try:
-        sigma = Hypomorphism(tuple(Permutation(tuple(img)) for img in raw))
+        sigma = Hypomorphism(tuple(Permutation(tuple(_integer(k) for k in img)) for img in raw))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad pair JSON: sigma must be a list of integer lists ({exc})", 0)
     return A, B, sigma
@@ -91,7 +100,7 @@ def cone_from_dict(d: dict) -> Cone:
         apex = np.asarray(d["apex"], dtype=float)
         gens = np.asarray(d["generators"], dtype=float)
         dim = d.get("ambient_dim")
-        dim = None if dim is None else int(dim)
+        dim = None if dim is None else _integer(dim)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad cone JSON: {exc}", 0)
     return Cone(apex=apex, generators=gens, ambient_dim=dim)

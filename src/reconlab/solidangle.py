@@ -98,10 +98,9 @@ class Cone:
         return self.generators.shape[0]
 
     @classmethod
-    def from_points(cls, apex, points, ambient_dim: Optional[int] = None) -> "Cone":
+    def from_points(cls, apex, points) -> "Cone":
         apex = np.asarray(apex, dtype=float)
-        gens = np.asarray(points, dtype=float) - apex
-        return cls(apex=apex, generators=gens, ambient_dim=ambient_dim)
+        return cls(apex=apex, generators=np.asarray(points, dtype=float) - apex)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """End-to-end checks tying the modules together.
 
 Every verifier gates on the deck-matching certificate itself (reports must be
-self-certifying); `force=True` bypasses the gate for negative controls. Grid
+self-certifying). verify_tutte and verify_main_theorem, the two verifiers the
+CLI runs, take `force=True` to bypass the gate for negative controls. Grid
 verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
 and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
 decides the identity. The default lam grid is max(9, n + 1) points evenly
@@ -9,7 +10,8 @@ spaced on [-4, 4], so it decides the identity at every n; for n <= 8 it is
 DEFAULT_GRID, which is also the default t grid. The determinants on the
 default grids, with verify_eq1's lam = 0 row last, are each matrix's kept
 `default_det_grid`: computed once per matrix however many verifiers read
-them. verify_tutte reads only its own rows.
+them. verify_eq1 always reads it; verify_tutte reads only its own rows, and
+computes explicit grids afresh.
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
@@ -51,7 +53,8 @@ GEOM_GRID_POINTS = 16
 T_SAMPLES = 10  # interior t values the main theorem samples
 
 
-def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism, force: bool) -> tuple:
+def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
+          force: bool = False) -> tuple:
     """(A, B) as SymmetricMatrix, raising NotHypomorphic unless the certificate holds or force."""
     A, B = as_matrix(A), as_matrix(B)
     cert = verify_hypomorphism(A, B, sigma)
@@ -78,8 +81,9 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
                  force: bool, against_lambda_zero: bool) -> GridReport:
     """Gate, then compare f = det(A - lam I + t J) - det(B - lam I + t J) on the grid.
 
-    The residual is |f| or, with `against_lambda_zero`, |f - f(0, t)|; the
-    lam = 0 reference row, appended last, then also counts towards the scale.
+    The residual is |f| or, with `against_lambda_zero` (default grids only),
+    |f - f(0, t)|; the lam = 0 reference row, the kept grid's last, then also
+    counts towards the scale.
     """
     lams, ts = (None if g is None else np.asarray(g, dtype=float) for g in (lambda_grid, t_grid))
     for name, grid in (("lam", lams), ("t", ts)):
@@ -91,10 +95,9 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     kept = lams is None and ts is None  # both grids default: each matrix's kept grid
     lams = default_lambdas(A.n) if lams is None else lams
     ts = np.asarray(DEFAULT_GRID) if ts is None else ts
-    rows = lams.size + 1 if against_lambda_zero else lams.size
     with np.errstate(over="ignore", invalid="ignore"):
-        da, db = (M.default_det_grid[:rows] if kept
-                  else shifted_det_grid(M, np.append(lams, 0.0)[:rows], ts) for M in (A, B))
+        da, db = (M.default_det_grid[:lams.size + against_lambda_zero] if kept
+                  else shifted_det_grid(M, lams, ts) for M in (A, B))
     if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
         raise NotFinite("a determinant on the grid overflows; use smaller grid values")
     diff = da - db
@@ -114,16 +117,13 @@ def verify_tutte(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
                         against_lambda_zero=False)
 
 
-def verify_eq1(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-               lambda_grid: Optional[Sequence] = None, t_grid: Optional[Sequence] = None,
-               force: bool = False) -> GridReport:
+def verify_eq1(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism) -> GridReport:
     """The determinant difference must be constant in the spectral shift.
 
-    For each t, f(lam, t) = det(A - lam I + t J) - det(B - lam I + t J) is
-    compared against its value at lam = 0.
+    For each t of the default grid, f(lam, t) = det(A - lam I + t J) -
+    det(B - lam I + t J) is compared against its value at lam = 0.
     """
-    return _grid_report(A, B, sigma, lambda_grid, t_grid, force,
-                        against_lambda_zero=True)
+    return _grid_report(A, B, sigma, None, None, False, against_lambda_zero=True)
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,14 @@ class KernelMatchReport:
     passed: bool
 
 
-def verify_main2(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                 force: bool = False) -> KernelMatchReport:
+def verify_main2(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism) -> KernelMatchReport:
     """Good-position certified pairs must share their one-dimensional kernel.
 
     Kernel vectors are compared by absolute cosine; the A-side kernel is also
     cross-checked against the leave-one-out-volume vector of a fresh
     factorization, so the spectral and geometric routes agree.
     """
-    A, B = _gate(A, B, sigma, force)
+    A, B = _gate(A, B, sigma)
     rep_a = good_position_report(A)
     rep_b = good_position_report(B)
     if not rep_a.is_good or not rep_b.is_good:
@@ -171,11 +170,11 @@ class TAgreementReport:
 
 
 def verify_main1_t_agreement(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
-                             lam: float, force: bool = False) -> TAgreementReport:
+                             lam: float) -> TAgreementReport:
     """The singularizing rank-one coefficient must agree on both sides."""
     if not math.isfinite(lam):
         raise NotFinite(f"lambda {lam} is not finite")
-    A, B = _gate(A, B, sigma, force)
+    A, B = _gate(A, B, sigma)
     lam0 = max(lambda0_search(A), lambda0_search(B))
     if lam < lam0:
         raise LambdaTooSmall(f"lambda {lam} below certified threshold {lam0}")

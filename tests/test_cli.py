@@ -9,8 +9,8 @@ from reconlab import __version__, cli, errors, geometry_suite, verifiers
 from reconlab.cli import build_parser, main
 from reconlab.graph6 import graph6_encode
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
-from reconlab.matrixcore import Permutation, SymmetricMatrix
-from reconlab.serialize import dumps, matrix_to_dict, pair_to_dict
+from reconlab.matrixcore import Permutation, SymmetricMatrix, perm_similarity
+from reconlab.serialize import dumps, matrix_to_dict, pair_from_dict, pair_to_dict
 from reconlab.verifiers import DEFAULT_GRID
 
 from conftest import CARD_SCALE_RAW, identity_hypomorphism, path_adjacency
@@ -150,6 +150,37 @@ class TestGenPair:
         data = json.loads(out_path.read_text())
         assert set(data) == {"A", "B", "sigma"}
         assert data["sigma"] is not None
+
+    @pytest.mark.parametrize("tau, want", [
+        ("rot:2", Permutation.rotation(6, 2)),
+        ("ref", Permutation.reflection(6)),
+        ("reflection", Permutation.reflection(6)),
+        ("id", Permutation.identity(6)),
+        ("identity", Permutation.identity(6)),
+        ("2,0,1,5,3,4", Permutation((2, 0, 1, 5, 3, 4))),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_tau_forms(self, tau, want, tmp_path, capsys):
+        # the identity is this graph's only automorphism, so each tau gives its own B
+        a = np.zeros((6, 6))
+        for u, v in [(0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 5)]:
+            a[u, v] = a[v, u] = 1.0
+        g6, out_path = tmp_path / "g.g6", tmp_path / "pair.json"
+        g6.write_text(graph6_encode(a) + "\n")
+        code, _, err = run_cli(capsys, "gen-pair", "--graph6", str(g6), "--out", str(out_path),
+                               f"--tau={tau}")
+        A, B, sigma = pair_from_dict(json.loads(out_path.read_text()))
+        np.testing.assert_array_equal(A.entries, a)
+        np.testing.assert_array_equal(B.entries, perm_similarity(A, want).entries)
+        assert code == (0 if sigma is not None else 1) and err == ""
+
+    @pytest.mark.parametrize("tau", ["0,0,1,2,3", "swap:0,9", "swap:-1,2"])
+    def test_bad_tau_is_input_error(self, tau, tmp_path, capsys):
+        # a negative index would otherwise count from the end: swap:-1,2 read as swap(4, 2)
+        g6 = tmp_path / "c.g6"
+        g6.write_text(graph6_encode(cycle_adjacency(5).entries) + "\n")
+        code, out, err = run_cli(capsys, "gen-pair", "--graph6", str(g6), f"--tau={tau}")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DimensionMismatch"
 
     def test_uncertified_pair_exits_one(self, tmp_path, capsys):
         g6 = tmp_path / "p.g6"
@@ -406,6 +437,36 @@ class TestUsageContract:
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run_cli(capsys, command, flag, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("path, value", [
+        (("sigma", 0, 0), 2.7),
+        (("sigma", 0, 0), True),
+        (("A", "n"), 5.9),
+        (("A", "n"), "5"),
+    ], ids=["sigma-float", "sigma-bool", "n-float", "n-string"])
+    def test_non_integer_pair_value_is_parse_error(self, path, value, tmp_path, capsys):
+        # int() would truncate each of these into a valid C5-shuffle pair file
+        data = json.loads(dumps(pair_to_dict(*matrix_pair(cycle_adjacency(5),
+                                                          Permutation.swap(5, 1, 3)))))
+        *outer, last = path
+        target = data
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify-tutte", "--pair", str(bad), "--deterministic")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("dim", ["2.5", "true"])
+    def test_non_integer_ambient_dim_is_parse_error(self, dim, tmp_path, capsys):
+        cone = tmp_path / "cone.json"
+        cone.write_text('{"apex": [0.0, 0.0], "generators": [[1.0, 0.0], [0.0, 1.0]], '
+                        f'"ambient_dim": {dim}}}')
+        code, out, err = run_cli(capsys, "angle", "--cone", str(cone), "--deterministic")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 

@@ -1,7 +1,8 @@
 """Every input ends in a typed outcome: exit 0, 1 or 2, never a traceback.
 
 Arbitrary JSON values and one-leaf mutations of valid input files go to the
-JSON-reading subcommands; arbitrary bytes go to the graph6 readers. Exit 2
+JSON-reading subcommands; arbitrary bytes go to the graph6 readers, and
+arbitrary `--tau` text to gen-pair. Exit 2
 (returned, or raised by argparse) must write exactly one JSON object to stderr.
 """
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconlab.cli import main
+from reconlab.graph6 import graph6_encode
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
 from reconlab.matrixcore import Permutation
 from reconlab.serialize import matrix_to_dict, pair_to_dict
@@ -103,3 +105,19 @@ def test_json_inputs_end_in_typed_exit(kind, input_path, data):
 def test_graph6_bytes_end_in_typed_exit(command, input_path, raw):
     input_path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("ascii"))
     assert_typed_exit([command, "--graph6", str(input_path), "--deterministic"])
+
+
+_TAU_FORMS = st.from_regex(r"(rot:|swap:)?-?[0-9]{1,2}(,-?[0-9]{1,2}){0,5}", fullmatch=True)
+
+
+@pytest.fixture(scope="module")
+def c5_graph6(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tau") / "c5.g6"
+    path.write_text(graph6_encode(cycle_adjacency(5).entries) + "\n")
+    return path
+
+
+@FUZZ
+@given(tau=st.text(max_size=12) | _TAU_FORMS)
+def test_tau_text_ends_in_typed_exit(c5_graph6, tau):
+    assert_typed_exit(["gen-pair", "--graph6", str(c5_graph6), f"--tau={tau}", "--deterministic"])

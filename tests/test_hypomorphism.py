@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from reconlab import (
     DegenerateOrder,
+    DimensionMismatch,
     Hypomorphism,
     Permutation,
     SearchTooLarge,
@@ -87,6 +88,24 @@ def random_circulant(rng, n, integer):
 def random_symmetric(rng, n, integer):
     a = rng.integers(-3, 4, (n, n)).astype(float) if integer else rng.normal(size=(n, n))
     return SymmetricMatrix(np.triu(a) + np.triu(a, 1).T)
+
+
+class TestTypedErrors:
+    def test_too_few_permutations(self):
+        with pytest.raises(DimensionMismatch, match="at least 3"):
+            Hypomorphism((Permutation.identity(1), Permutation.identity(1)))
+
+    def test_wrong_degree(self):
+        with pytest.raises(DimensionMismatch, match="sigma degree 3 != 2"):
+            Hypomorphism((Permutation.identity(2),) * 2 + (Permutation.identity(3),))
+
+    def test_verify_on_orders_that_differ(self):
+        with pytest.raises(DimensionMismatch, match="orders differ"):
+            verify_hypomorphism(cycle_adjacency(5), cycle_adjacency(6), identity_hypomorphism(5))
+
+    def test_find_on_orders_that_differ(self):
+        with pytest.raises(DimensionMismatch, match="orders differ"):
+            find_hypomorphism(cycle_adjacency(5), cycle_adjacency(6))
 
 
 class TestVerify:
@@ -479,11 +498,15 @@ class TestGenPair:
 
 class TestCorpus:
     def test_majors_match_across_corpus(self):
-        for pair in cycle_pair_corpus(ns=(5, 6), kinds=("rotation", "reflection")):
+        for pair in cycle_pair_corpus(ns=(5, 6)):
+            if pair["name"].endswith("shuffle"):
+                continue
             np.testing.assert_allclose(deck_dets(pair["A"]), deck_dets(pair["B"]), atol=1e-10)
 
     def test_certificates_reverify(self):
-        for pair in cycle_pair_corpus(ns=(5, 6, 7), kinds=("rotation",)):
+        for pair in cycle_pair_corpus(ns=(5, 6, 7)):
+            if not pair["name"].endswith("rotation"):
+                continue
             assert verify_hypomorphism(pair["A"], pair["B"], pair["sigma"]).valid
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -498,5 +521,5 @@ class TestCorpus:
 
     def test_orders_from_a_generator(self):
         # the bound check must not use up the orders the corpus is built from
-        names = [p["name"] for p in cycle_pair_corpus(ns=(n for n in (5, 6)), kinds=("shuffle",))]
-        assert names == ["C5-shuffle", "C6-shuffle"]
+        names = [p["name"] for p in cycle_pair_corpus(ns=(n for n in (5, 6)))]
+        assert [name for name in names if name.endswith("shuffle")] == ["C5-shuffle", "C6-shuffle"]

@@ -70,6 +70,10 @@ class TestSymmetricMatrix:
         with pytest.raises(DimensionMismatch):
             SymmetricMatrix(np.zeros((2, 3)))
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(DegenerateOrder, match="at least 1"):
+            SymmetricMatrix(np.zeros((0, 0)))
+
     def test_entries_write_protected(self):
         m = SymmetricMatrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -218,6 +222,12 @@ class TestPermSimilarity:
         with pytest.raises(DimensionMismatch):
             perm_similarity(SymmetricMatrix(np.eye(3)), Permutation.identity(4))
 
+    @pytest.mark.parametrize("i, j", [(0, 5), (5, 0), (-1, 2), (2, -5)])
+    def test_swap_out_of_range(self, i, j):
+        # a negative index would otherwise count from the end: swap(-1, 2) read as swap(4, 2)
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            Permutation.swap(5, i, j)
+
     def test_involution_exact(self, rng):
         w = rng.standard_normal((5, 5))
         a = SymmetricMatrix(0.5 * (w + w.T))
@@ -245,7 +255,7 @@ class TestPermSimilarity:
         deck_b = deck(perm_similarity(A, tau))
         for i in range(A.n):
             np.testing.assert_allclose(
-                np.linalg.eigvalsh(deck_b[tau(i)].entries),
+                np.linalg.eigvalsh(deck_b[tau.image[i]].entries),
                 np.linalg.eigvalsh(deck_a[i].entries), atol=1e-9)
 
 

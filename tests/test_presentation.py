@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from reconlab import (
     BadPosition,
+    DimensionMismatch,
     GoodPositionReason,
     NotCertified,
     NotFinite,
@@ -58,6 +59,10 @@ def test_presentation_rejects_non_finite(bad):
 
 
 class TestFactor:
+    def test_presentation_must_be_square(self):
+        with pytest.raises(DimensionMismatch, match="square"):
+            Presentation(np.zeros((2, 3)))
+
     def test_identity(self):
         U = factor_presentation(SymmetricMatrix(np.eye(3)))
         np.testing.assert_allclose(U.gram.entries, np.eye(3), atol=1e-12)

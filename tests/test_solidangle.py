@@ -96,6 +96,18 @@ class TestContains:
         with pytest.raises(DimensionMismatch):
             Cone(apex=np.zeros(1), generators=np.ones((1, 1, 1)))
 
+    def test_no_generator_rejected(self):
+        with pytest.raises(NonSimplicialCone, match="at least one generator"):
+            Cone(apex=np.zeros(2), generators=np.zeros((0, 2)))
+
+    def test_apex_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatch, match="apex"):
+            Cone(apex=np.zeros(3), generators=np.eye(2))
+
+    def test_ambient_dim_above_the_coordinates_rejected(self):
+        with pytest.raises(DimensionMismatch, match="ambient_dim exceeds"):
+            Cone(apex=np.zeros(2), generators=np.eye(2), ambient_dim=3)
+
     def test_dependent_generators_rejected(self):
         gens = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(NonSimplicialCone):

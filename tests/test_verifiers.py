@@ -28,7 +28,7 @@ from reconlab.hypomorphism import SEARCH_CAP, cycle_adjacency, cycle_pair_corpus
 from reconlab.matrixcore import Permutation, Spectrum, default_lambdas, scale, shifted_det_grid
 from reconlab.serialize import dumps
 from reconlab import matrixcore, verifiers
-from reconlab.verifiers import DEFAULT_GRID, LowestEigenSample
+from reconlab.verifiers import DEFAULT_GRID, GridReport, LowestEigenSample
 
 from conftest import complete_bipartite_adjacency, identity_hypomorphism, signed_cycle_near_miss
 
@@ -93,38 +93,39 @@ class TestTutte:
             warnings.simplefilter("error")
             with pytest.raises(NotFinite):
                 verify_tutte(*c5_pair, **grids)
-            with pytest.raises(NotFinite):
-                verify_eq1(*c5_pair, **grids)
 
     @pytest.mark.parametrize("grids", [{"lambda_grid": []}, {"t_grid": ()}],
                              ids=["empty-lambda", "empty-t"])
     def test_empty_grid_rejected(self, c5_pair, grids):
         with pytest.raises(DimensionMismatch):
             verify_tutte(*c5_pair, **grids)
-        with pytest.raises(DimensionMismatch):
-            verify_eq1(*c5_pair, **grids)
 
     def test_batched_grid_matches_per_point_loop(self, c6_pair):
-        # the batched determinant grid against np.linalg.det of each A - lam I + t J
+        # the batched determinant grids against np.linalg.det of each A - lam I + t J:
+        # tutte's explicit grid on a forged pair, and eq1's kept default grid on
+        # C9-shuffle, whose lam grid holds no 0, so its lam = 0 reference is a row of its own
+        def det(M, lam, t):
+            return np.linalg.det(M.entries - lam * np.eye(M.n) + t * np.ones((M.n, M.n)))
+
         A, B, sigma = c6_pair
         bumped = B.entries.copy()
         bumped[2, 4] = bumped[4, 2] = 0.3
         B2 = SymmetricMatrix(bumped)
         lams, ts = np.linspace(-3.0, 5.0, 11), [-2.0, 0.0, 1.5, 3.0]
         tutte = verify_tutte(A, B2, sigma, lambda_grid=lams, t_grid=ts, force=True)
-        eq1 = verify_eq1(A, B2, sigma, lambda_grid=lams, t_grid=ts, force=True)
-        n, j_mat = A.n, np.ones((A.n, A.n))
-
-        def det(M, lam, t):
-            return np.linalg.det(M.entries - lam * np.eye(n) + t * j_mat)
-
         for j, t in enumerate(ts):
-            f0 = det(A, 0.0, t) - det(B2, 0.0, t)
             for i, lam in enumerate(lams):
-                f = det(A, lam, t) - det(B2, lam, t)
-                assert tutte.residuals[i, j] == abs(f)
-                assert eq1.residuals[i, j] == abs(f - f0)
-        assert not tutte.passed and not eq1.passed
+                assert tutte.residuals[i, j] == abs(det(A, lam, t) - det(B2, lam, t))
+        assert not tutte.passed
+        pair = {p["name"]: p for p in cycle_pair_corpus(ns=(9,))}["C9-shuffle"]
+        A, B = pair["A"], pair["B"]
+        eq1 = verify_eq1(A, B, pair["sigma"])
+        assert 0.0 not in eq1.lambda_grid
+        for j, t in enumerate(eq1.t_grid):
+            f0 = det(A, 0.0, t) - det(B, 0.0, t)
+            for i, lam in enumerate(eq1.lambda_grid):
+                assert eq1.residuals[i, j] == abs(det(A, lam, t) - det(B, lam, t) - f0)
+        assert eq1.passed
 
 
 class TestDefaultLambdaGrid:
@@ -249,12 +250,6 @@ class TestEq1:
         A, _, _ = c5_pair
         rep = verify_eq1(A, A, identity_hypomorphism(5))
         assert rep.passed and rep.max_abs_diff == 0.0
-
-    def test_relabeled_c5_seven_grid(self, c5_pair):
-        grid = np.linspace(-3.0, 3.0, 7)
-        rep = verify_eq1(*c5_pair, lambda_grid=grid, t_grid=grid)
-        assert rep.passed
-        assert rep.max_abs_diff <= 1e-8 * max(1.0, rep.scale)
 
     def test_forged_certificate_rejected(self):
         A = SymmetricMatrix(np.eye(3))
@@ -511,14 +506,31 @@ class TestKeptDefaultGrid:
         assert sigma is not None
         return A, B, sigma
 
+    @staticmethod
+    def eq1_reference(A, B) -> GridReport:
+        """verify_eq1's report rebuilt from fresh shifted_det_grid rows: the lam rows, then lam = 0."""
+        lams = default_lambdas(A.n)
+        da, db = (np.vstack([shifted_det_grid(M, lams, DEFAULT_GRID),
+                             shifted_det_grid(M, [0.0], DEFAULT_GRID)]) for M in (A, B))
+        diff = da - db
+        resid = np.abs(diff[:-1] - diff[-1])
+        peak = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
+        max_diff = float(np.max(resid))
+        return GridReport(lambda_grid=tuple(lams), t_grid=DEFAULT_GRID, residuals=resid,
+                          max_abs_diff=max_diff, scale=peak, tol=verifiers.TUTTE_TOL,
+                          passed=max_diff <= verifiers.TUTTE_TOL * scale(peak))
+
     @pytest.mark.parametrize("n", range(5, 10))
     def test_reports_match_explicit_grids_byte_for_byte(self, n):
         A, B, sigma = self.fresh_pair(n)
         grids = {"lambda_grid": default_lambdas(n), "t_grid": DEFAULT_GRID}
         for verifier in (verify_tutte, verify_eq1, verify_tutte):
             kept = verifier(A, B, sigma)
-            explicit = verifier(SymmetricMatrix(A.entries.copy()),
-                                SymmetricMatrix(B.entries.copy()), sigma, **grids)
+            if verifier is verify_eq1:
+                explicit = self.eq1_reference(A, B)
+            else:
+                explicit = verifier(SymmetricMatrix(A.entries.copy()),
+                                    SymmetricMatrix(B.entries.copy()), sigma, **grids)
             assert kept.passed
             assert dumps(kept) == dumps(explicit), verifier.__name__
 
@@ -527,12 +539,12 @@ class TestKeptDefaultGrid:
         w = rng.standard_normal((n, n))
         A, sigma = SymmetricMatrix(w + w.T), identity_hypomorphism(n)
         grids = {"lambda_grid": default_lambdas(n), "t_grid": DEFAULT_GRID}
-        for verifier in (verify_tutte, verify_eq1):
-            assert dumps(verifier(A, A, sigma)) == dumps(verifier(A, A, sigma, **grids))
+        assert dumps(verify_tutte(A, A, sigma)) == dumps(verify_tutte(A, A, sigma, **grids))
+        assert dumps(verify_eq1(A, A, sigma)) == dumps(self.eq1_reference(A, A))
 
     def test_determinants_computed(self, monkeypatch):
         # the first verifier on a pair builds both kept grids, lam = 0 row included;
-        # the second computes none. Explicit grids compute their own rows at every call
+        # the second computes none. An explicit tutte grid computes its own rows at every call
         counted = []
         det = np.linalg.det
 
@@ -551,11 +563,10 @@ class TestKeptDefaultGrid:
             second(A, B, sigma)
             assert sum(counted) == 0
         grids = {"lambda_grid": default_lambdas(9), "t_grid": DEFAULT_GRID}
-        for verifier, own in ((verify_tutte, rows), (verify_eq1, rows + 1)):
-            for _ in range(2):
-                counted.clear()
-                verifier(A, B, sigma, **grids)
-                assert sum(counted) == 2 * own * len(DEFAULT_GRID)
+        for _ in range(2):
+            counted.clear()
+            verify_tutte(A, B, sigma, **grids)
+            assert sum(counted) == 2 * rows * len(DEFAULT_GRID)
 
     def test_tutte_reads_only_its_own_rows(self, monkeypatch):
         # C9's ten-point lam grid holds no lam = 0: eq1's reference row is the kept grid's last
@@ -572,7 +583,7 @@ class TestKeptDefaultGrid:
         zero = [shifted_det_grid(M, [0.0], DEFAULT_GRID) for M in (A, B)]
         assert tutte.scale == max(float(np.max(np.abs(g))) for g in own)
         assert eq1.scale == max(float(np.max(np.abs(g))) for g in own + zero)
-        # a non-finite lam = 0 row fails eq1 alone, kept or computed
+        # a non-finite lam = 0 row fails eq1 alone; tutte's kept and explicit grids hold none
         grid = matrixcore.shifted_det_grid
 
         def overflowing_zero_row(M, lam_rows, ts):
@@ -583,11 +594,10 @@ class TestKeptDefaultGrid:
 
         for module in (matrixcore, verifiers):
             monkeypatch.setattr(module, "shifted_det_grid", overflowing_zero_row)
-        explicit = {"lambda_grid": lams, "t_grid": DEFAULT_GRID}
-        for grids in ({}, explicit):
-            A2, B2 = SymmetricMatrix(A.entries.copy()), SymmetricMatrix(B.entries.copy())
-            with pytest.raises(NotFinite):
-                verify_eq1(A2, B2, sigma, **grids)
+        A2, B2 = SymmetricMatrix(A.entries.copy()), SymmetricMatrix(B.entries.copy())
+        with pytest.raises(NotFinite):
+            verify_eq1(A2, B2, sigma)
+        for grids in ({}, {"lambda_grid": lams, "t_grid": DEFAULT_GRID}):
             assert dumps(verify_tutte(A2, B2, sigma, **grids)) == before
 
     def test_overflowing_kept_grid_fails_every_call(self):
