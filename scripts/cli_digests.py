@@ -9,10 +9,9 @@ every pair and a closed-form `angle`, then the sampled commands: Monte Carlo
 with a nonzero error), on a skewed 5-D cone (131,072 samples: 32 shifts of a
 31-point lattice) and on a skewed 6-D cone (1,048,577 samples: 46 shifts of
 the largest, 181-point lattice, evaluated in three chunks), a small
-`verify-geometry` and the README's default one on 200 instances (it exits 1
-on the known `exact_vs_monte_carlo` failure, and the exit code is part of
-its digest). Each digest covers the exit code, stdout and stderr, so
-two runs or two checkouts compare with `diff`:
+`verify-geometry` and the README's default one on 200 instances at the
+default 200,000 samples per estimate. Each digest covers the exit code,
+stdout and stderr, so two runs or two checkouts compare with `diff`:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 """

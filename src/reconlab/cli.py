@@ -42,9 +42,6 @@ from .serialize import (
 from .solidangle import DEFAULT_SAMPLES, DEFAULT_SEED, angle_fraction
 from .verifiers import verify_main_theorem, verify_tutte
 
-GEOMETRY_MAX_SAMPLES = 50_000  # Monte Carlo samples per geometry-suite estimate
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # machine-readable usage errors, still exit 2
         sys.stderr.write(dumps({"error": "usage", "message": message}) + "\n")
@@ -90,8 +87,7 @@ def _emit(args: argparse.Namespace, text: str):
 
 
 def _report(args: argparse.Namespace, report, passed: bool, inputs: dict,
-            tolerances: dict, csv_kind: Optional[str] = None,
-            samples: Optional[int] = None) -> int:
+            tolerances: dict, csv_kind: Optional[str] = None) -> int:
     """Write the report envelope (or its CSV flattening); returns the exit code.
 
     `report` is a report object or a dict; `dumps` converts it while writing.
@@ -102,7 +98,7 @@ def _report(args: argparse.Namespace, report, passed: bool, inputs: dict,
         out = {"command": args.command, "version": __version__}
         if "samples" in args:  # only the sampled commands take --seed/--samples
             out["seed"] = args.seed
-            out["samples"] = args.samples if samples is None else samples
+            out["samples"] = args.samples
         out.update(inputs=inputs, tolerances=tolerances, passed=passed, report=report)
         if not args.deterministic:
             out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -169,10 +165,8 @@ def _run_verify_main(args: argparse.Namespace) -> int:
 
 
 def _run_verify_geometry(args: argparse.Namespace) -> int:
-    mc_samples = min(args.samples, GEOMETRY_MAX_SAMPLES)
-    report = run_geometry_suite(seed=args.seed, count=args.count, mc_samples=mc_samples)
-    return _report(args, report, report.passed, {},
-                   {"resid": report.resid_tol}, "suite", samples=mc_samples)
+    report = run_geometry_suite(seed=args.seed, count=args.count, mc_samples=args.samples)
+    return _report(args, report, report.passed, {}, {"resid": report.resid_tol}, "suite")
 
 
 def _run_ingest(args: argparse.Namespace) -> int:

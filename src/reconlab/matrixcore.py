@@ -7,10 +7,10 @@ arrays stored on the dataclasses are write-protected.
 
 A matrix keeps what is a function of it alone: `A.scale` (set by the
 constructor), and the cached properties `A.spectrum` (one eigendecomposition
-for every shift lambda), `A.spectrum.lambda0` and `A.default_det_grid`,
-computed at the first access; an access that raises keeps nothing. The matrix
-is frozen and its entries are write-protected, so a kept value is exactly
-what a fresh computation would give.
+for every shift lambda) and `A.spectrum.lambda0`, computed at the first
+access; an access that raises keeps nothing. The matrix is frozen and its
+entries are write-protected, so a kept value is exactly what a fresh
+computation would give.
 """
 
 from __future__ import annotations
@@ -81,19 +81,6 @@ class SymmetricMatrix:
     def spectrum(self) -> "Spectrum":
         """This matrix's Spectrum, computed at the first access and kept."""
         return Spectrum(self)
-
-    @functools.cached_property
-    def default_det_grid(self) -> np.ndarray:
-        """shifted_det_grid(self, default_lambdas(n) + [0], DEFAULT_GRID), computed once, read-only.
-
-        The last row, lam = 0, is verify_eq1's reference. An overflowing
-        determinant is kept as the inf or nan it gives; the verifiers reject
-        such a grid at every call.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = shifted_det_grid(self, np.append(default_lambdas(self.n), 0.0), DEFAULT_GRID)
-        grid.setflags(write=False)
-        return grid
 
 
 class Spectrum:
@@ -202,7 +189,10 @@ class Permutation:
     image: tuple
 
     def __post_init__(self):
-        img = tuple(int(i) for i in self.image)
+        for i in self.image:  # Python or numpy integers: int() would read 1.7 and True as 1
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise DimensionMismatch(f"permutation entry {i!r} is not an integer")
+        img = tuple(map(int, self.image))
         if sorted(img) != list(range(len(img))):
             raise DimensionMismatch(f"not a bijection on 0..{len(img) - 1}: {img}")
         object.__setattr__(self, "image", img)
@@ -258,13 +248,20 @@ def default_lambdas(n: int) -> np.ndarray:
 def shifted_det_grid(A: SymmetricMatrix, lams, ts) -> np.ndarray:
     """det(A - lam*I + t*J) at every (lam, t) pair, shape (len(lams), len(ts)).
 
-    One batched LAPACK pivoted-LU call over the stacked matrices; each entry
-    is bit-identical to the determinant of that matrix taken on its own.
+    J = 1 1^T has rank one, so det(M + t J) = det M + t 1^T adj(M) 1 is linear
+    in t. With M = A - lam I, p = det M is one batched LU over the lam stack
+    and q = 1^T adj(M) 1 = -det([[M, 1], [1^T, 0]]) one over the bordered
+    stack: two LAPACK calls for any t grid. The t = 0 column is p, each entry
+    bit-identical to det(A - lam I) taken on its own.
     """
     A = as_matrix(A)
-    lams = np.asarray(lams, dtype=float)[:, None, None, None]
-    ts = np.asarray(ts, dtype=float)[None, :, None, None]
-    return np.linalg.det(A.entries - lams * np.eye(A.n) + ts * np.ones((A.n, A.n)))
+    n = A.n
+    shifted = A.entries - np.asarray(lams, dtype=float)[:, None, None] * np.eye(n)
+    bordered = np.ones((len(shifted), n + 1, n + 1))
+    bordered[:, :n, :n] = shifted
+    bordered[:, n, n] = 0.0
+    p, q = np.linalg.det(shifted), -np.linalg.det(bordered)
+    return p[:, None] + q[:, None] * np.asarray(ts, dtype=float)
 
 
 def perm_similarity(A: SymmetricMatrix, tau: Permutation) -> SymmetricMatrix:

@@ -5,7 +5,8 @@ dataclasses, enums and numpy values. Floats are written as Python's shortest
 `repr`, which reads back to the same double; a non-finite float is an error,
 not a string. Readers accept anything json.loads produces, but a count or an
 index (`n`, a sigma entry, `ambient_dim`) must be a JSON integer: 2.7 or true
-is a ParseError, never truncated.
+is a ParseError, never truncated. A matrix or cone entry must be a JSON
+number: true, "1" or null is a ParseError, never read as 1.0 or NaN.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def _integer(value) -> int:
     return value
 
 
+def _numbers(value) -> np.ndarray:
+    """value as a float array if every entry is a JSON number: float() reads true as 1.0."""
+    for x in np.asarray(value, dtype=object).ravel().tolist():
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"expected a number, got {x!r}")
+    return np.asarray(value, dtype=float)
+
+
 def matrix_to_dict(A: SymmetricMatrix) -> dict:
     return {"n": A.n, "entries": A.entries.tolist()}
 
@@ -60,7 +69,7 @@ def matrix_to_dict(A: SymmetricMatrix) -> dict:
 def matrix_from_dict(d: dict) -> SymmetricMatrix:
     try:
         n = _integer(d["n"])
-        entries = np.asarray(d["entries"], dtype=float)
+        entries = _numbers(d["entries"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}", 0)
     if entries.shape != (n, n):
@@ -97,8 +106,8 @@ def pair_from_dict(d: dict):
 
 def cone_from_dict(d: dict) -> Cone:
     try:
-        apex = np.asarray(d["apex"], dtype=float)
-        gens = np.asarray(d["generators"], dtype=float)
+        apex = _numbers(d["apex"])
+        gens = _numbers(d["generators"])
         dim = d.get("ambient_dim")
         dim = None if dim is None else _integer(dim)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -7,11 +7,9 @@ verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
 and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
 decides the identity. The default lam grid is max(9, n + 1) points evenly
 spaced on [-4, 4], so it decides the identity at every n; for n <= 8 it is
-DEFAULT_GRID, which is also the default t grid. The determinants on the
-default grids, with verify_eq1's lam = 0 row last, are each matrix's kept
-`default_det_grid`: computed once per matrix however many verifiers read
-them. verify_eq1 always reads it; verify_tutte reads only its own rows, and
-computes explicit grids afresh.
+DEFAULT_GRID, which is also the default t grid. Each call computes its grid
+afresh, two LU stacks per side (see `shifted_det_grid`); verify_eq1 appends
+its lam = 0 reference row, and verify_tutte reads only its own rows.
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
@@ -82,8 +80,8 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     """Gate, then compare f = det(A - lam I + t J) - det(B - lam I + t J) on the grid.
 
     The residual is |f| or, with `against_lambda_zero` (default grids only),
-    |f - f(0, t)|; the lam = 0 reference row, the kept grid's last, then also
-    counts towards the scale.
+    |f - f(0, t)|; the lam = 0 reference row, appended last, then also counts
+    towards the scale.
     """
     lams, ts = (None if g is None else np.asarray(g, dtype=float) for g in (lambda_grid, t_grid))
     for name, grid in (("lam", lams), ("t", ts)):
@@ -92,12 +90,11 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
         if grid is not None and not np.all(np.isfinite(grid)):
             raise NotFinite(f"{name} grid has a non-finite value")
     A, B = _gate(A, B, sigma, force)
-    kept = lams is None and ts is None  # both grids default: each matrix's kept grid
     lams = default_lambdas(A.n) if lams is None else lams
     ts = np.asarray(DEFAULT_GRID) if ts is None else ts
+    rows = np.append(lams, 0.0) if against_lambda_zero else lams
     with np.errstate(over="ignore", invalid="ignore"):
-        da, db = (M.default_det_grid[:lams.size + against_lambda_zero] if kept
-                  else shifted_det_grid(M, lams, ts) for M in (A, B))
+        da, db = (shifted_det_grid(M, rows, ts) for M in (A, B))
     if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
         raise NotFinite("a determinant on the grid overflows; use smaller grid values")
     diff = da - db

@@ -98,6 +98,28 @@ def test_json_inputs_end_in_typed_exit(kind, input_path, data):
         assert_typed_exit(command + [str(input_path), "--deterministic"])
 
 
+def _number_paths(kind):
+    """Paths of the matrix and cone entries of a valid input: every leaf but a count or index."""
+    return [p for p in _leaf_paths(VALID[kind])
+            if not {"n", "sigma", "ambient_dim"} & set(p)]
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+@FUZZ
+@given(data=st.data())
+def test_non_number_entry_is_parse_error(kind, input_path, data):
+    # a JSON number is the only valid entry: true, "1" and null once read as 1.0, 1.0, NaN
+    path = data.draw(st.sampled_from(_number_paths(kind)))
+    value = data.draw(st.sampled_from([True, False, "1", "0.5", None]) | st.text(max_size=4))
+    input_path.write_text(json.dumps(_replace(VALID[kind], path, value)))
+    for command in COMMANDS[kind]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + [str(input_path), "--deterministic"])
+        assert code == 2 and out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("command", ["ingest", "gen-pair"])
 @FUZZ
 @given(raw=st.binary(max_size=24)

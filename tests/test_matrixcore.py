@@ -177,9 +177,47 @@ class TestShiftedDet:
         scale = max(1.0, abs(expected))
         assert abs(shifted_det_grid(A, [lam], [0.0])[0, 0] - expected) <= 1e-8 * scale
 
+    @staticmethod
+    def per_point(A, lams, ts):
+        """np.linalg.det of each A - lam I + t J taken on its own."""
+        return np.array([[np.linalg.det(A.entries - lam * np.eye(A.n) + t * np.ones((A.n, A.n)))
+                          for t in ts] for lam in lams])
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_linear_in_t_matches_per_point_lu(self, rng, n):
+        # det(M + tJ) = det M + t 1^T adj(M) 1 against one LU per point, at every scale;
+        # the t = 0 column is det(A - lam I) itself
+        lams, ts = default_lambdas(n), np.array(DEFAULT_GRID)
+        assert ts[4] == 0.0
+        for exponent in range(-8, 9, 2):
+            w = rng.standard_normal((n, n))
+            factor = 10.0 ** exponent
+            A = SymmetricMatrix(factor * (w + w.T))
+            grid = shifted_det_grid(A, factor * lams, factor * ts)
+            reference = self.per_point(A, factor * lams, factor * ts)
+            np.testing.assert_array_equal(grid[:, 4], reference[:, 4])
+            peak = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(grid - reference)) <= 1e-12 * peak, exponent
+
+    @pytest.mark.parametrize("t_count", [1, 2, 9, 40])
+    def test_two_lu_stacks_for_any_t_grid(self, monkeypatch, t_count):
+        calls = []
+        det = np.linalg.det
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return det(m)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        A = cycle_adjacency(6)
+        grid = shifted_det_grid(A, default_lambdas(6), np.linspace(-2.0, 2.0, t_count))
+        assert grid.shape == (9, t_count)
+        assert calls == [(9, 6, 6), (9, 7, 7)]  # det(A - lam I), then the bordered stack
+
 
 class TestDefaultDetGrid:
-    """Each matrix keeps its determinants on the default grids, with lam = 0 last, read-only."""
+    """The default grids with verify_eq1's lam = 0 row appended: each row is the
+    one a grid of that lam alone gives, so the appended row changes no other."""
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_bit_equal_to_a_fresh_grid(self, rng, n):
@@ -187,24 +225,25 @@ class TestDefaultDetGrid:
         A = SymmetricMatrix(w + w.T)
         lams = np.linspace(-4.0, 4.0, max(9, n + 1))
         np.testing.assert_array_equal(default_lambdas(n), lams)
-        grid = A.default_det_grid
+        grid = shifted_det_grid(A, list(lams) + [0.0], DEFAULT_GRID)
         assert grid.shape == (len(lams) + 1, 9)
-        rows = list(lams) + [0.0]
-        assert grid.tobytes() == shifted_det_grid(A, rows, DEFAULT_GRID).tobytes()
-        # each row is the one a grid of that lam alone gives
         assert grid[-1].tobytes() == shifted_det_grid(A, [0.0], DEFAULT_GRID)[0].tobytes()
         assert grid[:-1].tobytes() == shifted_det_grid(A, lams, DEFAULT_GRID).tobytes()
-        assert A.default_det_grid is grid  # computed once, kept
 
-    def test_read_only(self):
-        A = cycle_adjacency(5)
-        grid = A.default_det_grid
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0, 0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            A.default_det_grid = np.zeros_like(grid)
-        assert A.default_det_grid is grid
+
+class TestPermutation:
+    @pytest.mark.parametrize("image", [(0.5, 1.7, 2), (True, False, 2), (0, 1, 2.0), ("0", 1, 2)],
+                             ids=["floats", "bools", "integral-float", "string"])
+    def test_non_integer_entry_rejected(self, image):
+        # int() would read (0.5, 1.7, 2) as the identity and (True, False, 2) as a swap
+        bad = next(i for i in image if isinstance(i, (bool, float, str)))
+        with pytest.raises(DimensionMismatch, match=f"entry {bad!r} is not an integer"):
+            Permutation(image)
+
+    def test_numpy_integers_accepted(self):
+        tau = Permutation(tuple(np.array([2, 0, 1])))
+        assert tau.image == (2, 0, 1)
+        assert all(type(i) is int for i in tau.image)
 
 
 class TestPermSimilarity:

@@ -106,6 +106,35 @@ def test_matrix_shape_mismatch_rejected():
         matrix_from_dict({"n": 3, "entries": [[1.0, 0.0], [0.0, 1.0]]})
 
 
+@pytest.mark.parametrize("value", [True, False, "1", None, [1.0]],
+                         ids=["true", "false", "string", "null", "list"])
+def test_non_number_matrix_entry_is_parse_error(value):
+    # np.asarray(..., dtype=float) would read true and "1" as 1.0 and null as NaN
+    entries = [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    entries[0][1] = value
+    with pytest.raises(ParseError, match="expected a number"):
+        matrix_from_dict({"n": 3, "entries": entries})
+
+
+@pytest.mark.parametrize("key", ["apex", "generators"])
+@pytest.mark.parametrize("value", [True, "1", None], ids=["true", "string", "null"])
+def test_non_number_cone_entry_is_parse_error(key, value):
+    d = {"apex": [0.0, 0.0], "generators": [[1.0, 0.0], [0.0, 1.0]]}
+    if key == "apex":
+        d["apex"][1] = value
+    else:
+        d["generators"][1][0] = value
+    with pytest.raises(ParseError, match="expected a number"):
+        cone_from_dict(d)
+
+
+def test_integer_entries_are_numbers():
+    ints = matrix_from_dict({"n": 2, "entries": [[0, 1], [1, -3]]})
+    assert ints.entries.tolist() == [[0.0, 1.0], [1.0, -3.0]]
+    cone = cone_from_dict({"apex": [0, 0], "generators": [[1, 0], [0, 2]]})
+    assert cone.generators.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+
+
 def test_pair_round_trip():
     A, B, sigma = matrix_pair(cycle_adjacency(5), Permutation.swap(5, 1, 3))
     d = json.loads(dumps(pair_to_dict(A, B, sigma)))

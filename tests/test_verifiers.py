@@ -101,9 +101,11 @@ class TestTutte:
             verify_tutte(*c5_pair, **grids)
 
     def test_batched_grid_matches_per_point_loop(self, c6_pair):
-        # the batched determinant grids against np.linalg.det of each A - lam I + t J:
-        # tutte's explicit grid on a forged pair, and eq1's kept default grid on
-        # C9-shuffle, whose lam grid holds no 0, so its lam = 0 reference is a row of its own
+        # the two-stack determinant grids against np.linalg.det of each A - lam I + t J:
+        # tutte's explicit grid on a forged pair, and eq1's default grid on C9-shuffle,
+        # whose lam grid holds no 0, so its lam = 0 reference is a row of its own. The
+        # t = 0 column is the plain LU determinant bit for bit; every other point lies
+        # within 1e-12 * max(1, peak) of the per-point LU
         def det(M, lam, t):
             return np.linalg.det(M.entries - lam * np.eye(M.n) + t * np.ones((M.n, M.n)))
 
@@ -113,18 +115,18 @@ class TestTutte:
         B2 = SymmetricMatrix(bumped)
         lams, ts = np.linspace(-3.0, 5.0, 11), [-2.0, 0.0, 1.5, 3.0]
         tutte = verify_tutte(A, B2, sigma, lambda_grid=lams, t_grid=ts, force=True)
-        for j, t in enumerate(ts):
-            for i, lam in enumerate(lams):
-                assert tutte.residuals[i, j] == abs(det(A, lam, t) - det(B2, lam, t))
+        reference = np.array([[abs(det(A, lam, t) - det(B2, lam, t)) for t in ts] for lam in lams])
+        np.testing.assert_array_equal(tutte.residuals[:, 1], reference[:, 1])
+        assert np.max(np.abs(tutte.residuals - reference)) <= 1e-12 * scale(tutte.scale)
         assert not tutte.passed
         pair = {p["name"]: p for p in cycle_pair_corpus(ns=(9,))}["C9-shuffle"]
         A, B = pair["A"], pair["B"]
         eq1 = verify_eq1(A, B, pair["sigma"])
         assert 0.0 not in eq1.lambda_grid
-        for j, t in enumerate(eq1.t_grid):
-            f0 = det(A, 0.0, t) - det(B, 0.0, t)
-            for i, lam in enumerate(eq1.lambda_grid):
-                assert eq1.residuals[i, j] == abs(det(A, lam, t) - det(B, lam, t) - f0)
+        f0 = [det(A, 0.0, t) - det(B, 0.0, t) for t in eq1.t_grid]
+        reference = np.array([[abs(det(A, lam, t) - det(B, lam, t) - f0[j])
+                               for j, t in enumerate(eq1.t_grid)] for lam in eq1.lambda_grid])
+        assert np.max(np.abs(eq1.residuals - reference)) <= 1e-12 * scale(eq1.scale)
         assert eq1.passed
 
 
@@ -157,10 +159,10 @@ class TestDefaultLambdaGrid:
 
 
 class TestGridScaleDefects:
-    """Grid verdicts judged against one global determinant scale; the exact
-    coefficient identity of ROADMAP item 3 cures both."""
+    """Grid verdicts judged against one global determinant scale. A swamping t
+    cannot hide a forged pair, since det(M) + t 1^T adj(M) 1 never forms M + t J;
+    one large lam still sets the scale of every point."""
 
-    @pytest.mark.xfail(strict=True, reason="t = 1e200 swamps the matrix: both dets are 0.0")
     def test_swamping_t_value_still_fails_a_forged_pair(self):
         pair = {p["name"]: p for p in cycle_pair_corpus(ns=(5,))}["C5-shuffle"]
         bumped = pair["B"].entries.copy()
@@ -399,20 +401,13 @@ SWEEP_VERIFIERS = {
     "lambda0": lambda A, B, sigma, lam: all(
         Spectrum(M).certified(lambda0_search(M)) for M in (A, B)),
 }
-# The 9-point det grid loses the singular C8 at 1e13 (relative residual 1.49e-8
-# against TUTTE_TOL = 1e-8); no tolerance cures it, exact polynomials would.
-SWEEP_XFAIL = {("C8-shuffle", "tutte", 13)}
 
 
 def _sweep_cases():
     for name in SWEEP_PAIRS:
         for verifier in SWEEP_VERIFIERS:
             for exponent in range(-8, 14):
-                marks = ()
-                if (name, verifier, exponent) in SWEEP_XFAIL:
-                    marks = pytest.mark.xfail(strict=True, reason="float det grid on singular C8")
-                yield pytest.param(name, verifier, exponent, marks=marks,
-                                   id=f"{name}-{verifier}-{exponent}")
+                yield pytest.param(name, verifier, exponent, id=f"{name}-{verifier}-{exponent}")
 
 
 @pytest.mark.parametrize("name, verifier, exponent", _sweep_cases())
@@ -497,8 +492,9 @@ class TestCorpusWideProperties:
 
 
 class TestKeptDefaultGrid:
-    """With both grids defaulted, the verifiers read each matrix's kept default_det_grid,
-    whose last row is verify_eq1's lam = 0 reference; verify_tutte reads only its own rows."""
+    """With both grids defaulted, the reports equal those of the explicit default grids.
+    Nothing is kept: every call computes its grid, verify_eq1 appends its lam = 0
+    reference row, and verify_tutte reads only its own rows."""
 
     @staticmethod
     def fresh_pair(n):
@@ -543,8 +539,8 @@ class TestKeptDefaultGrid:
         assert dumps(verify_eq1(A, A, sigma)) == dumps(self.eq1_reference(A, A))
 
     def test_determinants_computed(self, monkeypatch):
-        # the first verifier on a pair builds both kept grids, lam = 0 row included;
-        # the second computes none. An explicit tutte grid computes its own rows at every call
+        # every call makes two LU stacks per side, whatever the t grid: tutte factorises
+        # 2k matrices per side, eq1 2(k + 1) with its lam = 0 row
         counted = []
         det = np.linalg.det
 
@@ -554,22 +550,19 @@ class TestKeptDefaultGrid:
 
         monkeypatch.setattr(np.linalg, "det", counting)
         rows = len(default_lambdas(9))
-        for first, second in ((verify_tutte, verify_eq1), (verify_eq1, verify_tutte)):
-            A, B, sigma = self.fresh_pair(9)
-            counted.clear()
-            first(A, B, sigma)
-            assert sum(counted) == 2 * (rows + 1) * len(DEFAULT_GRID)
-            counted.clear()
-            second(A, B, sigma)
-            assert sum(counted) == 0
-        grids = {"lambda_grid": default_lambdas(9), "t_grid": DEFAULT_GRID}
+        A, B, sigma = self.fresh_pair(9)
         for _ in range(2):
+            for verifier, k in ((verify_tutte, rows), (verify_eq1, rows + 1)):
+                counted.clear()
+                verifier(A, B, sigma)
+                assert counted == [k, k] * 2, verifier.__name__
+        for ts in ([0.0], np.linspace(-3.0, 3.0, 40)):
             counted.clear()
-            verify_tutte(A, B, sigma, **grids)
-            assert sum(counted) == 2 * rows * len(DEFAULT_GRID)
+            verify_tutte(A, B, sigma, lambda_grid=[-1.0, 2.0], t_grid=ts)
+            assert counted == [2, 2] * 2
 
     def test_tutte_reads_only_its_own_rows(self, monkeypatch):
-        # C9's ten-point lam grid holds no lam = 0: eq1's reference row is the kept grid's last
+        # C9's ten-point lam grid holds no lam = 0: eq1 appends its reference row last
         A, B, sigma = self.fresh_pair(9)
         lams = default_lambdas(9)
         assert 0.0 not in lams
@@ -577,13 +570,12 @@ class TestKeptDefaultGrid:
         eq1 = verify_eq1(A, B, sigma)
         tutte = verify_tutte(A, B, sigma)
         assert dumps(tutte) == before
-        assert A.default_det_grid.shape == B.default_det_grid.shape == (11, 9)
         assert tutte.residuals.shape == (10, 9) and eq1.residuals.shape == (10, 9)
         own = [shifted_det_grid(M, lams, DEFAULT_GRID) for M in (A, B)]
         zero = [shifted_det_grid(M, [0.0], DEFAULT_GRID) for M in (A, B)]
         assert tutte.scale == max(float(np.max(np.abs(g))) for g in own)
         assert eq1.scale == max(float(np.max(np.abs(g))) for g in own + zero)
-        # a non-finite lam = 0 row fails eq1 alone; tutte's kept and explicit grids hold none
+        # a non-finite lam = 0 row fails eq1 alone; tutte's default and explicit grids hold none
         grid = matrixcore.shifted_det_grid
 
         def overflowing_zero_row(M, lam_rows, ts):
@@ -592,13 +584,11 @@ class TestKeptDefaultGrid:
                 out[-1] = np.inf
             return out
 
-        for module in (matrixcore, verifiers):
-            monkeypatch.setattr(module, "shifted_det_grid", overflowing_zero_row)
-        A2, B2 = SymmetricMatrix(A.entries.copy()), SymmetricMatrix(B.entries.copy())
+        monkeypatch.setattr(verifiers, "shifted_det_grid", overflowing_zero_row)
         with pytest.raises(NotFinite):
-            verify_eq1(A2, B2, sigma)
+            verify_eq1(A, B, sigma)
         for grids in ({}, {"lambda_grid": lams, "t_grid": DEFAULT_GRID}):
-            assert dumps(verify_tutte(A2, B2, sigma, **grids)) == before
+            assert dumps(verify_tutte(A, B, sigma, **grids)) == before
 
     def test_overflowing_kept_grid_fails_every_call(self):
         A, B, sigma = matrix_pair(SymmetricMatrix(1e200 * cycle_adjacency(5).entries),
@@ -610,7 +600,6 @@ class TestKeptDefaultGrid:
                 for verifier in (verify_tutte, verify_eq1):
                     with pytest.raises(NotFinite):
                         verifier(A, B, sigma)
-        assert not np.all(np.isfinite(A.default_det_grid))
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
