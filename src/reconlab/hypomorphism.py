@@ -3,9 +3,10 @@
 Two n x n symmetric matrices are deck-equivalent when for every index i the
 i-th vertex-deleted submatrices agree up to a permutation sigma_i. This module
 verifies a given family of permutations in one exact reindexing of both
-matrices, searches for one index by index under the gate's rule alone, so both
-accept the same pairs (the indices impose no joint constraint, so the search
-factors), and generates test pairs from relabeled graphs.
+matrices, searches for one index by index under the gate's rule alone (entries
+within EXACT_TOL times the pair's power-of-two unit), so both accept the same
+pairs (the indices impose no joint constraint, so the search factors), and
+generates test pairs from relabeled graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .graph6 import Graph6Record
 from .matrixcore import (Permutation, SymmetricMatrix, as_matrix, deck, leave_one_out,
                          perm_similarity)
 
-EXACT_TOL = 1e-12  # relative: residuals are compared with EXACT_TOL * scale(A, B)
+EXACT_TOL = 1e-12  # residuals are compared with EXACT_TOL * scale(A, B), the pair's unit
 SEARCH_CAP = 9
 
 

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix primitives.
 
 Decks (row/column deletions), shifted determinants det(A - lambda*I + t*J),
-permutation similarity, the shared relative tolerance policy and each
-matrix's spectrum. Everything here is a pure function of immutable inputs;
-arrays stored on the dataclasses are write-protected.
+permutation similarity, the power-of-two `scale` every tolerance reads and
+each matrix's spectrum. Everything here is a pure function of immutable
+inputs; arrays stored on the dataclasses are write-protected.
 
 A matrix keeps what is a function of it alone: `A.scale` (set by the
 constructor), and the cached properties `A.spectrum` (one eigendecomposition
@@ -28,12 +28,14 @@ POS_MARGIN = 1e-12  # the lambda0 certificate asks (A + p I)^-1 1 >= POS_MARGIN 
 DEFAULT_GRID = tuple(np.linspace(-4.0, 4.0, 9))  # the default t grid, and lam grid up to n = 8
 
 
+def _unit(peak: float) -> float:
+    """The power of two 2^k with peak in [2^k, 2^(k+1)), or 1.0 for peak 0: exact to scale by."""
+    return math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+
+
 def scale(*arrays) -> float:
-    """max(1, largest |entry|) over the arrays (scalars count as arrays)."""
-    peak = 1.0
-    for a in arrays:
-        peak = max(peak, float(np.abs(a).max()))
-    return peak
+    """The unit (see _unit) of the largest |entry| over the arrays (scalars count as arrays)."""
+    return _unit(max(float(np.abs(a).max()) for a in arrays))
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -63,7 +65,7 @@ class SymmetricMatrix:
         peak = float(np.max(np.abs(a)))  # NaN if any entry is NaN, inf if any is infinite
         if not np.isfinite(peak):
             raise NotFinite(f"matrix has a non-finite entry (max |entry| = {peak})")
-        tol = REL_TOL * max(1.0, peak)  # scale(a), from the peak already taken
+        tol = REL_TOL * _unit(peak)  # scale(a), from the peak already taken
         asym = float(np.max(np.abs(a - a.T)))
         if asym > tol:
             raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
@@ -71,7 +73,7 @@ class SymmetricMatrix:
             a = np.where(np.tri(a.shape[0], dtype=bool), a, a.T)
             peak = float(np.max(np.abs(a)))  # the mirrored entries' own peak
         object.__setattr__(self, "entries", _frozen_array(a))
-        object.__setattr__(self, "scale", max(1.0, peak))
+        object.__setattr__(self, "scale", _unit(peak))
 
     @property
     def n(self) -> int:
@@ -89,11 +91,11 @@ class Spectrum:
     (A + lam I)^-1 1 = Q (c / (mu + lam)) with c = Q^T 1, so t(lam), the
     positive-definiteness test and the positivity certificate cost O(n^2) per
     shift. The smallest and largest diagonal entries and the largest
-    off-diagonal magnitude of A give scale(A + lam I) exactly without forming
-    the shifted matrix; `scale` is A.scale. The arrays are read-only, since
-    every reader of `A.spectrum` shares them. A lambda0 probe is numpy's
-    per-call overhead around one small product, so c and mu are also kept as
-    column views and `certified` enters np.errstate only near overflow.
+    off-diagonal magnitude of A give the peak of A + lam I without forming it;
+    `scale` is A.scale. The arrays are read-only, since every reader of
+    `A.spectrum` shares them. A lambda0 probe is numpy's per-call overhead
+    around one small product, so c and mu are also kept as column views and
+    `certified` enters np.errstate only near overflow.
     """
 
     def __init__(self, A: SymmetricMatrix):
@@ -107,15 +109,13 @@ class Spectrum:
         self.mu_peak = float(np.max(np.abs(self.mu)))
         diag = np.diag(a)
         self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
-        off = np.abs(a)
-        np.fill_diagonal(off, 0.0)
-        self.off_peak = max(1.0, float(off.max()))  # scale(off)
+        self.off_peak = float(np.abs(a - np.diag(diag)).max())
         self.scale = A.scale
 
     def pd_bound(self, lam: float) -> tuple:
         """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
-        shifted_scale = max(self.off_peak, abs(self.diag_lo + lam), abs(self.diag_hi + lam))
-        return float(self.mu[0]) + lam, REL_TOL * shifted_scale
+        peak = max(self.off_peak, abs(self.diag_lo + lam), abs(self.diag_hi + lam))
+        return float(self.mu[0]) + lam, REL_TOL * max(self.scale, peak)
 
     def inverse_ones(self, lams) -> np.ndarray:
         """(A + lam I)^-1 1 as column k for the k-th shift in lams."""
@@ -148,13 +148,13 @@ class Spectrum:
     def lambda0(self) -> float:
         """A certified shift past which (A + lam I)^-1 1 stays positive, searched once.
 
-        Start at operator-norm + 1, double until the certificate holds (giving
+        Start at operator norm + A.scale, double until the certificate holds (giving
         up once the 10x probe overflows), then bisect downward in 40 steps.
         Tightening is best effort; the returned value is always re-certified
         (existence is guaranteed for large shifts, minimality is not). A
         search that raises NotCertified keeps nothing.
         """
-        hi = self.mu_peak + 1.0
+        hi = self.mu_peak + self.scale
         doublings = 0
         while True:
             if not math.isfinite(10.0 * hi):  # an infinite probe never certifies

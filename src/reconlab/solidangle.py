@@ -125,10 +125,8 @@ def _span_data(generators: np.ndarray):
 
 
 def _unit_scale(a: np.ndarray) -> np.ndarray:
-    """a times the power of two that brings its largest |entry| into [0.5, 1): exact, and
-    no product of the result overflows or underflows. An all-zero a comes back as it is."""
-    _, exponent = math.frexp(np.abs(a).max())
-    return np.ldexp(a, -exponent)
+    """a / (2 scale(a)), largest |entry| in [0.5, 1): exact; no product overflows or underflows."""
+    return np.ldexp(a, -math.frexp(scale(a))[1])  # scale(a) = 2^(e - 1) has frexp exponent e
 
 
 def cone_contains(cone: Cone, x) -> bool:

@@ -5,11 +5,13 @@ self-certifying). verify_tutte and verify_main_theorem, the two verifiers the
 CLI runs, take `force=True` to bypass the gate for negative controls. Grid
 verdicts rely on the degree argument: det(A - lam*I + t*J) has degree n in lam
 and degree 1 in t, so a grid with at least n + 1 lam values and 2 t values
-decides the identity. The default lam grid is max(9, n + 1) points evenly
-spaced on [-4, 4], so it decides the identity at every n; for n <= 8 it is
-DEFAULT_GRID, which is also the default t grid. Each call computes its grid
-afresh, two LU stacks per side (see `shifted_det_grid`); verify_eq1 appends
-its lam = 0 reference row, and verify_tutte reads only its own rows.
+decides the identity. The pair's unit u = max(A.scale, B.scale), a power of
+two (see `matrixcore.scale`), is the one scale every default grid and
+tolerance floor reads, so 2^j A, 2^j B get the verdicts of A, B. The default
+lam grid is max(9, n + 1) points evenly spaced on [-4u, 4u]; for n <= 8 it is
+DEFAULT_GRID * u, also the default t grid. Explicit grids are exact points.
+Each call computes its grid afresh, two LU stacks per side (see
+`shifted_det_grid`); verify_eq1 alone appends its lam = 0 reference row.
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
@@ -32,8 +34,7 @@ import numpy as np
 
 from .errors import BadPosition, DimensionMismatch, LambdaTooSmall, NotFinite, NotHypomorphic
 from .hypomorphism import Hypomorphism, verify_hypomorphism
-from .matrixcore import (DEFAULT_GRID, SymmetricMatrix, as_matrix, default_lambdas, scale,
-                         shifted_det_grid)
+from .matrixcore import DEFAULT_GRID, SymmetricMatrix, as_matrix, default_lambdas, shifted_det_grid
 from .presentation import (
     factor_presentation,
     good_position_report,
@@ -53,14 +54,14 @@ T_SAMPLES = 10  # interior t values the main theorem samples
 
 def _gate(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
           force: bool = False) -> tuple:
-    """(A, B) as SymmetricMatrix, raising NotHypomorphic unless the certificate holds or force."""
+    """A, B and their unit max(A.scale, B.scale); NotHypomorphic unless certified or force."""
     A, B = as_matrix(A), as_matrix(B)
     cert = verify_hypomorphism(A, B, sigma)
     if not cert.valid and not force:
         raise NotHypomorphic(
             f"certificate fails at index {cert.failing_index} "
             f"(residual {cert.worst_residual:.3e})")
-    return A, B
+    return A, B, max(A.scale, B.scale)
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,9 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
             raise DimensionMismatch(f"empty {name} grid")
         if grid is not None and not np.all(np.isfinite(grid)):
             raise NotFinite(f"{name} grid has a non-finite value")
-    A, B = _gate(A, B, sigma, force)
-    lams = default_lambdas(A.n) if lams is None else lams
-    ts = np.asarray(DEFAULT_GRID) if ts is None else ts
+    A, B, u = _gate(A, B, sigma, force)
+    lams = default_lambdas(A.n) * u if lams is None else lams
+    ts = np.asarray(DEFAULT_GRID) * u if ts is None else ts
     rows = np.append(lams, 0.0) if against_lambda_zero else lams
     with np.errstate(over="ignore", invalid="ignore"):
         da, db = (shifted_det_grid(M, rows, ts) for M in (A, B))
@@ -103,7 +104,7 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     max_diff = float(np.max(resid))
     return GridReport(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
                       max_abs_diff=max_diff, scale=peak, tol=TUTTE_TOL,
-                      passed=max_diff <= TUTTE_TOL * scale(peak))
+                      passed=max_diff <= TUTTE_TOL * peak)
 
 
 def verify_tutte(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
@@ -140,7 +141,7 @@ def verify_main2(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism) ->
     cross-checked against the leave-one-out-volume vector of a fresh
     factorization, so the spectral and geometric routes agree.
     """
-    A, B = _gate(A, B, sigma)
+    A, B, _ = _gate(A, B, sigma)
     rep_a = good_position_report(A)
     rep_b = good_position_report(B)
     if not rep_a.is_good or not rep_b.is_good:
@@ -171,7 +172,7 @@ def verify_main1_t_agreement(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypo
     """The singularizing rank-one coefficient must agree on both sides."""
     if not math.isfinite(lam):
         raise NotFinite(f"lambda {lam} is not finite")
-    A, B = _gate(A, B, sigma)
+    A, B, u = _gate(A, B, sigma)
     lam0 = max(lambda0_search(A), lambda0_search(B))
     if lam < lam0:
         raise LambdaTooSmall(f"lambda {lam} below certified threshold {lam0}")
@@ -179,7 +180,7 @@ def verify_main1_t_agreement(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypo
     t_b = t_of_lambda(B, lam)
     diff = abs(t_a - t_b)
     return TAgreementReport(lam=lam, t_a=t_a, t_b=t_b, abs_diff=diff, tol=T_AGREE_TOL,
-                            passed=diff <= T_AGREE_TOL * scale(t_a))
+                            passed=diff <= T_AGREE_TOL * max(u, abs(t_a)))
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,10 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     checked: equal lowest eigenvalues, one-dimensionality via the eigengap,
     and colinear lowest eigenvectors by absolute cosine.
     """
-    A, B = _gate(A, B, sigma, force)
+    A, B, u = _gate(A, B, sigma, force)
     lam0 = max(lambda0_search(A), lambda0_search(B))
-    t_values = A.spectrum.t(np.geomspace(lam0, 4.0 * lam0 + 1.0, GEOM_GRID_POINTS))
-    # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + 1) / n
+    t_values = A.spectrum.t(np.geomspace(lam0, 4.0 * lam0 + u, GEOM_GRID_POINTS))
+    # never collapses: |Q^T 1|^2 = n gives |dt/dlam| >= 1/n, so t_hi - t_lo >= (3 lam0 + u) / n
     t_lo, t_hi = float(np.min(t_values)), float(np.max(t_values))
     sampled = np.linspace(t_lo, t_hi, T_SAMPLES + 2)[1:-1]
     # w[s, k] ascending, v[s, k][:, 0] its lowest eigenvector, for side s (A, B) at t_k
@@ -226,7 +227,7 @@ def verify_main_theorem(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorph
     w, v = np.linalg.eigh(np.stack([A.entries + shift, B.entries + shift]))
     lowest = w[:, :, 0].tolist()
     gaps = (w[:, :, 1] - w[:, :, 0]).tolist()
-    scales = np.maximum(np.abs(w).max(axis=(0, 2)), 1.0).tolist()  # scale(w[0, k], w[1, k])
+    scales = np.maximum(np.abs(w).max(axis=(0, 2)), u).tolist()  # peak |w| at t_k, floored at u
     # the alignment stays one dot per sample: a stacked product sums in another order
     samples = tuple(LowestEigenSample(
         t=t,

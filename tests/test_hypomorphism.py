@@ -343,11 +343,13 @@ class TestFind:
         if case == "row-sums":
             a *= 1e13
             b = a.copy()
-            b[0] += 9.0  # 0.9 * the threshold 1e-12 * scale(A, B), along row and column 0
-            b[1:, 0] += 9.0
-            b[2, 3] = b[3, 2] = a[2, 3] + 9.0
+            # 0.9 * the threshold 1e-12 * scale(A, B) = 1e-12 * 2^43 = 8.80, along row and
+            # column 0
+            b[0] += 7.9
+            b[1:, 0] += 7.9
+            b[2, 3] = b[3, 2] = a[2, 3] + 7.9
         else:
-            a[0, 3] = a[3, 0] = 1e13  # card 0 drops it: unit scale, threshold still 10
+            a[0, 3] = a[3, 0] = 1e13  # card 0 drops it: unit scale, threshold still 8.80
             b = a.copy()
             b[2, 4] = b[4, 2] = a[2, 4] + 0.5
         A, B = SymmetricMatrix(a), SymmetricMatrix(b)

@@ -81,24 +81,35 @@ class TestSymmetricMatrix:
 
 
 class TestKeptScale:
-    """The constructor keeps scale(entries) of the stored entries; the spectrum reads it."""
+    """The constructor keeps scale(entries) of the stored entries, the power of two
+    2^k with the largest |entry| in [2^k, 2^(k+1)), with no floor at 1; the spectrum
+    reads it."""
 
     @pytest.mark.parametrize("raw, want", [
-        pytest.param(np.array([[2.0, -3.5], [-3.5, 0.25]]), 3.5, id="exactly-symmetric"),
-        # stored as the lower triangle mirrored: the peak 1000 + 1e-8 above it is not kept
-        pytest.param(np.array([[0.0, 1000.0 + 1e-8], [1000.0, 0.0]]), 1000.0, id="mirrored-peak"),
-        pytest.param(CARD_SCALE_RAW, 1000.0, id="card-scale-raw"),
-        pytest.param(1e-13 * cycle_adjacency(5).entries, 1.0, id="1e-13*C5"),
-        pytest.param(1e13 * cycle_adjacency(8).entries, 1e13, id="1e13*C8"),
+        pytest.param(np.array([[2.0, -3.5], [-3.5, 0.25]]), 2.0, id="exactly-symmetric"),
+        # stored as the lower triangle mirrored: the peak 1024 + 1e-8 above it, whose
+        # unit is 1024, is not kept
+        pytest.param(np.array([[0.0, 1024.0 + 1e-8], [np.nextafter(1024.0, 0.0), 0.0]]), 512.0,
+                     id="mirrored-peak"),
+        pytest.param(CARD_SCALE_RAW, 512.0, id="card-scale-raw"),
+        pytest.param(1e-13 * cycle_adjacency(5).entries, 2.0 ** -44, id="1e-13*C5"),
+        pytest.param(1e13 * cycle_adjacency(8).entries, 2.0 ** 43, id="1e13*C8"),
     ])
     def test_scale_of_the_stored_entries(self, raw, want):
         M = SymmetricMatrix(raw)
         assert M.scale == scale(M.entries) == want
         spec = M.spectrum
         assert spec.scale == M.scale
-        # the spectrum's own extremes give the same scale: the largest |entry| of A
+        # the spectrum's own extremes give the same peak: the largest |entry| of A
         # lies off the diagonal or at a diagonal extreme
-        assert max(spec.off_peak, abs(spec.diag_lo), abs(spec.diag_hi)) == M.scale
+        assert max(spec.off_peak, abs(spec.diag_lo), abs(spec.diag_hi)) == np.abs(M.entries).max()
+
+    @pytest.mark.parametrize("peak, want", [
+        (0.0, 1.0), (1.0, 1.0), (np.nextafter(2.0, 0.0), 1.0), (2.0, 2.0), (0.75, 0.5),
+        (5e-324, 5e-324), (1.7e308, 2.0 ** 1023)])
+    def test_scale_is_the_power_of_two_unit(self, peak, want):
+        assert scale(np.array([[peak, -0.5 * peak]]), -peak) == want
+        assert SymmetricMatrix(np.array([[peak]])).scale == want
 
     def test_kept_and_frozen(self):
         M = SymmetricMatrix(np.eye(3))

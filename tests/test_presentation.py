@@ -29,7 +29,7 @@ from reconlab import (
 )
 from reconlab.geometry_suite import random_good_position_presentation, random_pd_matrix
 from reconlab.hypomorphism import cycle_pair_corpus
-from reconlab.matrixcore import POS_MARGIN, REL_TOL, Spectrum
+from reconlab.matrixcore import POS_MARGIN, REL_TOL, Spectrum, scale
 
 EQUILATERAL = SymmetricMatrix(np.array([
     [1.0, -0.5, -0.5],
@@ -316,13 +316,25 @@ class TestLambda0:
             assert Spectrum(a).certified(lambda0_search(a))
 
     def test_overflowing_shifted_spectrum_is_typed(self):
-        # 10 lam is finite but mu + 10 lam is not: the probe reads x = 0 and fails
+        # 10 lam is finite but mu + 10 lam is not: the probe reads x = 0 and fails. For
+        # c J at c = 1.7 * 2^1018, mu_peak = 3c and the search starts at 3c + 2^1018
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotCertified, match="overflow"):
-                lambda0_search(SymmetricMatrix(1.7e307 * np.eye(3)))
-            assert lambda0_search(SymmetricMatrix(1.5e307 * np.eye(3))) == 7.50000000000682e306
-            assert lambda0_search(SymmetricMatrix(1e307 * np.eye(3))) == 5.000000000004547e306
+                lambda0_search(SymmetricMatrix(1.7 * 2.0 ** 1018 * np.ones((3, 3))))
+
+    def test_overflow_edge_of_a_scaled_identity(self):
+        # the search starts at mu_peak + scale(A), so c I starts at c + 2^1019 for c in
+        # [2^1019, 2^1020) and at 2^1021, whose 10 lam overflows, from c = 2^1020 on
+        # (a start at mu_peak + 1 certified 1.5e307 I at 7.5e306; it now raises)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (2.0 ** 1020, 1.5e307):
+                with pytest.raises(NotCertified, match="overflow"):
+                    lambda0_search(SymmetricMatrix(c * np.eye(3)))
+            below = SymmetricMatrix(np.nextafter(2.0 ** 1020, 0.0) * np.eye(3))
+            assert lambda0_search(below) == 8.426686569674767e306
+            assert lambda0_search(SymmetricMatrix(1e307 * np.eye(3))) == 7.808895523229469e306
 
 
 def _lambda_calls(M, S, lam, copy):
@@ -387,14 +399,16 @@ def well_conditioned_shift(rng, a):
 
 def solve_certificate(a, lam, margin=POS_MARGIN):
     """Reference certificate: eigvalsh and solve on each shifted matrix, and the
-    smallest distance of min (A + p I)^-1 1 from its threshold (None when not PD)."""
+    smallest distance of min (A + p I)^-1 1 from its threshold (None when not PD).
+    Both thresholds read A's power-of-two unit."""
     ok, closest = True, np.inf
+    unit = scale(a.entries)
     for p in (lam, 2.0 * lam, 10.0 * lam):
         shifted = a.entries + p * np.eye(a.n)
-        if np.linalg.eigvalsh(shifted)[0] < REL_TOL * max(1.0, np.max(np.abs(shifted))):
+        if np.linalg.eigvalsh(shifted)[0] < REL_TOL * max(unit, np.max(np.abs(shifted))):
             return False, None
         x = np.linalg.solve(shifted, np.ones(a.n))
-        gap = np.min(x) - margin / max(1.0, np.max(np.abs(a.entries)))
+        gap = np.min(x) - margin / unit
         ok = ok and gap >= 0
         closest = min(closest, abs(gap) / np.max(np.abs(x)))
     return ok, closest

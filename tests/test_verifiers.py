@@ -1,3 +1,4 @@
+import json
 import runpy
 import warnings
 from pathlib import Path
@@ -26,7 +27,8 @@ from reconlab import (
 )
 from reconlab.hypomorphism import SEARCH_CAP, cycle_adjacency, cycle_pair_corpus, matrix_pair
 from reconlab.matrixcore import Permutation, Spectrum, default_lambdas, scale, shifted_det_grid
-from reconlab.serialize import dumps
+from reconlab.cli import main
+from reconlab.serialize import dumps, pair_to_dict
 from reconlab import matrixcore, verifiers
 from reconlab.verifiers import DEFAULT_GRID, GridReport, LowestEigenSample
 
@@ -219,25 +221,39 @@ class TestSignedCycleNearMisses:
 
 
 class TestSubUnitScaleNearMiss:
-    """The signed C5 near miss at scale 1e-13 passes every check. scale() floors
-    at 1, so the gate's threshold EXACT_TOL * scale is an absolute 1e-12 there and
-    the residual 2e-13 passes it; the default lambda grid is fixed on [-4, 4],
-    where (-lambda)^5 swamps the 4e-65 determinant gap. At unit scale the same
-    pair fails both (TestSignedCycleNearMisses). Pinned until the tolerance
-    policy is made relative below unit scale."""
+    """The signed C5 near miss at scale 1e-13 fails every check, as it does at unit
+    scale (TestSignedCycleNearMisses). The pair's unit is 2^-44, so the gate's
+    threshold EXACT_TOL * 2^-44 sits far below the residual 2e-13, and the default
+    lambda grid spans [-4, 4] * 2^-44, where the 4e-65 determinant gap shows. While
+    scale() floored at 1 the threshold was an absolute 1e-12 and the grid [-4, 4],
+    and the pair passed the gate, the search and every verifier."""
 
     @staticmethod
     def pair():
         return signed_cycle_near_miss(np.full(5, 1e-13), np.zeros(5))
 
-    @pytest.mark.xfail(strict=True, reason="below unit scale the gate's threshold is absolute")
     def test_gate_rejects(self):
         assert not verify_hypomorphism(*self.pair(), identity_hypomorphism(5)).valid
 
-    @pytest.mark.xfail(strict=True, reason="the fixed lambda grid swamps a 4e-65 determinant gap")
+    def test_search_finds_none(self):
+        assert find_hypomorphism(*self.pair()) is None
+
     def test_forced_tutte_fails(self):
         A, B = self.pair()
         assert not verify_tutte(A, B, identity_hypomorphism(5), force=True).passed
+
+    def test_forced_main_theorem_fails(self):
+        A, B = self.pair()
+        assert not verify_main_theorem(A, B, identity_hypomorphism(5), force=True).passed
+
+    @pytest.mark.parametrize("command", ["verify-tutte", "verify-main"])
+    def test_cli_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "forged.json"
+        path.write_text(dumps(pair_to_dict(*self.pair(), identity_hypomorphism(5))))
+        assert main([command, "--pair", str(path), "--deterministic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "NotHypomorphic"  # one JSON object
 
 
 @pytest.mark.parametrize("kind", ["unit", "seeded"])
@@ -344,8 +360,8 @@ class TestMainTheorem:
             assert s.eigvec_alignment >= 1.0 - 1e-9
 
     def test_t_interval_never_collapses(self, monkeypatch):
-        # |c|^2 = n for c = Q^T 1, so |dt/dlam| >= 1/n and t_hi - t_lo >= (3 lam0 + 1) / n,
-        # with equality on regular graphs
+        # |c|^2 = n for c = Q^T 1, so |dt/dlam| >= 1/n and t_hi - t_lo >= (3 lam0 + u) / n
+        # for the pair's unit u, with equality on regular graphs
         nx = pytest.importorskip("networkx")
         pairs = [(A, A, identity_hypomorphism(A.n)) for A in (
             SymmetricMatrix(nx.to_numpy_array(g))
@@ -358,7 +374,8 @@ class TestMainTheorem:
         for A, B, sigma in pairs:
             rep = verify_main_theorem(A, B, sigma)
             t_lo, t_hi = rep.t_interval
-            assert (t_hi - t_lo) * A.n >= (3.0 * rep.lambda0 + 1.0) * (1.0 - 1e-9)
+            u = scale(A.entries, B.entries)
+            assert (t_hi - t_lo) * A.n >= (3.0 * rep.lambda0 + u) * (1.0 - 1e-9)
 
     def test_gate(self, c5_pair):
         A, B, _ = c5_pair
@@ -420,9 +437,87 @@ def test_scale_sweep_cycle_corpus(name, verifier, exponent):
     assert SWEEP_VERIFIERS[verifier](A, B, pair["sigma"], lam)
 
 
+SCALING_EXPONENTS = (-60, -30, -13, -1, 1, 13, 30, 60)
+# certified pairs, whose verdicts pass, and forged ones (the unit-weight signed cycles
+# under identity sigmas), whose gate, search and forced verifiers fail
+SCALING_PAIRS = {name: (p["A"], p["B"], p["sigma"]) for name, p in SWEEP_PAIRS.items()}
+SCALING_PAIRS.update({f"signed-C{n}": (*signed_cycle_near_miss(np.ones(n), np.zeros(n)),
+                                       identity_hypomorphism(n)) for n in (5, 6, 7)})
+
+
+def _scaling_reports(A, B, sigma):
+    """Every verdict on (A, B) under sigma, and the reports whose fields scale with A, B."""
+    cert = verify_hypomorphism(A, B, sigma)
+    found = find_hypomorphism(A, B)
+    reports = {"tutte": verify_tutte(A, B, sigma, force=True),
+               "main_theorem": verify_main_theorem(A, B, sigma, force=True)}
+    if cert.valid:  # the remaining verifiers gate without force
+        lam = 1.5 * max(lambda0_search(A), lambda0_search(B))
+        reports["eq1"] = verify_eq1(A, B, sigma)
+        reports["t_agreement"] = verify_main1_t_agreement(A, B, sigma, lam)
+        reports["main2"] = verify_main2(good_position_shift(A, lam),
+                                        good_position_shift(B, lam), sigma)
+    verdicts = {key: rep.passed for key, rep in reports.items()}
+    verdicts.update(gate=cert.valid, search=None if found is None else found.sigmas)
+    return verdicts, cert.tol, reports
+
+
+def assert_power_of_two_equivariant(A, B, sigma):
+    """(2^j A, 2^j B) gets every verdict of (A, B); the gate's tol, lambda0 and the
+    default grids scale by exactly 2^j, and the main theorem's t values (np.geomspace
+    rounds through logarithms) by 2^j to within 1e-12 relative. The zero pair is its
+    own scaled copy, with unit 1 at every j."""
+    verdicts, tol, reports = _scaling_reports(A, B, sigma)
+    zero = not (np.any(A.entries) or np.any(B.entries))
+    for j in SCALING_EXPONENTS:
+        A2, B2 = (SymmetricMatrix(np.ldexp(M.entries, j)) for M in (A, B))
+        got_verdicts, got_tol, got = _scaling_reports(A2, B2, sigma)
+        assert got_verdicts == verdicts, j
+        k = 0 if zero else j  # the power of two every scaled field moves by
+        assert got_tol == np.ldexp(tol, k), j
+        assert lambda0_search(A2) == np.ldexp(lambda0_search(A), k), j
+        assert lambda0_search(B2) == np.ldexp(lambda0_search(B), k), j
+        for key in {"tutte", "eq1"} & got.keys():
+            for grid in ("lambda_grid", "t_grid"):
+                want = tuple(np.ldexp(getattr(reports[key], grid), k))
+                assert getattr(got[key], grid) == want, (key, grid, j)
+        main, main_base = got["main_theorem"], reports["main_theorem"]
+        assert main.lambda0 == np.ldexp(main_base.lambda0, k), j
+        np.testing.assert_allclose(main.t_values, np.ldexp(main_base.t_values, k),
+                                   rtol=1e-12, atol=0.0)
+
+
+class TestPowerOfTwoScaling:
+    """Every verdict is a function of the pair at its unit scale: scaling by a power of
+    two is exact (Higham 2002), and every tolerance and default grid reads the pair's
+    unit, so |j| <= 60 changes nothing. (Much further out the determinant grids
+    overflow for n >= 6, and the main2 shift reaches the subnormal range.)"""
+
+    @pytest.mark.parametrize("name", SCALING_PAIRS)
+    def test_cycle_corpus_and_signed_cycles(self, name):
+        assert_power_of_two_equivariant(*SCALING_PAIRS[name])
+
+    def test_atlas_sample(self):
+        # every 7th atlas graph on 3-6 vertices under a seeded random relabelling; where
+        # the search finds no sigma, identity sigmas forge one
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(20261020)
+        graphs = [g for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6][::7]
+        assert len(graphs) == 30
+        forged = 0
+        for g in graphs:
+            A = SymmetricMatrix(nx.to_numpy_array(g))
+            A, B, sigma = matrix_pair(A, Permutation(tuple(rng.permutation(A.n))))
+            forged += sigma is None
+            assert_power_of_two_equivariant(A, B, sigma or identity_hypomorphism(A.n))
+        assert 0 < forged < len(graphs)
+
+
 def _per_t_reference(A, B, samples):
-    """The samples recomputed with one eigh of A + tJ and one of B + tJ per t."""
+    """The samples recomputed with one eigh of A + tJ and one of B + tJ per t; each
+    sample's scale is its largest |eigenvalue|, floored at the pair's unit."""
     ones = np.ones((A.n, A.n))
+    unit = scale(A.entries, B.entries)
     out = []
     for s in samples:
         wa, va = np.linalg.eigh(A.entries + s.t * ones)
@@ -430,7 +525,8 @@ def _per_t_reference(A, B, samples):
         out.append(LowestEigenSample(
             t=s.t, lambda_n_a=float(wa[0]), lambda_n_b=float(wb[0]),
             eigengap_a=float(wa[1] - wa[0]), eigengap_b=float(wb[1] - wb[0]),
-            eigvec_alignment=float(abs(va[:, 0] @ vb[:, 0])), scale=scale(wa, wb)))
+            eigvec_alignment=float(abs(va[:, 0] @ vb[:, 0])),
+            scale=max(unit, float(np.abs(wa).max()), float(np.abs(wb).max()))))
     return tuple(out)
 
 
@@ -503,18 +599,25 @@ class TestKeptDefaultGrid:
         return A, B, sigma
 
     @staticmethod
-    def eq1_reference(A, B) -> GridReport:
+    def default_grids(A, B) -> dict:
+        """The default grids spelt out: each grid times the pair's unit scale(A, B)."""
+        unit = scale(A.entries, B.entries)
+        return {"lambda_grid": default_lambdas(A.n) * unit,
+                "t_grid": tuple(np.asarray(DEFAULT_GRID) * unit)}
+
+    @classmethod
+    def eq1_reference(cls, A, B) -> GridReport:
         """verify_eq1's report rebuilt from fresh shifted_det_grid rows: the lam rows, then lam = 0."""
-        lams = default_lambdas(A.n)
-        da, db = (np.vstack([shifted_det_grid(M, lams, DEFAULT_GRID),
-                             shifted_det_grid(M, [0.0], DEFAULT_GRID)]) for M in (A, B))
+        lams, ts = cls.default_grids(A, B).values()
+        da, db = (np.vstack([shifted_det_grid(M, lams, ts),
+                             shifted_det_grid(M, [0.0], ts)]) for M in (A, B))
         diff = da - db
         resid = np.abs(diff[:-1] - diff[-1])
         peak = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
         max_diff = float(np.max(resid))
-        return GridReport(lambda_grid=tuple(lams), t_grid=DEFAULT_GRID, residuals=resid,
+        return GridReport(lambda_grid=tuple(lams), t_grid=ts, residuals=resid,
                           max_abs_diff=max_diff, scale=peak, tol=verifiers.TUTTE_TOL,
-                          passed=max_diff <= verifiers.TUTTE_TOL * scale(peak))
+                          passed=max_diff <= verifiers.TUTTE_TOL * peak)
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_reports_match_explicit_grids_byte_for_byte(self, n):
@@ -534,7 +637,8 @@ class TestKeptDefaultGrid:
     def test_identity_pairs_match_explicit_grids(self, rng, n):
         w = rng.standard_normal((n, n))
         A, sigma = SymmetricMatrix(w + w.T), identity_hypomorphism(n)
-        grids = {"lambda_grid": default_lambdas(n), "t_grid": DEFAULT_GRID}
+        assert A.scale != 1.0  # the default grids are the unit grids scaled
+        grids = self.default_grids(A, A)
         assert dumps(verify_tutte(A, A, sigma)) == dumps(verify_tutte(A, A, sigma, **grids))
         assert dumps(verify_eq1(A, A, sigma)) == dumps(self.eq1_reference(A, A))
 
