@@ -14,6 +14,14 @@ serialised reports of one kind for every pair of one vertex count, so two
 runs or two checkouts compare with `diff` (about 15 s):
 
     PYTHONPATH=src python scripts/atlas_digests.py > atlas.txt
+
+A second line per (vertex count, kind), ending in `verdicts`, hashes only
+what each report decides: its `passed` or `valid` flag, whether the search
+found a sigma, or the type name of the error a step raised. A change that
+moves report bytes (a tighter lambda0, say) but no verdict leaves every
+`verdicts` line as it was:
+
+    grep ' verdicts$' atlas.txt
 """
 
 import hashlib
@@ -49,6 +57,14 @@ def _run(fn, *args):
         return {"error": type(exc).__name__}
 
 
+def verdict(report):
+    """What a report decides: its error's type name, whether the search found a sigma,
+    or its `passed` or `valid` flag (None for a bare value such as lambda0)."""
+    if isinstance(report, dict):
+        return report["error"] if "error" in report else report["sigma"] is not None
+    return getattr(report, "passed", getattr(report, "valid", None))
+
+
 def pipeline(A, B, sigma) -> dict:
     """Report (or error) of every step after the search, keyed by kind."""
     out = {"gate": _run(verify_hypomorphism, A, B, sigma),
@@ -69,6 +85,7 @@ def pipeline(A, B, sigma) -> dict:
 def main():
     rng = np.random.default_rng(SEED)
     digests = {(n, kind): hashlib.sha256() for n in VERTEX_COUNTS for kind in KINDS}
+    verdicts = {(n, kind): hashlib.sha256() for n in VERTEX_COUNTS for kind in KINDS}
     for index, g in enumerate(nx.graph_atlas_g()):
         n = g.number_of_nodes()
         if n not in VERTEX_COUNTS:
@@ -82,8 +99,11 @@ def main():
                 reports.update(pipeline(A, B, sigma))
             for kind, report in reports.items():
                 digests[n, kind].update(f"{index} {tau_name} {dumps(report)}\n".encode("utf-8"))
+                verdicts[n, kind].update(f"{index} {tau_name} {verdict(report)}\n".encode("utf-8"))
     for (n, kind), digest in digests.items():
         print(digest.hexdigest(), f"n={n} {kind}")
+    for (n, kind), digest in verdicts.items():
+        print(digest.hexdigest(), f"n={n} {kind} verdicts")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,12 @@ for every shift lambda) and `A.spectrum.lambda0`, computed at the first
 access; an access that raises keeps nothing. The matrix is frozen and its
 entries are write-protected, so a kept value is exactly what a fresh
 computation would give.
+
+lambda0 is read from the deck: one batched eigvals over the cards gives the
+root past which (A + lambda I)^-1 1 stays positive, the positivity
+certificate accepts a point just above it (or A.scale / 2 when the root is
+not positive), and a bisection runs only next to a cancelled pole or when
+nothing certifies.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .errors import DegenerateOrder, DimensionMismatch, NotCertified, NotFinite,
 REL_TOL = 1e-10  # relative decisions compare a residual with REL_TOL * scale(inputs)
 POS_MARGIN = 1e-12  # the lambda0 certificate asks (A + p I)^-1 1 >= POS_MARGIN / scale(A)
 DEFAULT_GRID = tuple(np.linspace(-4.0, 4.0, 9))  # the default t grid, and lam grid up to n = 8
+_LADDER = (32, 24, 20, 16)  # lambda0 tries theta * (1 + 2^-k) for these k, in turn
+_ROOT_GAP = 2.0 ** -16  # eigvals reads a defective root to about sqrt(eps); this is "close"
 
 
 def _unit(peak: float) -> float:
@@ -92,7 +100,8 @@ class Spectrum:
     positive-definiteness test and the positivity certificate cost O(n^2) per
     shift. The smallest and largest diagonal entries and the largest
     off-diagonal magnitude of A give the peak of A + lam I without forming it;
-    `scale` is A.scale. The arrays are read-only, since every reader of
+    `scale` is A.scale, and `entries` are A's, from which `deck_root` cuts
+    the cards. The arrays are read-only, since every reader of
     `A.spectrum` shares them. A lambda0 probe is numpy's per-call overhead
     around one small product, so c and mu are also kept as column views and
     `certified` enters np.errstate only near overflow.
@@ -110,7 +119,7 @@ class Spectrum:
         diag = np.diag(a)
         self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
         self.off_peak = float(np.abs(a - np.diag(diag)).max())
-        self.scale = A.scale
+        self.entries, self.scale = a, A.scale
 
     def pd_bound(self, lam: float) -> tuple:
         """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
@@ -146,14 +155,59 @@ class Spectrum:
 
     @functools.cached_property
     def lambda0(self) -> float:
-        """A certified shift past which (A + lam I)^-1 1 stays positive, searched once.
+        """A certified shift past which (A + lam I)^-1 1 stays positive, found once.
 
-        Start at operator norm + A.scale, double until the certificate holds (giving
-        up once the 10x probe overflows), then bisect downward in 40 steps.
-        Tightening is best effort; the returned value is always re-certified
-        (existence is guaranteed for large shifts, minimality is not). A
-        search that raises NotCertified keeps nothing.
+        Read from the deck: theta = `deck_root()`. Past theta every component
+        is positive, so the first of theta * (1 + 2^-k), k in _LADDER, that
+        `certified` accepts is lambda0. A theta <= 0 (every component positive
+        wherever A + lam I is PD, as for the empty graphs) gives A.scale / 2.
+        A theta within _ROOT_GAP of -mu_0 may be the defective root of a
+        cancelled pole, which eigvals reads only to about sqrt(eps), so the
+        certificate is bisected down from the certified rung towards -mu_0.
+        Whenever nothing certifies, `bisection()` decides. Tightening is best
+        effort; the returned value is always certified (existence is
+        guaranteed for large shifts, minimality is not). A search that raises
+        NotCertified keeps nothing.
         """
+        theta = self.deck_root()
+        rungs = [theta * (1.0 + 2.0 ** -k) for k in _LADDER] if theta > 0.0 else [0.5 * self.scale]
+        hi = next((p for p in rungs if self.certified(p)), None)
+        if hi is None:
+            return self.bisection()
+        lo = -float(self.mu[0])
+        if theta > 0.0 and theta - lo <= _ROOT_GAP * theta:
+            while hi - lo > 2.0 ** -40 * hi:  # as fine as the deck-free search ends
+                mid = 0.5 * (lo + hi)
+                if self.certified(mid):
+                    hi = mid
+                else:
+                    lo = mid
+        return hi
+
+    def deck_root(self) -> float:
+        """theta = max(-mu_0, the largest real eigenvalue of -K_i over i), from the cards.
+
+        K_i = C_i - 1 r_i^T, with C_i card i and r_i row i of A without its
+        diagonal entry. By Cramer's rule and a Schur complement, component i
+        of (A + lam I)^-1 1 is det(K_i + lam I) / det(A + lam I), so on
+        (-mu_0, inf) it changes sign only at a real eigenvalue of -K_i. The
+        (n, n-1, n-1) stack is cut from A / A.scale, an exact power of two, so
+        theta scales with A bit for bit, and one batched eigvals reads it. A
+        defective root comes back as a pair split off the real axis by about
+        sqrt(eps), so a pair within _ROOT_GAP of it counts as real.
+        """
+        s = self.entries / self.scale
+        keep = leave_one_out(len(s))
+        k = s[keep[:, :, None], keep[:, None, :]] - s[np.arange(len(s))[:, None], keep][:, None, :]
+        w = -np.linalg.eigvals(k)
+        real = w.real[np.abs(w.imag) <= _ROOT_GAP]
+        root = float(real.max()) * self.scale if real.size else -math.inf
+        return max(-float(self.mu[0]), root)
+
+    def bisection(self) -> float:
+        """The deck-free search: start at operator norm + A.scale, double until the
+        certificate holds (giving up once the 10x probe overflows), then bisect
+        downward in 40 steps."""
         hi = self.mu_peak + self.scale
         doublings = 0
         while True:

@@ -324,17 +324,108 @@ class TestLambda0:
                 lambda0_search(SymmetricMatrix(1.7 * 2.0 ** 1018 * np.ones((3, 3))))
 
     def test_overflow_edge_of_a_scaled_identity(self):
-        # the search starts at mu_peak + scale(A), so c I starts at c + 2^1019 for c in
-        # [2^1019, 2^1020) and at 2^1021, whose 10 lam overflows, from c = 2^1020 on
-        # (a start at mu_peak + 1 certified 1.5e307 I at 7.5e306; it now raises)
+        # c I has theta = -c <= 0, so lambda0 is the floor u / 2 (u = scale(c I)) while the
+        # floor's 10x probe, mu + 5u, stays finite: for every c below 2^1022. From c = 2^1022
+        # on that probe overflows, and the bisection starts at c + u >= 2^1023, whose 10 lam
+        # is inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for c in (2.0 ** 1020, 1.5e307):
+            for c in (1e307, 1.5e307, 2.0 ** 1020, np.nextafter(2.0 ** 1022, 0.0)):
+                assert lambda0_search(SymmetricMatrix(c * np.eye(3))) == scale(c) / 2
+            for c in (2.0 ** 1022, 1.5 * 2.0 ** 1022):
                 with pytest.raises(NotCertified, match="overflow"):
                     lambda0_search(SymmetricMatrix(c * np.eye(3)))
-            below = SymmetricMatrix(np.nextafter(2.0 ** 1020, 0.0) * np.eye(3))
-            assert lambda0_search(below) == 8.426686569674767e306
-            assert lambda0_search(SymmetricMatrix(1e307 * np.eye(3))) == 7.808895523229469e306
+
+
+def reference_bisection(spec):
+    """The deck-free search as a plain function: start at max|mu| + A.scale, double
+    until the certificate holds, then 40 bisection steps downward."""
+    hi = spec.mu_peak + spec.scale
+    while not spec.certified(hi):
+        hi *= 2.0
+    lo = hi / 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if spec.certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def atlas_graphs(n_lo, n_hi):
+    """(atlas index, graph) for every atlas graph on n_lo..n_hi vertices."""
+    nx = pytest.importorskip("networkx")
+    return [(index, g) for index, g in enumerate(nx.graph_atlas_g())
+            if n_lo <= g.number_of_nodes() <= n_hi]
+
+
+class TestDeckRoot:
+    """Each branch of Spectrum.lambda0: the deck root, its ladder, the floor, the
+    pole bisection and the fallback to the deck-free search."""
+
+    @pytest.mark.parametrize("a", [-3.0, -0.75, 0.0, 2.0, 5e-9])
+    def test_one_by_one_has_no_cards(self, a):
+        # the (1, 0, 0) card stack has no eigenvalue, so theta = -mu_0 = -a
+        spec = SymmetricMatrix(np.array([[a]])).spectrum
+        assert spec.deck_root() == -a
+        lam0 = spec.lambda0
+        assert spec.certified(lam0)
+        if a >= 0.0:
+            assert lam0 == scale(a) / 2  # the floor; scale(0) = 1
+        else:
+            assert -a < lam0 <= -a * (1.0 + 2.0 ** -16)
+
+    @pytest.mark.parametrize("entries", [
+        np.zeros((3, 3)), np.zeros((7, 7)), 2.0 ** -30 * np.eye(3), 3.0 * np.eye(5),
+        np.diag([1.0, 2.0, 7.0]), 2.0 ** 40 * (np.eye(4) + 0.1 * np.ones((4, 4))),
+    ])
+    def test_floor_when_theta_is_not_positive(self, entries):
+        # the empty graphs, as in the atlas, read 0.5
+        A = SymmetricMatrix(entries)
+        spec = A.spectrum
+        assert spec.deck_root() <= 0.0
+        assert spec.lambda0 == A.scale / 2
+        assert spec.certified(spec.lambda0)
+
+    def test_pole_bisection_of_atlas_236(self):
+        # -2 is a non-main least eigenvalue of atlas 236: its pole cancels, the root of
+        # each det(K_i + lam I) at lam = 2 is defective, and eigvals reads it high
+        nx = pytest.importorskip("networkx")
+        spec = SymmetricMatrix(nx.to_numpy_array(nx.graph_atlas(236))).spectrum
+        pole, theta = -float(spec.mu[0]), spec.deck_root()
+        assert theta - pole <= 2.0 ** -16 * theta
+        assert theta > 2.0 + 1e-8 > spec.lambda0 > 2.0
+        assert spec.certified(spec.lambda0)
+
+    def test_defective_root_off_the_real_axis(self):
+        # component 2 of (A + lam I)^-1 1 touches 0 at lam = 4, a double root of
+        # det(K_2 + lam I) that eigvals may return as a pair just off the real axis; a
+        # lambda0 below 4 would leave that zero on the ray
+        a = np.array([[0, 0, 2, -3], [0, -3, 0, 1], [2, 0, 0, 1], [-3, 1, 1, 3]])
+        spec = SymmetricMatrix(a.astype(float)).spectrum
+        assert min(exact_inverse_ones(a, Fraction(4))) == 0
+        assert abs(spec.deck_root() - 4.0) <= 1e-12
+        assert 4.0 < spec.lambda0 <= 4.0 * (1.0 + 2.0 ** -16)
+
+    def test_missed_root_falls_back_to_the_bisection(self, monkeypatch):
+        # half of -mu_0 leaves A + lam I indefinite on every rung, so nothing certifies
+        nx = pytest.importorskip("networkx")
+        arrays = [nx.to_numpy_array(g) for _, g in atlas_graphs(3, 6) if g.number_of_edges()]
+        assert len(arrays) == 201
+        with monkeypatch.context() as patched:
+            patched.setattr(Spectrum, "deck_root", lambda spec: -0.5 * float(spec.mu[0]))
+            got = [lambda0_search(SymmetricMatrix(a)).hex() for a in arrays]
+        want = [reference_bisection(Spectrum(SymmetricMatrix(a))).hex() for a in arrays]
+        assert got == want
+
+    def test_exhausted_ladder_falls_back_to_the_bisection(self, monkeypatch):
+        # a root near overflow: every rung's 10x probe is inf, so the bisection decides
+        with monkeypatch.context() as patched:
+            patched.setattr(Spectrum, "deck_root", lambda spec: 1e308)
+            for a in (np.eye(3), np.ones((4, 4)) - np.eye(4)):
+                spec = Spectrum(SymmetricMatrix(a))
+                assert spec.lambda0 == reference_bisection(spec)
 
 
 def _lambda_calls(M, S, lam, copy):
@@ -551,6 +642,31 @@ class TestWholeRayExact:
         assert exact_inverse_ones(adj, Fraction(2)) is None
         assert 2.0 < lambda0_search(SymmetricMatrix(adj.astype(float))) < 2.0 + 1e-8
         self.assert_positive_on_ray(adj)
+
+
+class TestDeckRootOnTheAtlas:
+    """Over all 1249 atlas graphs on 3-7 vertices: lambda0 is certified, never above the
+    bisection's value by more than 2^-16 relative, and where it moved by more than 1e-6
+    (relative) the Fraction oracle confirms (A + lam I)^-1 1 > 0 along the ray past it."""
+
+    def test_tighter_values_hold_on_the_ray(self):
+        graphs = atlas_graphs(3, 7)
+        assert len(graphs) == 1249
+        moved = []
+        for index, g in graphs:
+            adj = atlas_adjacency(g)
+            spec = SymmetricMatrix(adj.astype(float)).spectrum
+            lam0, bisected = spec.lambda0, reference_bisection(spec)
+            assert spec.certified(lam0), index
+            assert lam0 <= bisected * (1.0 + 2.0 ** -16), index
+            if abs(lam0 - bisected) > 1e-6 * bisected:
+                moved.append(g.number_of_nodes())
+                for k in RAY:
+                    x = exact_inverse_ones(adj, k * Fraction(lam0))
+                    assert x is not None and min(x) > 0, (index, float(k))
+        # 140 moved with numpy's LAPACK here, 107 of them on 7 vertices: mostly where the
+        # bisection's first certified shift halved lies above the threshold
+        assert 130 <= len(moved) <= 150 and moved.count(7) >= 100
 
 
 class TestInteriorEquivalence:
