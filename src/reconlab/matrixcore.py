@@ -13,10 +13,10 @@ entries are write-protected, so a kept value is exactly what a fresh
 computation would give.
 
 lambda0 is read from the deck: one batched eigvals over the cards gives the
-root past which (A + lambda I)^-1 1 stays positive, the positivity
-certificate accepts a point just above it (or A.scale / 2 when the root is
-not positive), and a bisection runs only next to a cancelled pole or when
-nothing certifies.
+root past which (A + lambda I)^-1 1 stays positive. One search follows: the
+positivity certificate is tried just above the root (or at A.scale / 2 when
+the root is not positive), doubling until it holds, and then bisected
+downward where a candidate failed or next to a cancelled pole.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ class Spectrum:
     `scale` is A.scale, and `entries` are A's, from which `deck_root` cuts
     the cards. The arrays are read-only, since every reader of
     `A.spectrum` shares them. A lambda0 probe is numpy's per-call overhead
-    around one small product, so c and mu are also kept as column views and
-    `certified` enters np.errstate only near overflow.
+    around one small product, so c and mu are also kept as column views.
     """
 
     def __init__(self, A: SymmetricMatrix):
@@ -115,7 +114,6 @@ class Spectrum:
         for kept in (self.mu, self.q, self.c, self.c_sq):
             kept.setflags(write=False)
         self.c_col, self.mu_col = self.c[:, None], self.mu[:, None]
-        self.mu_peak = float(np.max(np.abs(self.mu)))
         diag = np.diag(a)
         self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
         self.off_peak = float(np.abs(a - np.diag(diag)).max())
@@ -141,15 +139,11 @@ class Spectrum:
         w, tol = self.pd_bound(lam)
         if w < tol:
             return False
-        probes = np.array((lam, 2.0 * lam, 10.0 * lam))
-        # with lam >= 0, |mu + p| <= max |mu| + 10 lam, and mu + p >= w >= tol keeps
-        # c / (mu + p) small: no step of the probe can overflow
-        if lam >= 0.0 and math.isfinite(self.mu_peak + 10.0 * lam):
-            x = self.inverse_ones(probes)
-        else:
-            # an overflowing mu + p gives x = 0, which fails the margin like any small x
-            with np.errstate(over="ignore"):
-                x = self.inverse_ones(probes)
+        # mu + p overflows near the top of the float range, and c / (mu + p) when the PD
+        # tolerance is tiny (at scales near 1e-300): x then holds 0, inf or NaN, and the
+        # margin fails 0 and NaN like any small x
+        with np.errstate(all="ignore"):
+            x = self.inverse_ones((lam, 2.0 * lam, 10.0 * lam))
         # x ~ 1/lam at the large shifts the search reaches, so the margin scales as 1/|A|
         return bool(x.min() >= POS_MARGIN / self.scale)
 
@@ -157,31 +151,40 @@ class Spectrum:
     def lambda0(self) -> float:
         """A certified shift past which (A + lam I)^-1 1 stays positive, found once.
 
-        Read from the deck: theta = `deck_root()`. Past theta every component
-        is positive, so the first of theta * (1 + 2^-k), k in _LADDER, that
-        `certified` accepts is lambda0. A theta <= 0 (every component positive
-        wherever A + lam I is PD, as for the empty graphs) gives A.scale / 2.
-        A theta within _ROOT_GAP of -mu_0 may be the defective root of a
-        cancelled pole, which eigvals reads only to about sqrt(eps), so the
-        certificate is bisected down from the certified rung towards -mu_0.
-        Whenever nothing certifies, `bisection()` decides. Tightening is best
-        effort; the returned value is always certified (existence is
-        guaranteed for large shifts, minimality is not). A search that raises
-        NotCertified keeps nothing.
+        One candidate loop, then one bisection. Past theta = `deck_root()`
+        every component is positive, so the candidates are theta * (1 + 2^-k),
+        k in _LADDER. A theta <= REL_TOL * A.scale (every component positive
+        wherever A + lam I is PD, as for the empty graphs, or a rounding-level
+        -mu_0, as for J) has the one candidate A.scale / 2. The last candidate
+        doubles until `certified` accepts one; NotCertified is raised once a
+        candidate's 10x probe overflows. The certificate is then bisected down
+        from the accepted candidate to 2^-40 relative width, from the last
+        candidate that failed, or from -mu_0 when theta lies within _ROOT_GAP of
+        it: the defective root of a cancelled pole, which eigvals reads only to
+        about sqrt(eps). Tightening is best effort; the returned value is
+        always certified (existence is guaranteed for large shifts, minimality
+        is not). A search that raises NotCertified keeps nothing.
         """
-        theta = self.deck_root()
-        rungs = [theta * (1.0 + 2.0 ** -k) for k in _LADDER] if theta > 0.0 else [0.5 * self.scale]
-        hi = next((p for p in rungs if self.certified(p)), None)
-        if hi is None:
-            return self.bisection()
-        lo = -float(self.mu[0])
-        if theta > 0.0 and theta - lo <= _ROOT_GAP * theta:
-            while hi - lo > 2.0 ** -40 * hi:  # as fine as the deck-free search ends
-                mid = 0.5 * (lo + hi)
-                if self.certified(mid):
-                    hi = mid
-                else:
-                    lo = mid
+        theta, pole = self.deck_root(), -float(self.mu[0])
+        ladder = theta > REL_TOL * self.scale
+        candidates = [theta * (1.0 + 2.0 ** -k) for k in _LADDER] if ladder else [0.5 * self.scale]
+        hi = lo = candidates.pop(0)
+        while True:
+            # an infinite probe never certifies, and 0 (the floor at the least subnormal
+            # unit) doubles to 0
+            if not 0.0 < 10.0 * hi < math.inf:
+                raise NotCertified(f"no certified lambda0 in (0, overflow) (reached {hi:.3e})")
+            if self.certified(hi):
+                break
+            lo, hi = hi, candidates.pop(0) if candidates else 2.0 * hi
+        if ladder and theta - pole <= _ROOT_GAP * theta:
+            lo = pole
+        while hi - lo > 2.0 ** -40 * hi:
+            mid = 0.5 * (lo + hi)
+            if self.certified(mid):
+                hi = mid
+            else:
+                lo = mid
         return hi
 
     def deck_root(self) -> float:
@@ -203,30 +206,6 @@ class Spectrum:
         real = w.real[np.abs(w.imag) <= _ROOT_GAP]
         root = float(real.max()) * self.scale if real.size else -math.inf
         return max(-float(self.mu[0]), root)
-
-    def bisection(self) -> float:
-        """The deck-free search: start at operator norm + A.scale, double until the
-        certificate holds (giving up once the 10x probe overflows), then bisect
-        downward in 40 steps."""
-        hi = self.mu_peak + self.scale
-        doublings = 0
-        while True:
-            if not math.isfinite(10.0 * hi):  # an infinite probe never certifies
-                raise NotCertified(f"no certified lambda0 below overflow (reached {hi:.3e})")
-            if self.certified(hi):
-                break
-            hi *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise NotCertified(f"no certified lambda0 after 200 doublings (reached {hi:.3e})")
-        lo = hi / 2.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if self.certified(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
 
 def as_matrix(a) -> SymmetricMatrix:

@@ -194,9 +194,10 @@ def lambda0_search(A: SymmetricMatrix) -> float:
     """A shift lambda0 past which the inverse applied to the ones vector stays positive.
 
     `A.spectrum.lambda0`: read from the deck (the largest real eigenvalue of
-    -(C_i - 1 r_i^T) over the cards, or -mu_0), certified just above that
-    root (A.scale / 2 when it is not positive), bisected towards a cancelled
-    pole, and searched by doubling and bisection when nothing certifies.
+    -(C_i - 1 r_i^T) over the cards, or -mu_0) and certified just above that
+    root (A.scale / 2 when it is not positive), doubling until the
+    certificate holds and bisecting down from the last failed shift or
+    towards a cancelled pole.
     Found at the first call on a matrix and kept on its spectrum; a search
     that raises NotCertified keeps nothing.
     """

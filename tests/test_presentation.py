@@ -317,11 +317,46 @@ class TestLambda0:
 
     def test_overflowing_shifted_spectrum_is_typed(self):
         # 10 lam is finite but mu + 10 lam is not: the probe reads x = 0 and fails. For
-        # c J at c = 1.7 * 2^1018, mu_peak = 3c and the search starts at 3c + 2^1018
+        # c (J - I) at c = 1.6e307, mu = (-c, -c, 2c) and theta = c: 10c is finite, 12c is not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotCertified, match="overflow"):
-                lambda0_search(SymmetricMatrix(1.7 * 2.0 ** 1018 * np.ones((3, 3))))
+                lambda0_search(SymmetricMatrix(1.6e307 * (np.ones((3, 3)) - np.eye(3))))
+
+    @pytest.mark.parametrize("entries", [
+        np.ones((3, 3)), np.ones((5, 5)), np.ones((9, 9)), 2.0 ** 40 * np.ones((4, 4)),
+        1.7 * 2.0 ** 1018 * np.ones((3, 3)),
+    ])
+    def test_all_ones_reads_the_floor_in_one_probe(self, monkeypatch, entries):
+        # -mu_0 of c J is a rounding-level positive number, below REL_TOL * A.scale, so
+        # the one candidate is the floor A.scale / 2, and it certifies
+        probed = []
+        probe = Spectrum.certified
+        monkeypatch.setattr(Spectrum, "certified",
+                            lambda spec, lam: probed.append(lam) or probe(spec, lam))
+        A = SymmetricMatrix(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda0_search(A) == A.scale / 2
+        assert probed == [A.scale / 2]
+
+    def test_least_subnormal_unit_is_typed(self):
+        # at A.scale = 2^-1074 the floor A.scale / 2 rounds to 0, which no doubling leaves
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotCertified, match="overflow"):
+                lambda0_search(SymmetricMatrix(np.array([[5e-324, 0.0], [0.0, 0.0]])))
+
+    @pytest.mark.parametrize("entries", [-1e-300 * np.eye(3), np.array([[-1e-300]])])
+    def test_tiny_scale_certifies_without_warnings(self, entries):
+        # near the PD boundary mu + p is about the tolerance 1e-10 * A.scale ~ 1e-310, so
+        # c / (mu + p) leaves the float range; the probe reads that as inf or NaN, silently
+        A = SymmetricMatrix(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam0 = lambda0_search(A)
+            assert 1e-300 < lam0 <= 1e-300 * (1.0 + 2.0 ** -16)
+            assert A.spectrum.certified(lam0)
 
     def test_overflow_edge_of_a_scaled_identity(self):
         # c I has theta = -c <= 0, so lambda0 is the floor u / 2 (u = scale(c I)) while the
@@ -340,7 +375,7 @@ class TestLambda0:
 def reference_bisection(spec):
     """The deck-free search as a plain function: start at max|mu| + A.scale, double
     until the certificate holds, then 40 bisection steps downward."""
-    hi = spec.mu_peak + spec.scale
+    hi = float(np.abs(spec.mu).max()) + spec.scale
     while not spec.certified(hi):
         hi *= 2.0
     lo = hi / 2.0
@@ -361,8 +396,8 @@ def atlas_graphs(n_lo, n_hi):
 
 
 class TestDeckRoot:
-    """Each branch of Spectrum.lambda0: the deck root, its ladder, the floor, the
-    pole bisection and the fallback to the deck-free search."""
+    """Spectrum.lambda0's one search: the deck root, its ladder, the floor, the
+    doubling, the pole bisection and the typed overflow."""
 
     @pytest.mark.parametrize("a", [-3.0, -0.75, 0.0, 2.0, 5e-9])
     def test_one_by_one_has_no_cards(self, a):
@@ -408,24 +443,29 @@ class TestDeckRoot:
         assert abs(spec.deck_root() - 4.0) <= 1e-12
         assert 4.0 < spec.lambda0 <= 4.0 * (1.0 + 2.0 ** -16)
 
-    def test_missed_root_falls_back_to_the_bisection(self, monkeypatch):
-        # half of -mu_0 leaves A + lam I indefinite on every rung, so nothing certifies
+    def test_missed_root_still_certifies(self, monkeypatch):
+        # half of -mu_0 leaves A + lam I indefinite on every rung, so the search doubles
+        # past the rungs and bisects back down
         nx = pytest.importorskip("networkx")
         arrays = [nx.to_numpy_array(g) for _, g in atlas_graphs(3, 6) if g.number_of_edges()]
         assert len(arrays) == 201
         with monkeypatch.context() as patched:
             patched.setattr(Spectrum, "deck_root", lambda spec: -0.5 * float(spec.mu[0]))
-            got = [lambda0_search(SymmetricMatrix(a)).hex() for a in arrays]
-        want = [reference_bisection(Spectrum(SymmetricMatrix(a))).hex() for a in arrays]
-        assert got == want
+            specs = [Spectrum(SymmetricMatrix(a)) for a in arrays]
+            got = [spec.lambda0 for spec in specs]
+        for spec, lam0 in zip(specs, got):
+            assert spec.certified(lam0)
+            assert lam0 <= reference_bisection(spec) * (1.0 + 2.0 ** -38)
 
-    def test_exhausted_ladder_falls_back_to_the_bisection(self, monkeypatch):
-        # a root near overflow: every rung's 10x probe is inf, so the bisection decides
+    def test_overflowing_root_raises(self, monkeypatch):
+        # a root near overflow: the first rung's 10x probe is inf, so nothing can certify
         with monkeypatch.context() as patched:
             patched.setattr(Spectrum, "deck_root", lambda spec: 1e308)
             for a in (np.eye(3), np.ones((4, 4)) - np.eye(4)):
                 spec = Spectrum(SymmetricMatrix(a))
-                assert spec.lambda0 == reference_bisection(spec)
+                with pytest.raises(NotCertified, match="overflow"):
+                    spec.lambda0
+                assert "lambda0" not in spec.__dict__
 
 
 def _lambda_calls(M, S, lam, copy):
@@ -667,6 +707,26 @@ class TestDeckRootOnTheAtlas:
         # 140 moved with numpy's LAPACK here, 107 of them on 7 vertices: mostly where the
         # bisection's first certified shift halved lies above the threshold
         assert 130 <= len(moved) <= 150 and moved.count(7) >= 100
+
+    def test_values_bisected_between_rungs_hold_on_the_ray(self):
+        # away from a pole, a graph whose first rung theta * (1 + 2^-32) fails is bisected
+        # down from its first certified rung, towards the rung below it
+        bisected = []
+        for index, g in atlas_graphs(3, 7):
+            adj = atlas_adjacency(g)
+            spec = SymmetricMatrix(adj.astype(float)).spectrum
+            theta, pole = spec.deck_root(), -float(spec.mu[0])
+            rungs = [theta * (1.0 + 2.0 ** -k) for k in (32, 24, 20, 16)]
+            if theta - pole <= 2.0 ** -16 * theta or spec.certified(rungs[0]):
+                continue
+            first = next(k for k, p in enumerate(rungs) if spec.certified(p))
+            assert rungs[first - 1] < spec.lambda0 < rungs[first], index
+            bisected.append(g.number_of_nodes())
+            for k in RAY:
+                x = exact_inverse_ones(adj, k * Fraction(spec.lambda0))
+                assert x is not None and min(x) > 0, (index, float(k))
+        # 10 with numpy's LAPACK here, all of them on 6 or 7 vertices
+        assert 5 <= len(bisected) <= 20 and min(bisected) >= 6
 
 
 class TestInteriorEquivalence:
