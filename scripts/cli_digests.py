@@ -10,7 +10,9 @@ with a nonzero error), on a skewed 5-D cone (131,072 samples: 32 shifts of a
 31-point lattice) and on a skewed 6-D cone (1,048,577 samples: 46 shifts of
 the largest, 181-point lattice, evaluated in three chunks), a small
 `verify-geometry` and the README's default one on 200 instances at the
-default 200,000 samples per estimate. Each digest covers the exit code,
+default 200,000 samples per estimate. Last come `--format csv` runs of
+`verify-tutte` and `verify-main` on the last pair (C8-shuffle), of the small
+`verify-geometry` and of the closed-form `angle`. Each digest covers the exit code,
 stdout and stderr, so two runs or two checkouts compare with `diff`:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
@@ -72,6 +74,10 @@ def commands(root: str) -> list:
                 ["verify-geometry", "--count", "2", "--samples", "20000", "--seed", "24301"]))
     out.append(("verify-geometry readme-default",
                 ["verify-geometry", "--count", "200", "--seed", "24301"]))
+    # the CSV path flattens each report through serialize.report_to_dict
+    out += [(f"{label} csv", argv + ["--format", "csv"]) for label, argv in out
+            if label in (f"verify-tutte {name}", f"verify-main {name}", "verify-geometry count-2",
+                         "angle octant")]
     return out
 
 

@@ -137,7 +137,7 @@ class Spectrum:
         """PD and (A + p I)^-1 1 >= POS_MARGIN / scale(A) at every p in {lam, 2 lam, 10 lam}."""
         # PD at lam > 0 gives PD at every p >= lam: tol(p) <= tol(lam) + REL_TOL * (p - lam)
         w, tol = self.pd_bound(lam)
-        if w < tol:
+        if not w > tol:  # at a subnormal unit tol rounds to 0, so w = 0 must fail too
             return False
         # mu + p overflows near the top of the float range, and c / (mu + p) when the PD
         # tolerance is tiny (at scales near 1e-300): x then holds 0, inf or NaN, and the
@@ -181,6 +181,8 @@ class Spectrum:
             lo = pole
         while hi - lo > 2.0 ** -40 * hi:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent (subnormal) floats: nothing left between them
+                break
             if self.certified(mid):
                 hi = mid
             else:

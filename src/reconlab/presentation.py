@@ -178,7 +178,7 @@ def _require_pd(A: SymmetricMatrix, lam: float) -> Spectrum:
     """A's kept spectrum, raising unless A + lam I is positive definite (the pd_bound rule)."""
     spec = A.spectrum
     w, tol = spec.pd_bound(lam)
-    if w < tol:
+    if not w > tol:
         raise NotPositiveDefinite(f"min eigenvalue {w:.3e} below PD tolerance {tol:.3e}")
     return spec
 

@@ -1,9 +1,13 @@
 """JSON wire formats and report flattening.
 
-`dumps` is the standard library's encoder with one conversion step for
-dataclasses, enums and numpy values. Floats are written as Python's shortest
-`repr`, which reads back to the same double; a non-finite float is an error,
-not a string. Readers accept anything json.loads produces, but a count or an
+`dumps` is the standard library's encoder with one conversion step, `_plain`,
+for dataclasses, enums and numpy values. Floats are written as Python's
+shortest `repr`, which reads back to the same double; a non-finite float is an
+error, not a string. `report_to_dict` applies the same step in one walk and
+returns the plain values that `dumps` writes, without encoding them: it equals
+`json.loads(dumps(r))`, and `dumps(report_to_dict(r))` is `dumps(r)` byte for
+byte wherever the keys of r's mappings are strings, as in every report.
+Readers accept anything json.loads produces, but a count or an
 index (`n`, a sigma entry, `ambient_dim`) must be a JSON integer: 2.7 or true
 is a ParseError, never truncated. A matrix or cone entry must be a JSON
 number: true, "1" or null is a ParseError, never read as 1.0 or NaN.
@@ -12,8 +16,10 @@ number: true, "1" or null is a ParseError, never read as 1.0 or NaN.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import fields, is_dataclass
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -22,6 +28,12 @@ from .errors import ParseError
 from .hypomorphism import Hypomorphism
 from .matrixcore import Permutation, SymmetricMatrix
 from .solidangle import Cone
+
+
+@functools.cache
+def _field_names(cls: type) -> Optional[tuple]:
+    """The field names of dataclass `cls`, read once per class; None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
 def _plain(obj):
@@ -34,9 +46,10 @@ def _plain(obj):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    names = _field_names(type(obj))  # so a dataclass's class object is no report
+    if names is None:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return {name: getattr(obj, name) for name in names}
 
 
 def dumps(obj) -> str:
@@ -116,8 +129,36 @@ def cone_from_dict(d: dict) -> Cone:
 
 
 def report_to_dict(report):
-    """The report as plain Python values: exactly what `dumps` writes, read back."""
-    return json.loads(dumps(report))
+    """The report as plain Python values: exactly what `dumps` writes, read back.
+
+    One walk with the encoder's rules: a float, int or str (subclasses such
+    as numpy's float64 included) becomes its plain type, a list or tuple a
+    list, a mapping with str keys a dict, and anything else takes one
+    `_plain` step and is walked again. A non-finite float raises
+    `ValueError` and an unknown object `TypeError`, as in `dumps`. A mapping
+    with a key that is not a str goes through the round trip itself, so
+    json's key rule applies (1 becomes "1", and a later duplicate wins).
+    """
+    if report is None or isinstance(report, bool):
+        return report
+    if isinstance(report, float):
+        if not isfinite(report):
+            raise ValueError(f"Out of range float values are not JSON compliant: {report!r}")
+        return float(report)
+    # a finite float, most of any report, is taken in place, without a call
+    if isinstance(report, (list, tuple)):
+        return [float(v) if isinstance(v, float) and isfinite(v) else report_to_dict(v)
+                for v in report]
+    if isinstance(report, dict):
+        if all(type(k) is str for k in report):
+            return {k: float(v) if isinstance(v, float) and isfinite(v) else report_to_dict(v)
+                    for k, v in report.items()}
+        return json.loads(dumps(report))
+    if isinstance(report, str):
+        return str.__str__(report)
+    if isinstance(report, int):  # an IntEnum member too, which json writes as its int
+        return int.__int__(report)
+    return report_to_dict(_plain(report))
 
 
 # ---------------------------------------------------------------------------

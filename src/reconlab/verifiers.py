@@ -101,6 +101,10 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     diff = da - db
     resid = np.abs(diff[:lams.size] - diff[-1]) if against_lambda_zero else np.abs(diff)
     peak = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
+    # a det of order n at unit u is of order u^n; once that underflows, a grid of zeros has
+    # lost both sides, and max_diff = 0 <= TUTTE_TOL * 0 would pass them
+    if peak == 0.0 and u ** A.n == 0.0:
+        raise NotFinite("every determinant on the grid underflows to 0: the grid cannot tell A from B")
     max_diff = float(np.max(resid))
     return GridReport(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
                       max_abs_diff=max_diff, scale=peak, tol=TUTTE_TOL,

@@ -38,6 +38,25 @@ def identity_hypomorphism(n: int) -> Hypomorphism:
     return Hypomorphism(tuple(Permutation.identity(n - 1) for _ in range(n)))
 
 
+def card_class_tau(g, rng) -> Permutation:
+    """A seeded relabelling of networkx graph g within its classes of isomorphic cards,
+    so that card i of g and card i of the relabelled graph match at every i."""
+    nx = pytest.importorskip("networkx")
+    n = g.number_of_nodes()
+    cards = [g.subgraph([v for v in range(n) if v != i]) for i in range(n)]
+    image, placed = list(range(n)), set()
+    for i in range(n):
+        if i in placed:
+            continue
+        members = [j for j in range(n) if j not in placed
+                   and nx.faster_could_be_isomorphic(cards[i], cards[j])
+                   and nx.is_isomorphic(cards[i], cards[j])]
+        placed.update(members)
+        for v, w in zip(members, rng.permutation(members)):
+            image[v] = int(w)
+    return Permutation(tuple(image))
+
+
 def deck_dets(A: SymmetricMatrix) -> list:
     """Determinants of A's deck, sorted: equal for deck-equivalent matrices."""
     return sorted(float(np.linalg.det(card.entries)) for card in deck(A))

@@ -36,6 +36,7 @@ from reconlab.matrixcore import scale
 
 from conftest import (
     CARD_SCALE_RAW,
+    card_class_tau,
     complete_adjacency,
     deck_dets,
     identity_hypomorphism,
@@ -372,8 +373,7 @@ class TestFind:
                 A = SymmetricMatrix(nx.to_numpy_array(g, nodelist=range(n)))
                 others = (nx.to_numpy_array(nx.random_regular_graph(d, n, seed=seed + 1000),
                                             nodelist=range(n)),
-                          perm_similarity(A, TestSearchAgainstReference.card_class_tau(
-                              g, rng)).entries)
+                          perm_similarity(A, card_class_tau(g, rng)).entries)
                 for b in others:
                     B, h = SymmetricMatrix(b), nx.from_numpy_array(b)
                     cards_match = all(
@@ -418,24 +418,6 @@ class TestSearchAgainstReference:
     """The table-driven card search returns the reference's permutation or None on
     the cards of the atlas graphs on 3-6 vertices."""
 
-    @staticmethod
-    def card_class_tau(g, rng):
-        """A seeded relabelling within the classes of isomorphic cards."""
-        nx = pytest.importorskip("networkx")
-        n = g.number_of_nodes()
-        cards = [g.subgraph([v for v in range(n) if v != i]) for i in range(n)]
-        image, placed = list(range(n)), set()
-        for i in range(n):
-            if i in placed:
-                continue
-            members = [j for j in range(n) if j not in placed
-                       and nx.faster_could_be_isomorphic(cards[i], cards[j])
-                       and nx.is_isomorphic(cards[i], cards[j])]
-            placed.update(members)
-            for v, w in zip(members, rng.permutation(members)):
-                image[v] = int(w)
-        return Permutation(tuple(image))
-
     @pytest.mark.parametrize("relabelling", ["identity", "card-class", "random"])
     def test_atlas_graphs_on_3_to_6_vertices(self, relabelling):
         nx = pytest.importorskip("networkx")
@@ -449,7 +431,7 @@ class TestSearchAgainstReference:
             if relabelling == "identity":
                 tau = Permutation.identity(n)
             elif relabelling == "card-class":
-                tau = self.card_class_tau(g, rng)
+                tau = card_class_tau(g, rng)
             else:
                 tau = Permutation(tuple(int(v) for v in rng.permutation(n)))
             B = perm_similarity(A, tau)

@@ -28,7 +28,7 @@ from reconlab import (
     volume_eigenvector,
 )
 from reconlab.geometry_suite import random_good_position_presentation, random_pd_matrix
-from reconlab.hypomorphism import cycle_pair_corpus
+from reconlab.hypomorphism import cycle_adjacency, cycle_pair_corpus
 from reconlab.matrixcore import POS_MARGIN, REL_TOL, Spectrum, scale
 
 EQUILATERAL = SymmetricMatrix(np.array([
@@ -347,6 +347,20 @@ class TestLambda0:
             with pytest.raises(NotCertified, match="overflow"):
                 lambda0_search(SymmetricMatrix(np.array([[5e-324, 0.0], [0.0, 0.0]])))
 
+    @pytest.mark.parametrize("entries", [np.array([[-5e-324]]),
+                                         2.0 ** -1070 * cycle_adjacency(5).entries],
+                             ids=["1x1", "C5"])
+    def test_subnormal_unit_certifies_a_nonsingular_shift(self, entries):
+        # REL_TOL * A.scale rounds to 0 here, so PD must be w > tol: at lambda0 = -mu_0
+        # (5e-324 for the 1x1 case) A + lambda0 I is singular. Between adjacent subnormals
+        # the bisection's midpoint rounds onto an end, so the search must stop there
+        A = SymmetricMatrix(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam0 = lambda0_search(A)
+        assert lam0 + A.spectrum.mu[0] > 0.0
+        assert A.spectrum.certified(lam0)
+
     @pytest.mark.parametrize("entries", [-1e-300 * np.eye(3), np.array([[-1e-300]])])
     def test_tiny_scale_certifies_without_warnings(self, entries):
         # near the PD boundary mu + p is about the tolerance 1e-10 * A.scale ~ 1e-310, so
@@ -591,7 +605,7 @@ def reference_certified(spec, lam):
     """The certificate with no fast path: every probe under np.errstate, the three
     shifts passed as a tuple and c and mu reshaped at each call."""
     w, tol = spec.pd_bound(lam)
-    if w < tol:
+    if not w > tol:
         return False
     with np.errstate(over="ignore"):
         lams = np.asarray((lam, 2.0 * lam, 10.0 * lam), dtype=float)

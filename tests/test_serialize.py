@@ -1,17 +1,27 @@
 import enum
 import json
 import math
+import runpy
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reconlab import (
+    Graph6Record,
     ParseError,
     Permutation,
     SymmetricMatrix,
     angle_fraction,
+    comparison_check,
+    displacement_check,
+    factor_presentation,
+    gen_pair,
+    good_position_report,
     lambda0_search,
+    partition_check,
+    per1_report,
     run_geometry_suite,
     verify_hypomorphism,
     verify_main1_t_agreement,
@@ -32,6 +42,25 @@ from reconlab.serialize import (
 )
 from reconlab.solidangle import Cone
 from reconlab.verifiers import good_position_shift
+
+from conftest import card_class_tau
+
+ATLAS_DIGESTS = Path(__file__).resolve().parents[1] / "scripts" / "atlas_digests.py"
+
+
+def round_trip(report):
+    """The reference that `report_to_dict` must equal: encode, then parse back."""
+    return json.loads(dumps(report))
+
+
+def assert_flattens_like_the_round_trip(report):
+    as_dict = report_to_dict(report)
+    expected = round_trip(report)
+    assert as_dict == expected
+    # repr tells -0.0 from 0.0, 1 from 1.0 and True, a numpy scalar from a float, and
+    # shows the key order
+    assert repr(as_dict) == repr(expected)
+    assert dumps(as_dict) == dumps(report)
 
 
 def test_floats_round_trip_exactly():
@@ -63,35 +92,60 @@ class _Outer:
 
 @pytest.mark.parametrize("value", [-0.0, 5e-324, 2.0 ** 53 + 1.0, 1e308])
 def test_float_bits_round_trip(value):
-    assert json.loads(dumps(value)).hex() == value.hex()  # sign of zero included
+    for flatten in (round_trip, report_to_dict):
+        assert flatten(value).hex() == value.hex()  # sign of zero included
+        assert flatten([value, np.float64(value)])[1].hex() == value.hex()
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
 
 
 @pytest.mark.parametrize("value, expected", [
     (np.float32(0.1), float(np.float32(0.1))),
+    (np.float64(-0.0), -0.0),
     (np.int64(2 ** 62 + 1), 2 ** 62 + 1),
     (np.bool_(True), True),
     (_Colour.RED, "red"),
+    (_Level.HIGH, 3),
+    ((1, (2.5, "x"), None, False), [1, [2.5, "x"], None, False]),
     (np.array([[0.1, -0.0], [5e-324, 1e308]]), [[0.1, -0.0], [5e-324, 1e308]]),
     (_Outer(_Inner(np.array([1.0 / 3.0, 2.0]), _Colour.RED), np.int64(7)),
      {"inner": {"weights": [1.0 / 3.0, 2.0], "colour": "red"}, "count": 7}),
-], ids=["float32", "int64", "bool_", "enum", "ndarray", "nested-dataclass"])
+], ids=["float32", "float64", "int64", "bool_", "enum", "int-enum", "tuple", "ndarray",
+        "nested-dataclass"])
 def test_converted_values_round_trip(value, expected):
-    back = json.loads(dumps(value))
-    assert back == expected and type(back) is type(expected)
-    assert json.loads(dumps({"key": [value]})) == {"key": [expected]}
+    for flatten in (round_trip, report_to_dict):
+        back = flatten(value)
+        assert back == expected and repr(back) == repr(expected)  # repr: the types too
+        assert flatten({"key": [value]}) == {"key": [expected]}
+
+
+@pytest.mark.parametrize("mapping", [
+    {1: "a", "1": "b", 2.5: [np.float64(1.0)], None: 0, False: _Colour.RED},
+    {"a": {-0.0: 1, 7: {"b": np.int64(2)}}},
+], ids=["non-str-keys", "nested-non-str-keys"])
+def test_non_string_keys_follow_json(mapping):
+    # 1 and "1" both become "1": the text holds both, the parsed dict the later value in
+    # the earlier place, so only the parsed values can agree
+    as_dict = report_to_dict(mapping)
+    assert as_dict == round_trip(mapping) and repr(as_dict) == repr(round_trip(mapping))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"),
-                                   np.float32("inf"), np.array([1.0, np.nan])])
+                                   np.float32("inf"), np.array([1.0, np.nan]),
+                                   _Inner(np.array([np.inf]), _Colour.RED), {1: math.nan}])
 def test_non_finite_raises_value_error(value):
-    with pytest.raises(ValueError):
-        dumps({"report": [value]})
+    for flatten in (dumps, report_to_dict):
+        with pytest.raises(ValueError):
+            flatten({"report": [value]})
 
 
-@pytest.mark.parametrize("value", [object(), {1, 2}, 1j, _Outer])
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1j, _Outer, {(1, 2): 0}])
 def test_unknown_type_raises_type_error(value):
-    with pytest.raises(TypeError):
-        dumps({"report": [value]})
+    for flatten in (dumps, report_to_dict):
+        with pytest.raises(TypeError):
+            flatten({"report": [value]})
 
 
 def test_matrix_round_trip():
@@ -187,6 +241,9 @@ def _kernel_match():
     return verify_main2(good_position_shift(A, lam), good_position_shift(B, lam), sigma)
 
 
+EQUILATERAL = SymmetricMatrix(np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5],
+                                        [-0.5, -0.5, 1.0]]))
+
 REPORTS = {
     "grid": lambda: verify_tutte(*_c5_pair()),
     "t-agreement": _t_agreement,
@@ -196,13 +253,38 @@ REPORTS = {
     "suite": lambda: run_geometry_suite(seed=5, count=1, mc_samples=2000),
     "estimate": lambda: angle_fraction(Cone(apex=np.zeros(4), generators=np.eye(4) + 0.3),
                                        samples=2000, seed=3),
+    "good-position": lambda: good_position_report(EQUILATERAL),
+    "interior": lambda: per1_report(SymmetricMatrix(np.eye(3))),
+    "partition": lambda: partition_check(factor_presentation(EQUILATERAL), samples=2000, seed=3),
+    "comparison": lambda: comparison_check(np.zeros(2), np.eye(2), np.array([0.25, 0.25]),
+                                           samples=2000, seed=3),
+    "displacement": lambda: displacement_check(np.zeros(3), np.eye(3)[:2],
+                                               np.array([0.0, 0.0, 1.0]), samples=2000, seed=3),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(REPORTS))
 def test_report_to_dict_serialises_like_the_report(kind):
     report = REPORTS[kind]()
-    as_dict = report_to_dict(report)
-    assert dumps(as_dict) == dumps(report)
+    assert_flattens_like_the_round_trip(report)
     # plain Python values only, so the standard library can encode it too
-    assert json.loads(json.dumps(as_dict)) == json.loads(dumps(report))
+    assert json.loads(json.dumps(report_to_dict(report))) == round_trip(report)
+
+
+def test_report_to_dict_on_the_atlas_pipeline():
+    # the pipeline of scripts/atlas_digests.py on every atlas graph on 3-6 vertices, each
+    # paired with itself under a card-class relabelling, so that every step runs
+    nx = pytest.importorskip("networkx")
+    pipeline = runpy.run_path(str(ATLAS_DIGESTS))["pipeline"]
+    rng = np.random.default_rng(20261022)
+    graphs = [g for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
+    assert len(graphs) == 205
+    for g in graphs:
+        n = g.number_of_nodes()
+        graph = Graph6Record(n, nx.to_numpy_array(g, nodelist=range(n), dtype=int))
+        A, B, sigma = gen_pair(graph, card_class_tau(g, rng))
+        reports = pipeline(A, B, sigma)
+        del reports["lambda0"]  # a bare float
+        assert len(reports) == 6 and not any(isinstance(r, dict) for r in reports.values())
+        for report in reports.values():
+            assert_flattens_like_the_round_trip(report)

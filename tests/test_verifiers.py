@@ -256,6 +256,21 @@ class TestSubUnitScaleNearMiss:
         assert json.loads(captured.err)["error"] == "NotHypomorphic"  # one JSON object
 
 
+class TestUnderflowedGrid:
+    """The signed C_n near miss scaled until every determinant on the default grid
+    underflows to 0, where max_abs_diff = 0 <= TUTTE_TOL * 0 would pass it. Such a grid
+    cannot tell A from B, so it ends in NotFinite (exit 2). A grid of exact zeros at a
+    unit whose n-th power is a float, as on the roots of both determinants
+    (TestDefaultLambdaGrid), is computed, not lost, and is judged as before."""
+
+    @pytest.mark.parametrize("n, exponent", [(5, -230), (9, -130), (12, -100), (20, -60),
+                                             (40, -30)])
+    def test_forced_tutte_is_typed(self, n, exponent):
+        A, B = signed_cycle_near_miss(np.full(n, 2.0 ** exponent), np.zeros(n))
+        with pytest.raises(NotFinite, match="every determinant on the grid underflows to 0"):
+            verify_tutte(A, B, identity_hypomorphism(n), force=True)
+
+
 @pytest.mark.parametrize("kind", ["unit", "seeded"])
 @pytest.mark.parametrize("n", range(5, 10))  # SEARCH_CAP = 9
 def test_search_finds_no_certificate_for_a_near_miss(n, kind):
