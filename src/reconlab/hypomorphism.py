@@ -3,10 +3,12 @@
 Two n x n symmetric matrices are deck-equivalent when for every index i the
 i-th vertex-deleted submatrices agree up to a permutation sigma_i. This module
 verifies a given family of permutations in one exact reindexing of both
-matrices, searches for one index by index under the gate's rule alone (entries
-within EXACT_TOL times the pair's power-of-two unit), so both accept the same
-pairs (the indices impose no joint constraint, so the search factors), and
-generates test pairs from relabeled graphs.
+matrices (two flat gathers: A's cards through the order's `card_index`, B's
+through sigma's `index_tables`, the one table sigma keeps), searches for one
+index by index under the gate's rule alone (entries within EXACT_TOL times
+the pair's power-of-two unit), so both accept the same pairs (the indices
+impose no joint constraint, so the search factors), and generates test pairs
+from relabeled graphs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .errors import DegenerateOrder, DimensionMismatch, SearchTooLarge
 from .graph6 import Graph6Record
-from .matrixcore import (Permutation, SymmetricMatrix, as_matrix, deck, leave_one_out,
-                         perm_similarity)
+from .matrixcore import (Permutation, SymmetricMatrix, as_matrix, card_index, deck,
+                         leave_one_out, perm_similarity)
 
 EXACT_TOL = 1e-12  # residuals are compared with EXACT_TOL * scale(A, B), the pair's unit
 SEARCH_CAP = 9
@@ -47,13 +49,18 @@ class Hypomorphism:
         return len(self.sigmas)
 
     @functools.cached_property
-    def index_tables(self) -> tuple:
-        """(keep, moved), read-only: keep[i] = leave_one_out(n)[i], moved[i] = keep[i][sigma_i]."""
-        keep = leave_one_out(self.n)
-        moved = keep[np.arange(self.n)[:, None], [s.image for s in self.sigmas]]
-        for table in (keep, moved):
-            table.setflags(write=False)
-        return keep, moved
+    def index_tables(self) -> np.ndarray:
+        """The read-only flat index of B's cards in sigma_i order, shape (n, n-1, n-1).
+
+        B.take(index_tables)[i, p, q] = B_i[sigma_i(p), sigma_i(q)]: entry
+        [i, p, q] is moved[i, p] * n + moved[i, q], with moved[i] =
+        leave_one_out(n)[i][sigma_i], as `card_index(n)` is for A's cards.
+        """
+        n = self.n
+        moved = leave_one_out(n)[np.arange(n)[:, None], [s.image for s in self.sigmas]]
+        flat = moved[:, :, None] * n + moved[:, None, :]
+        flat.setflags(write=False)
+        return flat
 
 
 @dataclass(frozen=True)
@@ -68,19 +75,18 @@ def verify_hypomorphism(A: SymmetricMatrix, B: SymmetricMatrix,
                         sigma: Hypomorphism) -> HypomorphyCertificate:
     """Check B_i == sigma_i A_i sigma_i^T within EXACT_TOL * scale(A, B) for every deleted index i.
 
-    All n cards are compared at once by exact reindexing of A and B, with no
-    per-card matrices. Card i keeps the indices keep[i] (every index but i),
-    and B_i == sigma_i A_i sigma_i^T reads B_i[sigma_i(p), sigma_i(q)] ==
-    A_i[p, q], so each residual is a difference of the same two floats a loop
-    over the deck would subtract. The index tables are sigma's own; the
-    residuals are computed at every call, so nothing about a pair is kept.
+    All n cards are compared at once with two flat gathers and no per-card
+    matrices: A.take(card_index(n)) cuts A's cards and B.take(sigma.index_tables)
+    B's in sigma_i order. B_i == sigma_i A_i sigma_i^T reads
+    B_i[sigma_i(p), sigma_i(q)] == A_i[p, q], so each residual is a difference
+    of the same two floats a loop over the deck would subtract. The index
+    tables are sigma's own and the card index is the order's; the residuals
+    are computed at every call, so nothing about a pair is kept.
     """
     A, B = as_matrix(A), as_matrix(B)
     if A.n != B.n or A.n != sigma.n:
         raise DimensionMismatch(f"orders differ: A={A.n}, B={B.n}, sigma={sigma.n}")
-    keep, moved = sigma.index_tables
-    diff = (B.entries[moved[:, :, None], moved[:, None, :]]
-            - A.entries[keep[:, :, None], keep[:, None, :]])
+    diff = B.entries.take(sigma.index_tables) - A.entries.take(card_index(A.n))
     resid = np.abs(diff).reshape(A.n, -1).max(axis=1)
     threshold = EXACT_TOL * max(A.scale, B.scale)
     failing = np.flatnonzero(resid > threshold)

@@ -7,10 +7,13 @@ inputs; arrays stored on the dataclasses are write-protected.
 
 A matrix keeps what is a function of it alone: `A.scale` (set by the
 constructor), and the cached properties `A.spectrum` (one eigendecomposition
-for every shift lambda) and `A.spectrum.lambda0`, computed at the first
-access; an access that raises keeps nothing. The matrix is frozen and its
-entries are write-protected, so a kept value is exactly what a fresh
-computation would give.
+for every shift lambda; its lambda-path data are built at their first read)
+and `A.spectrum.lambda0`, computed at the first access; an access that raises
+keeps nothing. The matrix is frozen and its entries are write-protected, so a
+kept value is exactly what a fresh computation would give. What depends on
+the order n alone is kept once per order, read-only: `leave_one_out(n)`,
+`card_index(n)` (the flat index that cuts every card with one `take`) and
+`default_lambdas(n)`.
 
 lambda0 is read from the deck: one batched eigvals over the cards gives the
 root past which (A + lambda I)^-1 1 stays positive. One search follows: the
@@ -46,10 +49,13 @@ def scale(*arrays) -> float:
     return _unit(max(float(np.abs(a).max()) for a in arrays))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, order="C")
-    out.setflags(write=False)
-    return out
+    return _read_only(np.array(a, dtype=float, order="C"))
 
 
 @dataclass(frozen=True)
@@ -98,26 +104,54 @@ class Spectrum:
 
     (A + lam I)^-1 1 = Q (c / (mu + lam)) with c = Q^T 1, so t(lam), the
     positive-definiteness test and the positivity certificate cost O(n^2) per
-    shift. The smallest and largest diagonal entries and the largest
-    off-diagonal magnitude of A give the peak of A + lam I without forming it;
-    `scale` is A.scale, and `entries` are A's, from which `deck_root` cuts
-    the cards. The arrays are read-only, since every reader of
-    `A.spectrum` shares them. A lambda0 probe is numpy's per-call overhead
-    around one small product, so c and mu are also kept as column views.
+    shift. The constructor runs `eigh` and nothing more. The lambda-path data
+    are cached properties, built at the first read that needs one and kept
+    read-only: c and c^2, the column views `c_col` and `mu_col` (a lambda0
+    probe is numpy's per-call overhead around one small product), and the
+    smallest and largest diagonal entries and the largest off-diagonal
+    magnitude of A, which give the peak of A + lam I without forming it.
+    `pd_bound`, `inverse_ones`, `t` and `certified` read them; a spectrum
+    read only for mu and Q (`good_position_report`, `factor_presentation`)
+    builds none. `scale` is A.scale, and `entries` are A's, from which
+    `deck_root` cuts the cards. The arrays are read-only, since every reader
+    of `A.spectrum` shares them.
     """
 
     def __init__(self, A: SymmetricMatrix):
-        a = A.entries
-        self.mu, self.q = np.linalg.eigh(a)
-        self.c = self.q.T @ np.ones(A.n)
-        self.c_sq = self.c ** 2
-        for kept in (self.mu, self.q, self.c, self.c_sq):
+        self.mu, self.q = np.linalg.eigh(A.entries)
+        for kept in (self.mu, self.q):
             kept.setflags(write=False)
-        self.c_col, self.mu_col = self.c[:, None], self.mu[:, None]
-        diag = np.diag(a)
-        self.diag_lo, self.diag_hi = float(diag.min()), float(diag.max())
-        self.off_peak = float(np.abs(a - np.diag(diag)).max())
-        self.entries, self.scale = a, A.scale
+        self.entries, self.scale = A.entries, A.scale
+
+    @functools.cached_property
+    def c(self) -> np.ndarray:
+        """c = Q^T 1, read-only."""
+        return _read_only(self.q.T @ np.ones(len(self.mu)))
+
+    @functools.cached_property
+    def c_sq(self) -> np.ndarray:
+        return _read_only(self.c ** 2)
+
+    @functools.cached_property
+    def c_col(self) -> np.ndarray:
+        return self.c[:, None]
+
+    @functools.cached_property
+    def mu_col(self) -> np.ndarray:
+        return self.mu[:, None]
+
+    @functools.cached_property
+    def diag_lo(self) -> float:
+        return float(self.entries.diagonal().min())
+
+    @functools.cached_property
+    def diag_hi(self) -> float:
+        return float(self.entries.diagonal().max())
+
+    @functools.cached_property
+    def off_peak(self) -> float:
+        """The largest off-diagonal |entry| of A."""
+        return float(np.abs(self.entries - np.diag(self.entries.diagonal())).max())
 
     def pd_bound(self, lam: float) -> tuple:
         """(min eigenvalue of A + lam I, the PD tolerance at that shift)."""
@@ -202,8 +236,8 @@ class Spectrum:
         sqrt(eps), so a pair within _ROOT_GAP of it counts as real.
         """
         s = self.entries / self.scale
-        keep = leave_one_out(len(s))
-        k = s[keep[:, :, None], keep[:, None, :]] - s[np.arange(len(s))[:, None], keep][:, None, :]
+        n = len(s)
+        k = s.take(card_index(n)) - s[np.arange(n)[:, None], leave_one_out(n)][:, None, :]
         w = -np.linalg.eigvals(k)
         real = w.real[np.abs(w.imag) <= _ROOT_GAP]
         root = float(real.max()) * self.scale if real.size else -math.inf
@@ -257,10 +291,22 @@ class Permutation:
         return cls(tuple((n - i) % n for i in range(n)))
 
 
+@functools.lru_cache(maxsize=64)
 def leave_one_out(n: int) -> np.ndarray:
-    """The (n, n-1) index table whose row i lists every index but i: card i's indices."""
+    """The read-only (n, n-1) index table whose row i lists every index but i: card i's indices."""
     k = np.arange(n - 1)
-    return k + (k >= np.arange(n)[:, None])
+    return _read_only(k + (k >= np.arange(n)[:, None]))
+
+
+@functools.lru_cache(maxsize=64)
+def card_index(n: int) -> np.ndarray:
+    """The read-only (n, n-1, n-1) flat index of every card: M.take(card_index(n))[i] is card i.
+
+    Entry [i, p, q] is keep[i, p] * n + keep[i, q] with keep = leave_one_out(n),
+    the position of card i's (p, q) entry in an n x n matrix read row by row.
+    """
+    keep = leave_one_out(n)
+    return _read_only(keep[:, :, None] * n + keep[:, None, :])
 
 
 def deck(A: SymmetricMatrix) -> list:
@@ -268,35 +314,42 @@ def deck(A: SymmetricMatrix) -> list:
     A = as_matrix(A)
     if A.n < 2:
         raise DegenerateOrder("deck requires order >= 2")
-    keep = leave_one_out(A.n)
-    return [SymmetricMatrix(card) for card in A.entries[keep[:, :, None], keep[:, None, :]]]
+    return [SymmetricMatrix(card) for card in A.entries.take(card_index(A.n))]
 
 
+@functools.lru_cache(maxsize=64)
 def default_lambdas(n: int) -> np.ndarray:
-    """max(9, n + 1) points evenly spaced on [-4, 4]: n + 1 values fix a degree-n det.
+    """max(9, n + 1) points evenly spaced on [-4, 4], read-only: n + 1 values fix a degree-n det.
 
     Up to n = 8 this is DEFAULT_GRID bit for bit.
     """
-    return np.linspace(-4.0, 4.0, max(len(DEFAULT_GRID), n + 1))
+    return _read_only(np.linspace(-4.0, 4.0, max(len(DEFAULT_GRID), n + 1)))
 
 
-def shifted_det_grid(A: SymmetricMatrix, lams, ts) -> np.ndarray:
-    """det(A - lam*I + t*J) at every (lam, t) pair, shape (len(lams), len(ts)).
+def shifted_det_grid(matrices, lams, ts) -> np.ndarray:
+    """det(M - lam*I + t*J) at every (lam, t) pair, for one matrix M or a tuple of them.
 
-    J = 1 1^T has rank one, so det(M + t J) = det M + t 1^T adj(M) 1 is linear
-    in t. With M = A - lam I, p = det M is one batched LU over the lam stack
-    and q = 1^T adj(M) 1 = -det([[M, 1], [1^T, 0]]) one over the bordered
-    stack: two LAPACK calls for any t grid. The t = 0 column is p, each entry
-    bit-identical to det(A - lam I) taken on its own.
+    One matrix gives shape (len(lams), len(ts)); a tuple of matrices of one
+    order gives (len(matrices), len(lams), len(ts)), grid k for matrix k.
+    J = 1 1^T has rank one, so det(M + t J) = det M + t 1^T adj(M) 1 is
+    linear in t. With M = A - lam I, p = det M is one batched LU over every
+    matrix at every lam, and q = 1^T adj(M) 1 = -det([[M, 1], [1^T, 0]]) one
+    over the bordered stack: two LAPACK calls for any number of matrices and
+    any t grid. LAPACK factors each matrix of a stack on its own, so every
+    entry is bit-identical to the grid of its matrix alone, and the t = 0
+    column to det(A - lam I) taken on its own.
     """
-    A = as_matrix(A)
-    n = A.n
-    shifted = A.entries - np.asarray(lams, dtype=float)[:, None, None] * np.eye(n)
-    bordered = np.ones((len(shifted), n + 1, n + 1))
-    bordered[:, :n, :n] = shifted
-    bordered[:, n, n] = 0.0
+    if isinstance(matrices, tuple):
+        stack = np.array([as_matrix(M).entries for M in matrices])
+    else:
+        stack = as_matrix(matrices).entries
+    n = stack.shape[-1]
+    shifted = stack[..., None, :, :] - np.asarray(lams, dtype=float)[:, None, None] * np.eye(n)
+    bordered = np.ones(shifted.shape[:-2] + (n + 1, n + 1))
+    bordered[..., :n, :n] = shifted
+    bordered[..., n, n] = 0.0
     p, q = np.linalg.det(shifted), -np.linalg.det(bordered)
-    return p[:, None] + q[:, None] * np.asarray(ts, dtype=float)
+    return p[..., None] + q[..., None] * np.asarray(ts, dtype=float)
 
 
 def perm_similarity(A: SymmetricMatrix, tau: Permutation) -> SymmetricMatrix:

@@ -115,17 +115,17 @@ def good_position_report(A: SymmetricMatrix) -> GoodPositionReport:
     w, vecs = _eigh_psd(A)
     # relative to the spectral radius alone: rank does not depend on the magnitude of A
     thresh = REL_TOL * max(abs(w[0]), abs(w[-1]))
-    rank = int(np.sum(w > thresh))
+    rank = int((w > thresh).sum())
     if rank != A.n - 1:
         return GoodPositionReport(rank=rank, kernel_vector=None, is_good=False,
                                   reason=GoodPositionReason.RANK_NOT_N_MINUS_1)
     alpha = vecs[:, 0]
-    lead = next((i for i in range(A.n) if abs(alpha[i]) > _KERNEL_POS_TOL), 0)
-    if alpha[lead] < 0:
+    entries = alpha.tolist()
+    if next((x for x in entries if abs(x) > _KERNEL_POS_TOL), entries[0]) < 0:
         alpha = -alpha
-    alpha = alpha / np.sum(np.abs(alpha))
+    alpha = alpha / np.abs(alpha).sum()
     alpha.setflags(write=False)
-    if np.min(alpha) <= _KERNEL_POS_TOL:
+    if alpha.min() <= _KERNEL_POS_TOL:
         return GoodPositionReport(rank=rank, kernel_vector=alpha, is_good=False,
                                   reason=GoodPositionReason.KERNEL_SIGN_MIXED)
     return GoodPositionReport(rank=rank, kernel_vector=alpha, is_good=True,

@@ -133,8 +133,9 @@ def report_to_dict(report):
 
     One walk with the encoder's rules: a float, int or str (subclasses such
     as numpy's float64 included) becomes its plain type, a list or tuple a
-    list, a mapping with str keys a dict, and anything else takes one
-    `_plain` step and is walked again. A non-finite float raises
+    list, a mapping with str keys or a dataclass a dict (a dataclass's
+    fields are walked directly, as `_plain` would list them), and anything
+    else takes one `_plain` step and is walked again. A non-finite float raises
     `ValueError` and an unknown object `TypeError`, as in `dumps`. A mapping
     with a key that is not a str goes through the round trip itself, so
     json's key rule applies (1 becomes "1", and a later duplicate wins).
@@ -158,6 +159,13 @@ def report_to_dict(report):
         return str.__str__(report)
     if isinstance(report, int):  # an IntEnum member too, which json writes as its int
         return int.__int__(report)
+    names = _field_names(type(report))
+    if names is not None:  # a dataclass: its fields, walked as they are read
+        plain = {}
+        for name in names:
+            v = getattr(report, name)
+            plain[name] = float(v) if isinstance(v, float) and isfinite(v) else report_to_dict(v)
+        return plain
     return report_to_dict(_plain(report))
 
 

@@ -10,13 +10,14 @@ two (see `matrixcore.scale`), is the one scale every default grid and
 tolerance floor reads, so 2^j A, 2^j B get the verdicts of A, B. The default
 lam grid is max(9, n + 1) points evenly spaced on [-4u, 4u]; for n <= 8 it is
 DEFAULT_GRID * u, also the default t grid. Explicit grids are exact points.
-Each call computes its grid afresh, two LU stacks per side (see
-`shifted_det_grid`); verify_eq1 alone appends its lam = 0 reference row.
+Each call computes its grids afresh, A's and B's in one `shifted_det_grid`
+call: two LU stacks for the pair; verify_eq1 alone appends its lam = 0
+reference row.
 
 The main theorem's t grid comes from one eigendecomposition of A, and its
 samples from one stacked eigh of A + t_k J and B + t_k J over every sampled
 t_k. Input that would check nothing (an empty or non-finite grid, a grid
-whose determinants overflow) is rejected rather than passed.
+whose determinants overflow or are all 0) is rejected rather than passed.
 
 The verdict thresholds and the main theorem's sample count are the module
 constants below, not arguments: a caller cannot loosen a verdict, and every
@@ -95,16 +96,17 @@ def _grid_report(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism,
     ts = np.asarray(DEFAULT_GRID) * u if ts is None else ts
     rows = np.append(lams, 0.0) if against_lambda_zero else lams
     with np.errstate(over="ignore", invalid="ignore"):
-        da, db = (shifted_det_grid(M, rows, ts) for M in (A, B))
-    if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
+        grids = shifted_det_grid((A, B), rows, ts)
+    if not np.isfinite(grids).all():
         raise NotFinite("a determinant on the grid overflows; use smaller grid values")
-    diff = da - db
+    diff = grids[0] - grids[1]
     resid = np.abs(diff[:lams.size] - diff[-1]) if against_lambda_zero else np.abs(diff)
-    peak = float(max(np.max(np.abs(da)), np.max(np.abs(db))))
-    # a det of order n at unit u is of order u^n; once that underflows, a grid of zeros has
-    # lost both sides, and max_diff = 0 <= TUTTE_TOL * 0 would pass them
-    if peak == 0.0 and u ** A.n == 0.0:
-        raise NotFinite("every determinant on the grid underflows to 0: the grid cannot tell A from B")
+    peak = float(np.abs(grids).max())
+    # a grid of zeros (common roots of both sides, or underflow: a det of order n at unit
+    # u is of order u^n) sees neither side, and max_diff = 0 <= TUTTE_TOL * 0 would pass
+    if peak == 0.0:
+        raise NotFinite("every determinant on the grid is 0 (a common root or underflow): "
+                        "the grid cannot tell A from B")
     max_diff = float(np.max(resid))
     return GridReport(lambda_grid=tuple(lams), t_grid=tuple(ts), residuals=resid,
                       max_abs_diff=max_diff, scale=peak, tol=TUTTE_TOL,
@@ -151,9 +153,11 @@ def verify_main2(A: SymmetricMatrix, B: SymmetricMatrix, sigma: Hypomorphism) ->
     if not rep_a.is_good or not rep_b.is_good:
         raise BadPosition(f"good position required (A: {rep_a.reason.value}, B: {rep_b.reason.value})")
     ka, kb = rep_a.kernel_vector, rep_b.kernel_vector
-    kernel_alignment = float(abs(ka @ kb) / (np.linalg.norm(ka) * np.linalg.norm(kb)))
     vol = volume_eigenvector(factor_presentation(A))
-    volume_alignment = float(abs(ka @ vol) / (np.linalg.norm(ka) * np.linalg.norm(vol)))
+    # each norm as np.linalg.norm takes it for a real vector: the square root of one dot
+    norm_a, norm_b, norm_vol = (math.sqrt(v.dot(v)) for v in (ka, kb, vol))
+    kernel_alignment = float(abs(ka @ kb) / (norm_a * norm_b))
+    volume_alignment = float(abs(ka @ vol) / (norm_a * norm_vol))
     passed = kernel_alignment >= 1.0 - ALIGN_TOL and volume_alignment >= 1.0 - ALIGN_TOL
     return KernelMatchReport(rank_a=rep_a.rank, rank_b=rep_b.rank,
                              kernel_alignment=kernel_alignment,
@@ -258,5 +262,7 @@ def good_position_shift(A: SymmetricMatrix, lam: float) -> SymmetricMatrix:
     """A + lam*I + t(lam)*J: singular PSD with positive kernel when lam is certified."""
     A = as_matrix(A)
     t = t_of_lambda(A, lam)
-    n = A.n
-    return SymmetricMatrix(A.entries + lam * np.eye(n) + t * np.ones((n, n)))
+    shifted = A.entries.copy()
+    shifted.ravel()[::A.n + 1] += lam  # the diagonal of the copy, in place
+    shifted += t
+    return SymmetricMatrix(shifted)

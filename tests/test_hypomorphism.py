@@ -32,7 +32,7 @@ from reconlab.graph6 import Graph6Record, graph6_encode
 from reconlab import hypomorphism
 from reconlab.hypomorphism import (CORPUS_MIN_ORDER, EXACT_TOL, cycle_adjacency,
                                    cycle_pair_corpus)
-from reconlab.matrixcore import scale
+from reconlab.matrixcore import card_index, leave_one_out, scale
 
 from conftest import (
     CARD_SCALE_RAW,
@@ -41,6 +41,7 @@ from conftest import (
     deck_dets,
     identity_hypomorphism,
     path_adjacency,
+    signed_cycle_near_miss,
     symmetric_matrices,
 )
 
@@ -268,14 +269,14 @@ class TestKeptResiduals:
         gc.collect()
         assert not any(ra() or rb() for ra, rb in refs)
         assert set(vars(sigma)) == {"sigmas", "index_tables"}
-        # the tables are read-only and kept: sigma cannot be made to hold another's
-        keep, moved = sigma.index_tables
-        assert not keep.flags.writeable and not moved.flags.writeable
+        # the table is read-only and kept: sigma cannot be made to hold another's
+        moved = sigma.index_tables
+        assert not moved.flags.writeable
         with pytest.raises(ValueError):
-            moved[0, 0] = 0
+            moved[0, 0, 0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            sigma.index_tables = (keep, keep)
-        assert sigma.index_tables[1] is moved
+            sigma.index_tables = card_index(sigma.n)
+        assert sigma.index_tables is moved
 
 
 class TestFind:
@@ -507,3 +508,67 @@ class TestCorpus:
         # the bound check must not use up the orders the corpus is built from
         names = [p["name"] for p in cycle_pair_corpus(ns=(n for n in (5, 6)))]
         assert [name for name in names if name.endswith("shuffle")] == ["C5-shuffle", "C6-shuffle"]
+
+
+def fancy_index_residuals(A, B, sigma):
+    """The gate's per-card residuals by 3-D fancy indexing, the reindexing the flat
+    gathers replace: B[moved[i, p], moved[i, q]] - A[keep[i, p], keep[i, q]]."""
+    n = A.n
+    keep = leave_one_out(n)
+    moved = keep[np.arange(n)[:, None], [s.image for s in sigma.sigmas]]
+    diff = (B.entries[moved[:, :, None], moved[:, None, :]]
+            - A.entries[keep[:, :, None], keep[:, None, :]])
+    return np.abs(diff).reshape(n, -1).max(axis=1)
+
+
+class TestFlatGathers:
+    """The gate's two flat gathers, A.take(card_index(n)) and B.take(sigma.index_tables),
+    subtract the same two floats per entry as the 3-D fancy index, so every residual,
+    and with it valid, failing_index and worst_residual, is bit-identical."""
+
+    @staticmethod
+    def assert_matches_reference(A, B, sigma):
+        ref = fancy_index_residuals(A, B, sigma)
+        gathered = np.abs(B.entries.take(sigma.index_tables)
+                          - A.entries.take(card_index(A.n))).reshape(A.n, -1).max(axis=1)
+        assert gathered.tobytes() == ref.tobytes()
+        cert = verify_hypomorphism(A, B, sigma)
+        failing = np.flatnonzero(ref > cert.tol)
+        assert cert.worst_residual == float(ref.max())
+        assert cert.valid == (failing.size == 0)
+        assert cert.failing_index == (int(failing[0]) if failing.size else None)
+        return cert
+
+    def test_atlas_pairs_on_3_to_6_vertices(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(32)
+        graphs = [g for g in nx.graph_atlas_g() if 3 <= g.number_of_nodes() <= 6]
+        assert len(graphs) == 205
+        for g in graphs:
+            n = g.number_of_nodes()
+            tau = card_class_tau(g, rng)
+            A = SymmetricMatrix(nx.to_numpy_array(g))
+            B = perm_similarity(A, tau)
+            assert self.assert_matches_reference(A, B, find_hypomorphism(A, B)).valid
+            # seeded weights on the edges and the diagonal under a seeded sigma family:
+            # residuals that are neither 0 nor 1
+            w = nx.to_numpy_array(g) * rng.uniform(0.5, 2.0, (n, n))
+            A = SymmetricMatrix(np.triu(w) + np.triu(w, 1).T + np.diag(rng.uniform(-1, 1, n)))
+            sigma = Hypomorphism(tuple(Permutation(tuple(rng.permutation(n - 1)))
+                                       for _ in range(n)))
+            assert not self.assert_matches_reference(A, perm_similarity(A, tau), sigma).valid
+
+    def test_cycle_corpus(self):
+        for pair in cycle_pair_corpus():
+            cert = self.assert_matches_reference(pair["A"], pair["B"], pair["sigma"])
+            assert cert.valid and cert.worst_residual == 0.0
+            A, B = signed_cycle_near_miss(np.ones(pair["A"].n), np.zeros(pair["A"].n))
+            assert not self.assert_matches_reference(A, B, pair["sigma"]).valid
+
+    def test_index_table_is_sigmas_order_of_bs_cards(self):
+        A, B = cycle_adjacency(6), perm_similarity(cycle_adjacency(6), Permutation.swap(6, 1, 3))
+        sigma = find_hypomorphism(A, B)
+        cards_b = B.entries.take(sigma.index_tables)
+        for i, card in enumerate(deck(B)):
+            image = list(sigma.sigmas[i].image)
+            assert cards_b[i].tobytes() == card.entries[np.ix_(image, image)].tobytes()

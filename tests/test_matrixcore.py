@@ -16,8 +16,8 @@ from reconlab import (
     perm_similarity,
 )
 from reconlab.hypomorphism import cycle_adjacency, matrix_pair
-from reconlab.matrixcore import (DEFAULT_GRID, default_lambdas, leave_one_out, scale,
-                                 shifted_det_grid)
+from reconlab.matrixcore import (DEFAULT_GRID, card_index, default_lambdas, leave_one_out,
+                                 scale, shifted_det_grid)
 
 from conftest import CARD_SCALE_RAW, deck_dets, path_adjacency, symmetric_matrices
 
@@ -224,6 +224,63 @@ class TestShiftedDet:
         grid = shifted_det_grid(A, default_lambdas(6), np.linspace(-2.0, 2.0, t_count))
         assert grid.shape == (9, t_count)
         assert calls == [(9, 6, 6), (9, 7, 7)]  # det(A - lam I), then the bordered stack
+
+
+class TestPairStackedGrid:
+    """shifted_det_grid over a tuple of matrices factors each one on its own: every grid
+    is bit-identical to LU of each shifted and bordered matrix taken alone."""
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_each_entry_is_its_own_lu(self, rng, n):
+        lams, ts = default_lambdas(n), np.array(DEFAULT_GRID)
+        for exponent in (-6, 0, 6):
+            pair = tuple(SymmetricMatrix(10.0 ** exponent * (w + w.T))
+                         for w in rng.standard_normal((2, n, n)))
+            grids = shifted_det_grid(pair, lams, ts)
+            assert grids.shape == (2, len(lams), len(ts))
+            for M, grid in zip(pair, grids):
+                bordered = np.ones((n + 1, n + 1))
+                bordered[n, n] = 0.0
+                for k, lam in enumerate(lams):
+                    shifted = M.entries - lam * np.eye(n)
+                    bordered[:n, :n] = shifted
+                    p, q = np.linalg.det(shifted), -np.linalg.det(bordered)
+                    assert grid[k, 4] == p  # t = 0
+                    assert grid[k].tobytes() == (p + q * ts).tobytes()
+                assert grid.tobytes() == shifted_det_grid(M, lams, ts).tobytes()
+
+    def test_two_det_calls_for_the_pair(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return det(m)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        A, B, _ = matrix_pair(cycle_adjacency(6), Permutation.swap(6, 1, 3))
+        shifted_det_grid((A, B), default_lambdas(6), DEFAULT_GRID)
+        assert calls == [(2, 9, 6, 6), (2, 9, 7, 7)]
+
+
+class TestPerOrderTables:
+    """leave_one_out, card_index and default_lambdas are kept once per order, read-only."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_shared_and_read_only(self, n):
+        for table in (leave_one_out, card_index, default_lambdas):
+            assert table(n) is table(n)
+            assert not table(n).flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table(n).flat[0] = 1
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_card_index_cuts_every_card(self, rng, n):
+        w = rng.standard_normal((n, n))
+        a = w + w.T
+        keep = leave_one_out(n)
+        assert card_index(n).shape == (n, n - 1, n - 1)
+        assert a.take(card_index(n)).tobytes() == a[keep[:, :, None], keep[:, None, :]].tobytes()
 
 
 class TestDefaultDetGrid:

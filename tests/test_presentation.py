@@ -25,6 +25,7 @@ from reconlab import (
     perturb_presentation,
     project_origin,
     t_of_lambda,
+    verify_main2,
     volume_eigenvector,
 )
 from reconlab.geometry_suite import random_good_position_presentation, random_pd_matrix
@@ -110,6 +111,19 @@ class TestGoodPosition:
         rep = good_position_report(Presentation(cols).gram)
         assert not rep.is_good
         assert rep.reason is GoodPositionReason.KERNEL_SIGN_MIXED
+
+    @pytest.mark.parametrize("kernel", [(-0.5, 0.3, 0.2), (0.5, -0.3, -0.2), (0.0, -0.6, 0.4),
+                                        (1e-14, 0.6, -0.4)])
+    def test_mixed_kernel_leads_with_its_first_entry_above_tolerance(self, kernel):
+        # the projector onto kernel's complement is PSD of rank n - 1 with that kernel;
+        # entries at or below _KERNEL_POS_TOL do not set the sign
+        v = np.array(kernel)
+        rep = good_position_report(SymmetricMatrix(np.eye(3) - np.outer(v, v) / (v @ v)))
+        assert rep.reason is GoodPositionReason.KERNEL_SIGN_MIXED
+        lead = next(i for i, x in enumerate(kernel) if abs(x) > 1e-12)
+        assert rep.kernel_vector[lead] > 0.0
+        np.testing.assert_allclose(rep.kernel_vector, np.sign(kernel[lead]) * v / np.abs(v).sum(),
+                                   atol=1e-12)
 
 
 class TestVolumeEigenvector:
@@ -524,6 +538,39 @@ class TestKeptSpectrum:
         for kept in (spec.mu, spec.q, spec.c, spec.c_sq):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0] = 0.0
+
+    PATH_DATA = {"c", "c_sq", "c_col", "mu_col", "diag_lo", "diag_hi", "off_peak"}
+
+    def test_mu_and_q_alone_build_no_path_data(self):
+        # good_position_report and factor_presentation read mu and Q only; volume_eigenvector
+        # reads the Gram's spectrum through good_position_report
+        S = good_position_shift(EQUILATERAL, 1.0)
+        good_position_report(S)
+        U = factor_presentation(S)
+        volume_eigenvector(U)
+        for M in (S, U.gram):
+            assert not self.PATH_DATA & set(vars(M.spectrum))
+
+    def test_t_of_lambda_builds_its_data_once(self):
+        M = cycle_adjacency(5)
+        t = t_of_lambda(M, 3.0)
+        spec = M.spectrum
+        built = {name: spec.__dict__[name] for name in self.PATH_DATA & set(vars(spec))}
+        assert set(built) == {"c", "c_sq", "diag_lo", "diag_hi", "off_peak"}
+        assert t_of_lambda(M, 3.0) == t and t_of_lambda(M, 4.0) != t
+        assert all(spec.__dict__[name] is kept for name, kept in built.items())
+        for name in self.PATH_DATA:  # and each reads as a fresh spectrum computes it
+            fresh = getattr(Spectrum(SymmetricMatrix(M.entries.copy())), name)
+            assert np.asarray(getattr(spec, name)).tobytes() == np.asarray(fresh).tobytes()
+
+    def test_pipeline_builds_path_data_on_its_two_matrices_only(self):
+        pair = {p["name"]: p for p in cycle_pair_corpus(ns=(6,))}["C6-shuffle"]
+        A, B, sigma = pair["A"], pair["B"], pair["sigma"]
+        lam = max(lambda0_search(A), lambda0_search(B)) + 1.0
+        shifts = [good_position_shift(M, lam) for M in (A, B)]
+        assert verify_main2(*shifts, sigma).passed
+        assert all(self.PATH_DATA <= set(vars(M.spectrum)) for M in (A, B))
+        assert not any(self.PATH_DATA & set(vars(S.spectrum)) for S in shifts)
 
     def test_failed_search_is_not_kept(self):
         M = SymmetricMatrix(1e308 * np.eye(3))

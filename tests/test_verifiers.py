@@ -1,3 +1,4 @@
+import contextlib
 import json
 import runpy
 import warnings
@@ -13,6 +14,7 @@ from reconlab import (
     NotFinite,
     NotHypomorphic,
     SymmetricMatrix,
+    factor_presentation,
     find_hypomorphism,
     good_position_report,
     good_position_shift,
@@ -24,6 +26,7 @@ from reconlab import (
     verify_main2,
     verify_main_theorem,
     verify_tutte,
+    volume_eigenvector,
 )
 from reconlab.hypomorphism import SEARCH_CAP, cycle_adjacency, cycle_pair_corpus, matrix_pair
 from reconlab.matrixcore import Permutation, Spectrum, default_lambdas, scale, shifted_det_grid
@@ -149,12 +152,13 @@ class TestDefaultLambdaGrid:
 
     def test_roots_on_the_nine_point_grid_do_not_hide_a_forged_pair(self):
         # both determinants vanish at every point of DEFAULT_GRID, so nine points
-        # see no difference; the default grid of 12 points for n = 11 does
+        # see no difference and cannot pass the pair; the default grid of 12 points
+        # for n = 11 does see it
         A = SymmetricMatrix(np.diag(DEFAULT_GRID + (5.0, 6.0)))
         B = SymmetricMatrix(np.diag(DEFAULT_GRID + (5.0, 7.0)))
-        nine = verify_tutte(A, B, identity_hypomorphism(11), lambda_grid=DEFAULT_GRID,
-                            t_grid=[0.0], force=True)
-        assert nine.passed and nine.max_abs_diff == 0.0
+        with pytest.raises(NotFinite, match="every determinant on the grid is 0"):
+            verify_tutte(A, B, identity_hypomorphism(11), lambda_grid=DEFAULT_GRID,
+                         t_grid=[0.0], force=True)
         rep = verify_tutte(A, B, identity_hypomorphism(11), t_grid=[0.0], force=True)
         assert len(rep.lambda_grid) == 12
         assert not rep.passed and rep.max_abs_diff > 1e3
@@ -259,15 +263,14 @@ class TestSubUnitScaleNearMiss:
 class TestUnderflowedGrid:
     """The signed C_n near miss scaled until every determinant on the default grid
     underflows to 0, where max_abs_diff = 0 <= TUTTE_TOL * 0 would pass it. Such a grid
-    cannot tell A from B, so it ends in NotFinite (exit 2). A grid of exact zeros at a
-    unit whose n-th power is a float, as on the roots of both determinants
-    (TestDefaultLambdaGrid), is computed, not lost, and is judged as before."""
+    cannot tell A from B, so it ends in NotFinite (exit 2), as a grid on the roots of
+    both determinants does (TestDefaultLambdaGrid)."""
 
     @pytest.mark.parametrize("n, exponent", [(5, -230), (9, -130), (12, -100), (20, -60),
                                              (40, -30)])
     def test_forced_tutte_is_typed(self, n, exponent):
         A, B = signed_cycle_near_miss(np.full(n, 2.0 ** exponent), np.zeros(n))
-        with pytest.raises(NotFinite, match="every determinant on the grid underflows to 0"):
+        with pytest.raises(NotFinite, match="every determinant on the grid is 0"):
             verify_tutte(A, B, identity_hypomorphism(n), force=True)
 
 
@@ -311,6 +314,35 @@ class TestMain2:
         assert rep.passed
         assert rep.kernel_alignment >= 1.0 - 1e-9
         assert rep.volume_alignment >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("exponent", [-30, -3, 0, 7, 40])
+    def test_shift_and_alignments_match_the_dense_forms(self, exponent):
+        # good_position_shift adds lam on the diagonal, then t, in place: the two additions
+        # of A + lam I + t J; each alignment divides by norms taken as np.linalg.norm does
+        for pair in cycle_pair_corpus():
+            A, B = (SymmetricMatrix(2.0 ** exponent * M.entries) for M in (pair["A"], pair["B"]))
+            lam = max(lambda0_search(A), lambda0_search(B)) + 2.0 ** exponent
+            shifts = []
+            for M in (A, B):
+                dense = M.entries + lam * np.eye(M.n) + t_of_lambda(M, lam) * np.ones((M.n, M.n))
+                shifts.append(good_position_shift(M, lam))
+                assert shifts[-1].entries.tobytes() == dense.tobytes()
+            rep = verify_main2(*shifts, pair["sigma"])
+            ka, kb = (good_position_report(S).kernel_vector for S in shifts)
+            vol = volume_eigenvector(factor_presentation(shifts[0]))
+            norm = np.linalg.norm
+            assert rep.kernel_alignment == float(abs(ka @ kb) / (norm(ka) * norm(kb)))
+            assert rep.volume_alignment == float(abs(ka @ vol) / (norm(ka) * norm(vol)))
+            assert rep.passed
+
+    def test_shift_with_a_diagonal_adds_lam_first(self, rng):
+        # with nonzero diagonal entries (a + lam) + t and (a + t) + lam round apart
+        for n in range(3, 9):
+            w = rng.standard_normal((n, n)) * 2.0 ** rng.integers(-20, 20)
+            M = SymmetricMatrix(w + w.T)
+            lam = lambda0_search(M) * 1.5
+            dense = M.entries + lam * np.eye(n) + t_of_lambda(M, lam) * np.ones((n, n))
+            assert good_position_shift(M, lam).entries.tobytes() == dense.tobytes()
 
     def test_full_rank_rejected(self, c5_pair):
         A, _, _ = c5_pair
@@ -658,8 +690,9 @@ class TestKeptDefaultGrid:
         assert dumps(verify_eq1(A, A, sigma)) == dumps(self.eq1_reference(A, A))
 
     def test_determinants_computed(self, monkeypatch):
-        # every call makes two LU stacks per side, whatever the t grid: tutte factorises
-        # 2k matrices per side, eq1 2(k + 1) with its lam = 0 row
+        # every call makes two LU stacks for the pair, whatever the t grid: tutte
+        # factorises 2k matrices per side, eq1 2(k + 1) with its lam = 0 row, A's and
+        # B's in one det call per stack
         counted = []
         det = np.linalg.det
 
@@ -674,11 +707,14 @@ class TestKeptDefaultGrid:
             for verifier, k in ((verify_tutte, rows), (verify_eq1, rows + 1)):
                 counted.clear()
                 verifier(A, B, sigma)
-                assert counted == [k, k] * 2, verifier.__name__
+                assert counted == [2 * k, 2 * k], verifier.__name__
+        # -1 and 2 are eigenvalues of C9: at t = 0 alone every determinant is 0, and the
+        # grid is rejected after the same two det calls
         for ts in ([0.0], np.linspace(-3.0, 3.0, 40)):
             counted.clear()
-            verify_tutte(A, B, sigma, lambda_grid=[-1.0, 2.0], t_grid=ts)
-            assert counted == [2, 2] * 2
+            with pytest.raises(NotFinite) if len(ts) == 1 else contextlib.nullcontext():
+                verify_tutte(A, B, sigma, lambda_grid=[-1.0, 2.0], t_grid=ts)
+            assert counted == [4, 4]
 
     def test_tutte_reads_only_its_own_rows(self, monkeypatch):
         # C9's ten-point lam grid holds no lam = 0: eq1 appends its reference row last
@@ -697,10 +733,10 @@ class TestKeptDefaultGrid:
         # a non-finite lam = 0 row fails eq1 alone; tutte's default and explicit grids hold none
         grid = matrixcore.shifted_det_grid
 
-        def overflowing_zero_row(M, lam_rows, ts):
-            out = grid(M, lam_rows, ts)
+        def overflowing_zero_row(pair, lam_rows, ts):
+            out = grid(pair, lam_rows, ts)
             if len(lam_rows) == lams.size + 1 and lam_rows[-1] == 0.0:
-                out[-1] = np.inf
+                out[:, -1] = np.inf
             return out
 
         monkeypatch.setattr(verifiers, "shifted_det_grid", overflowing_zero_row)
